@@ -122,6 +122,19 @@ class _UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through exit code 1."""
 
@@ -145,6 +158,12 @@ def _file_config(args) -> dict:
 def _resolve(args, defaults, file_values) -> dict:
     overrides = {k: getattr(args, k, None) for k in defaults}
     return resolve_config(defaults, file_values, overrides)
+
+
+def _check_max_new(config) -> None:
+    # A flag below 1 is already a usage error, so this is a config value.
+    if config["max_new"] < 1:
+        raise ValueError(f"config max_new must be >= 1, got {config['max_new']}")
 
 
 def _out_dir(args) -> Path:
@@ -398,6 +417,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     config = _resolve(args, _GENERATE_DEFAULTS, _file_config(args))
+    _check_max_new(config)
     model, adapter = _load_model_and_adapter(args)
     vocab = load_vocab(args.vocab)
     text = _read_text(args.text)
@@ -447,6 +467,7 @@ def _cmd_eval(args) -> int:
     file_values = _file_config(args)
     config = _resolve(args, _EVAL_DEFAULTS, file_values)
     thresholds = {k: file_values[k] for k in _THRESHOLD_KEYS if k in file_values}
+    _check_max_new(config)
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
     out = _out_dir(args)
@@ -646,7 +667,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--adapter", metavar="FILE")
     gen.add_argument("--text", help="input text; omit to read stdin")
     gen.add_argument("--decode", choices=("greedy", "sampled"))
-    gen.add_argument("--max-new", type=int, dest="max_new")
+    gen.add_argument("--max-new", type=_positive_int, dest="max_new")
     gen.add_argument("--temperature", type=float)
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", metavar="DIR")
@@ -659,7 +680,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--adapter", metavar="FILE")
     ev.add_argument("--mode", choices=EVAL_MODES)
     ev.add_argument("--seed", type=int)
-    ev.add_argument("--max-new", type=int, dest="max_new")
+    ev.add_argument("--max-new", type=_positive_int, dest="max_new")
     ev.add_argument("--leakage", action="store_true",
                     help="also run the untagged-word leakage test")
     ev.add_argument("--out", required=True, metavar="DIR")

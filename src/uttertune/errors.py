@@ -94,6 +94,10 @@ class CorruptFile(UtterTuneError):
     """Container checksum or structure check failed."""
 
 
+class WrongArtifactKind(UtterTuneError):
+    """A tensor container holds another kind of artifact than the one asked for."""
+
+
 # --- model ---
 
 class SequenceTooLong(UtterTuneError):

@@ -282,14 +282,17 @@ def load_report(path) -> EvalReport:
             header[fields[0]] = fields[1]
         else:
             raise CorruptFile("malformed report header line")
-    report = EvalReport(
-        mode=header["mode"],
-        per_sample=tuple(rows),
-        mean_cer=float(header["mean_cer"]),
-        accent_rate=float(header["accent_rate"]),
-        n_items=int(header["n_items"]),
-        n_excluded=int(header["n_excluded"]),
-    )
+    try:
+        report = EvalReport(
+            mode=header["mode"],
+            per_sample=tuple(rows),
+            mean_cer=float(header["mean_cer"]),
+            accent_rate=float(header["accent_rate"]),
+            n_items=int(header["n_items"]),
+            n_excluded=int(header["n_excluded"]),
+        )
+    except KeyError as missing:
+        raise CorruptFile(f"{path}: missing header field {missing}") from None
     mean_cer, accent_rate, n_excluded = _aggregate(report.per_sample)
     if (
         mean_cer != report.mean_cer

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRank, ShapeMismatch
+from .errors import CorruptFile, InvalidRank, ShapeMismatch, WrongArtifactKind
 from .tensorio import load_tensors, save_tensors
 
 PROJECTIONS = ("q", "k", "v", "o")
@@ -228,39 +228,46 @@ def save_adapter(adapter: LoraAdapter, path) -> None:
 
 def load_adapter(path) -> LoraAdapter:
     tensors, meta = load_tensors(path)
-    base_spec = BaseShapeSpec(
-        n_layers=int(meta["base_layers"]),
-        width=int(meta["base_width"]),
-        base_param_count=int(meta["base_params"]),
-        fingerprint=meta.get("base_fingerprint", ""),
-    )
-    rank = int(meta["rank"])
-    alpha = float(meta["alpha"])
-    dropout = float(meta["dropout"])
-    layers = []
-    for i in range(base_spec.n_layers):
-        for proj in PROJECTIONS:
-            target = f"L{i}.{proj}"
-            layers.append(
-                LoraLayer(
-                    target=target,
-                    B=tensors[f"{target}.B"],
-                    C=tensors[f"{target}.C"],
-                    rank=rank,
-                    alpha=alpha,
-                    dropout_rate=dropout,
+    if meta.get("kind") != "adapter":
+        raise WrongArtifactKind(
+            f"{path}: container kind {meta.get('kind')!r}, expected 'adapter'"
+        )
+    try:
+        base_spec = BaseShapeSpec(
+            n_layers=int(meta["base_layers"]),
+            width=int(meta["base_width"]),
+            base_param_count=int(meta["base_params"]),
+            fingerprint=meta.get("base_fingerprint", ""),
+        )
+        rank = int(meta["rank"])
+        alpha = float(meta["alpha"])
+        dropout = float(meta["dropout"])
+        layers = []
+        for i in range(base_spec.n_layers):
+            for proj in PROJECTIONS:
+                target = f"L{i}.{proj}"
+                layers.append(
+                    LoraLayer(
+                        target=target,
+                        B=tensors[f"{target}.B"],
+                        C=tensors[f"{target}.C"],
+                        rank=rank,
+                        alpha=alpha,
+                        dropout_rate=dropout,
+                    )
                 )
-            )
-    return LoraAdapter(
-        layers=layers,
-        tag_deltas=tensors["tag_deltas"],
-        rank=rank,
-        alpha=alpha,
-        dropout_rate=dropout,
-        scaling=meta["scaling"],
-        seed=int(meta["seed"]),
-        base_spec=base_spec,
-    )
+        return LoraAdapter(
+            layers=layers,
+            tag_deltas=tensors["tag_deltas"],
+            rank=rank,
+            alpha=alpha,
+            dropout_rate=dropout,
+            scaling=meta["scaling"],
+            seed=int(meta["seed"]),
+            base_spec=base_spec,
+        )
+    except KeyError as missing:
+        raise CorruptFile(f"{path}: missing field {missing}") from None
 
 
 def adapters_equal(a: LoraAdapter, b: LoraAdapter) -> bool:

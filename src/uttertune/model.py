@@ -11,6 +11,14 @@ The adapter path is computed separately from the frozen path
 well-defined place and zero-initialized C keeps step-0 logits bitwise
 equal to the base model's.
 
+Batches are right-padded to (N, T). The position-wise feed-forward block
+runs on the real rows only, gathered to (R, width) and scattered back with
+zeros at the pad rows; pad rows sit after every real position, so causal
+attention gives them zero weight and they cannot affect a real row. Layer
+norms, attention, the Q/K/V/O projections (and their dropout draws) and
+the head keep the padded layout. GELU is the tanh form; the backward pass
+reuses the forward tanh.
+
 Generation is constrained to the speech-token range: the model's job
 after a text prompt is to emit speech codes, and the end-of-speech id
 (last id of the range) terminates it.
@@ -24,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteLoss, SequenceTooLong, ShapeMismatch
+from .errors import (
+    CorruptFile,
+    NonFiniteLoss,
+    SequenceTooLong,
+    ShapeMismatch,
+    WrongArtifactKind,
+)
 from .lora import BaseShapeSpec, LoraAdapter, PROJECTIONS
 from .tensorio import load_tensors, save_tensors
 
@@ -183,17 +197,24 @@ class ToyLM:
     @classmethod
     def load(cls, path) -> "ToyLM":
         tensors, meta = load_tensors(path)
-        config = ToyLMConfig(
-            vocab_size=int(meta["vocab_size"]),
-            speech_offset=int(meta["speech_offset"]),
-            speech_count=int(meta["speech_count"]),
-            layers=int(meta["layers"]),
-            width=int(meta["width"]),
-            heads=int(meta["heads"]),
-            ff_width=int(meta["ff_width"]),
-            max_seq=int(meta["max_seq"]),
-            seed=int(meta["seed"]),
-        )
+        if meta.get("kind") != "model":
+            raise WrongArtifactKind(
+                f"{path}: container kind {meta.get('kind')!r}, expected 'model'"
+            )
+        try:
+            config = ToyLMConfig(
+                vocab_size=int(meta["vocab_size"]),
+                speech_offset=int(meta["speech_offset"]),
+                speech_count=int(meta["speech_count"]),
+                layers=int(meta["layers"]),
+                width=int(meta["width"]),
+                heads=int(meta["heads"]),
+                ff_width=int(meta["ff_width"]),
+                max_seq=int(meta["max_seq"]),
+                seed=int(meta["seed"]),
+            )
+        except KeyError as missing:
+            raise CorruptFile(f"{path}: missing meta field {missing}") from None
         return cls(config, tensors)
 
     def params64(self) -> dict[str, np.ndarray]:
@@ -218,7 +239,8 @@ class ToyLM:
                 f"{ids.shape[0]} tokens > max_seq {self.config.max_seq}"
             )
         logits, _ = _forward_batch(
-            self.params64(), self.config, ids[None, :], _adapter64(adapter), None
+            self.params64(), self.config, ids[None, :], np.arange(ids.shape[0]),
+            _adapter64(adapter), None,
         )
         return logits[0]
 
@@ -246,16 +268,39 @@ def _adapter64(adapter: LoraAdapter | None):
 
 
 def _gelu(x):
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(u))
+    """(GELU(x), t) with t = tanh(u), which _gelu_backward reuses."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, t
 
 
-def _gelu_grad(x):
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (
-        1.0 + 3.0 * _GELU_A * x * x
-    )
+def _gelu_backward(dy, x, t):
+    """dy * GELU'(x), given the forward pass's t = tanh(u).
+
+    GELU'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2). The factor
+    0.5 is applied once at the end; scaling by a power of two is exact, so
+    the result carries the same bits as the term-by-term form.
+    """
+    g = x * (3.0 * _GELU_A)
+    g *= x
+    g += 1.0
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= x
+    s *= _GELU_C
+    s *= g
+    np.add(t, 1.0, out=g)
+    s += g
+    s *= 0.5
+    s *= dy
+    return s
 
 
 def _layer_norm(x, g, b):
@@ -317,11 +362,13 @@ def _project_backward(dy, x, W, adapter, name, masks, cache, grads, adapter_grad
     return dx
 
 
-def _forward_batch(params, cfg: ToyLMConfig, ids, adapter, dropout_rng):
+def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng):
     """Causal forward over a right-padded id batch.
 
-    Returns (logits (N,T,V), cache for backward). dropout_rng draws the
-    adapter-path masks; None disables dropout.
+    rows holds the flat indices into (N*T) of the real, non-pad positions;
+    the feed-forward block runs on those rows only, and its output at the
+    pad rows is zero. Returns (logits (N,T,V), cache for backward). dropout_rng
+    draws the adapter-path masks; None disables dropout.
     """
     N, T = ids.shape
     if T > cfg.max_seq:
@@ -374,10 +421,14 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, adapter, dropout_rng):
         ln2_out, ln2_cache = _layer_norm(
             x_attn, params[f"L{i}.ln2.g"], params[f"L{i}.ln2.b"]
         )
-        pre_act = ln2_out @ params[f"L{i}.ff1"] + params[f"L{i}.ff1b"]
-        act = _gelu(pre_act)
-        ff_out = act @ params[f"L{i}.ff2"] + params[f"L{i}.ff2b"]
-        x_new = x_attn + ff_out
+        ln2_rows = ln2_out.reshape(-1, cfg.width)[rows]
+        pre_act = ln2_rows @ params[f"L{i}.ff1"]
+        pre_act += params[f"L{i}.ff1b"]
+        act, tanh_u = _gelu(pre_act)
+        ff_rows = act @ params[f"L{i}.ff2"]
+        ff_rows += params[f"L{i}.ff2b"]
+        x_new = x_attn.copy()
+        x_new.reshape(-1, cfg.width)[rows] += ff_rows
         layers_cache.append(
             {
                 "x_in": x,
@@ -394,9 +445,10 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, adapter, dropout_rng):
                 "attn": attn,
                 "ctx": ctx,
                 "x_attn": x_attn,
-                "ln2_out": ln2_out,
+                "ln2_rows": ln2_rows,
                 "ln2_cache": ln2_cache,
                 "pre_act": pre_act,
+                "tanh_u": tanh_u,
                 "act": act,
             }
         )
@@ -405,6 +457,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, adapter, dropout_rng):
     logits = final_out @ params["head"]
     cache = {
         "ids": ids,
+        "rows": rows,
         "tag_hits": tag_hits,
         "layers": layers_cache,
         "x_final": x,
@@ -437,25 +490,22 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
         grads["lnf.g"] += dg
         grads["lnf.b"] += db
 
+    rows = cache["rows"]
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
-        # FF block.
-        dff_out = dx
+        # FF block, on the real rows only.
+        dff_rows = dx.reshape(-1, cfg.width)[rows]
         if grads is not None:
-            grads[f"L{i}.ff2b"] += dff_out.sum(axis=(0, 1))
-            grads[f"L{i}.ff2"] += (
-                lc["act"].reshape(-1, cfg.ff_width).T
-                @ dff_out.reshape(-1, cfg.width)
-            )
-        dact = dff_out @ params[f"L{i}.ff2"].T
-        dpre = dact * _gelu_grad(lc["pre_act"])
+            grads[f"L{i}.ff2b"] += dff_rows.sum(axis=0)
+            grads[f"L{i}.ff2"] += lc["act"].T @ dff_rows
+        dact = dff_rows @ params[f"L{i}.ff2"].T
+        dpre = _gelu_backward(dact, lc["pre_act"], lc["tanh_u"])
         if grads is not None:
-            grads[f"L{i}.ff1b"] += dpre.sum(axis=(0, 1))
-            grads[f"L{i}.ff1"] += (
-                lc["ln2_out"].reshape(-1, cfg.width).T
-                @ dpre.reshape(-1, cfg.ff_width)
-            )
-        dln2_out = dpre @ params[f"L{i}.ff1"].T
+            grads[f"L{i}.ff1b"] += dpre.sum(axis=0)
+            grads[f"L{i}.ff1"] += lc["ln2_rows"].T @ dpre
+        dln2_out = np.zeros((N * T, cfg.width))
+        dln2_out[rows] = dpre @ params[f"L{i}.ff1"].T
+        dln2_out = dln2_out.reshape(N, T, cfg.width)
         dx_attn_from_ln2, dg, db = _layer_norm_backward(
             dln2_out, params[f"L{i}.ln2.g"], lc["ln2_cache"]
         )
@@ -515,7 +565,8 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
 
 
 def _pack_batch(examples, eos_id: int):
-    """Right-pad sequences; build target grid and prediction mask."""
+    """Right-pad sequences; build target grid, prediction mask and the flat
+    indices of the real (non-pad) positions."""
     seqs = [
         list(ex.input_ids) + list(ex.target_ids) + [eos_id] for ex in examples
     ]
@@ -532,14 +583,16 @@ def _pack_batch(examples, eos_id: int):
         # last input position.
         tgt[n, li - 1 : L - 1] = seq[li:]
         mask[n, li - 1 : L - 1] = 1.0
-    return ids, tgt, mask
+    lengths = np.array([len(seq) for seq in seqs])
+    rows = np.flatnonzero(np.arange(T) < lengths[:, None])
+    return ids, tgt, mask, rows
 
 
 def _loss_forward(params, cfg, examples, adapter, dropout_rng):
     if not examples:
         raise ValueError("empty batch")
-    ids, tgt, mask = _pack_batch(examples, cfg.eos_id)
-    logits, cache = _forward_batch(params, cfg, ids, adapter, dropout_rng)
+    ids, tgt, mask, rows = _pack_batch(examples, cfg.eos_id)
+    logits, cache = _forward_batch(params, cfg, ids, rows, adapter, dropout_rng)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
     n, t = np.nonzero(mask)
@@ -794,7 +847,9 @@ def generate(
     hi = cfg.speech_offset + cfg.speech_count
     for _ in range(max_new):
         arr = np.asarray(ids, dtype=np.int64)[None, :]
-        logits, _ = _forward_batch(params, cfg, arr, adapter64, None)
+        logits, _ = _forward_batch(
+            params, cfg, arr, np.arange(len(ids)), adapter64, None
+        )
         speech_logits = logits[0, -1, lo:hi]
         if mode == "greedy":
             nxt = lo + int(np.argmax(speech_logits))

@@ -364,8 +364,11 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise CorruptFile(f"{path}: not a vocabulary file") from None
     it = iter(lines)
 
     def next_line() -> str:

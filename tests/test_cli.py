@@ -21,6 +21,7 @@ from uttertune.manifest import (
     save_manifest,
 )
 from uttertune.model import ToyLM
+from uttertune.tensorio import save_tensors
 
 # -- notation subcommands ---------------------------------------------------
 
@@ -498,6 +499,78 @@ def test_eval_rejects_mismatched_adapter(pipeline, default_hyperparameter_run,
                "--adapter", pipeline["adapter"], "--mode", "plain",
                "--out", str(tmp_path / "e")])
     assert rc == 2
+
+
+def test_wrong_artifact_kind_is_one_line_data_error(pipeline, tmp_path,
+                                                    capsys):
+    files = {
+        "model": pipeline["model"],
+        "adapter": pipeline["adapter"],
+        "vocab": pipeline["vocab"],
+        "corpus": pipeline["corpus1"],
+        "report": str(pipeline["root"] / "e" / "report_plain.tsv"),
+        "manifest": str(pipeline["root"] / "t" / "manifest.txt"),
+    }
+    out = ["--out", str(tmp_path / "out")]
+    all_slots = {"--model": "model", "--vocab": "vocab", "--adapter": "adapter"}
+    commands = [
+        (["generate", "--text", "駅"], all_slots),
+        (["eval", "--mode", "plain"] + out, all_slots),
+        (["adapter", "merge"] + out,
+         {"--model": "model", "--adapter": "adapter"}),
+        (["adapter", "info"], {"--adapter": "adapter"}),
+    ]
+    for head, slots in commands:
+        for flag, right in slots.items():
+            for kind, path in files.items():
+                if kind == right:
+                    continue
+                given = {f: files[k] for f, k in slots.items()}
+                given[flag] = path
+                argv = head + [x for pair in given.items() for x in pair]
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc == 2, (argv, err)
+                assert len(err.splitlines()) == 1, (argv, err)
+
+
+def test_container_without_its_fields_is_one_line_data_error(pipeline,
+                                                             tmp_path, capsys):
+    for kind, argv in (
+        ("model", ["generate", "--text", "駅", "--vocab", pipeline["vocab"],
+                   "--model"]),
+        ("adapter", ["adapter", "info", "--adapter"]),
+    ):
+        path = tmp_path / f"{kind}.ut"
+        save_tensors(path, {"x": np.zeros(2, dtype=np.float32)}, {"kind": kind})
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "missing" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+@pytest.mark.parametrize("source, value, code", [
+    ("flag", "-5", 1), ("flag", "0", 1), ("config", "-5", 2), ("config", "0", 2),
+])
+def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys, command,
+                                       source, value, code):
+    """A flag below 1 is a usage error, a config value below 1 a bad config
+    value."""
+    argv = [command, "--model", pipeline["model"], "--vocab", pipeline["vocab"]]
+    argv += ["--text", "駅"] if command == "generate" else [
+        "--out", str(tmp_path / "e")
+    ]
+    if source == "flag":
+        argv += ["--max-new", value]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"max_new = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert ("--max-new" if source == "flag" else "max_new") in err
 
 
 # -- console entry point ---------------------------------------------------------

@@ -355,6 +355,20 @@ def test_report_load_rejects_tampered_aggregates(tmp_path):
         load_report(path)
 
 
+@pytest.mark.parametrize(
+    "field", ["mode", "n_items", "n_excluded", "mean_cer", "accent_rate"]
+)
+def test_report_load_rejects_missing_header_field(tmp_path, field):
+    path = tmp_path / "report.tsv"
+    save_report(_sample_report(), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(field + "\t")]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=field):
+        load_report(path)
+
+
 def test_report_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk"
     path.write_text("hello\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from uttertune.model import (
     TrainingExample,
     _forward_batch,
     _gelu,
-    _gelu_grad,
+    _gelu_backward,
     generate,
     gradient_check,
     loss_and_grads,
@@ -124,7 +124,9 @@ def test_causality_is_exact(tiny_model):
 
 def test_attention_rows_are_normalized(tiny_model):
     ids = np.array([[1, 2, 3, 4, 5, 6]], dtype=np.int64)
-    _, cache = _forward_batch(tiny_model.params64(), TINY, ids, None, None)
+    _, cache = _forward_batch(
+        tiny_model.params64(), TINY, ids, np.arange(ids.size), None, None
+    )
     for layer_cache in cache["layers"]:
         sums = layer_cache["attn"].sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) < 1e-6)
@@ -181,6 +183,35 @@ def test_padding_does_not_leak_into_loss(tiny_model):
     batched = tiny_model.loss([short, long])
     recovered = (batched * (ns + nl) - tiny_model.loss([long]) * nl) / ns
     assert alone == pytest.approx(recovered, rel=1e-9)
+
+
+def test_padded_batch_grads_match_per_sequence_mean(tiny_model):
+    """The feed-forward block skips pad rows; a padded batch must still give
+    the count-weighted mean of the unpadded per-sequence loss and grads."""
+    rng = np.random.default_rng(12)
+    batch = make_examples(rng, 5, with_tags=True)
+    assert len({len(ex.input_ids) + len(ex.target_ids) for ex in batch}) > 1
+    trained = init_adapter(tiny_model.shape_spec(), r=1, alpha=8.0,
+                           dropout_rate=0.0, seed=2)
+    train_adapter(tiny_model, trained, make_examples(rng, 16, with_tags=True),
+                  TrainConfig(steps=30, learning_rate=1e-2, batch_size=4))
+    counts = [len(ex.target_ids) + 1 for ex in batch]
+    total = sum(counts)
+    for adapter in (None, trained):
+        loss, grads, agrads = loss_and_grads(tiny_model, batch, adapter)
+        got = grads if adapter is None else agrads
+        want = {k: np.zeros_like(v) for k, v in got.items()}
+        want_loss = 0.0
+        for ex, n in zip(batch, counts):
+            one_loss, one_grads, one_agrads = loss_and_grads(
+                tiny_model, [ex], adapter
+            )
+            want_loss += one_loss * n / total
+            for k, v in (one_grads if adapter is None else one_agrads).items():
+                want[k] += v * (n / total)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for k, v in want.items():
+            assert np.abs(got[k] - v).max() <= 1e-12 * np.abs(v).max(), k
 
 
 # -- adapter path ------------------------------------------------------------
@@ -429,17 +460,19 @@ def test_gelu_matches_closed_tanh_form():
     x = np.linspace(-6.0, 6.0, 2001)
     c = math.sqrt(2.0 / math.pi)
     t = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
-    np.testing.assert_allclose(_gelu(x), 0.5 * x * (1.0 + t),
+    y, tanh_u = _gelu(x)
+    np.testing.assert_allclose(y, 0.5 * x * (1.0 + t),
                                rtol=1e-12, atol=1e-15)
     closed_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (
         1.0 + 3.0 * 0.044715 * x * x
     )
-    np.testing.assert_allclose(_gelu_grad(x), closed_grad,
-                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(_gelu_backward(np.ones_like(x), x, tanh_u),
+                               closed_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_gelu_grad_matches_central_differences():
     x = np.linspace(-6.0, 6.0, 2001)
     h = 1e-5
-    fd = (_gelu(x + h) - _gelu(x - h)) / (2.0 * h)
-    np.testing.assert_allclose(_gelu_grad(x), fd, rtol=1e-7, atol=1e-9)
+    fd = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2.0 * h)
+    np.testing.assert_allclose(_gelu_backward(np.ones_like(x), x, _gelu(x)[1]),
+                               fd, rtol=1e-7, atol=1e-9)
