@@ -1,10 +1,4 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel here exists twice: a numba-compiled version and a pure-numpy
-version. The active backend is chosen by the UTTERTUNE_BACKEND environment
-variable ("numba", "numpy", or "auto"; auto prefers numba when it imports).
-Both backends compute bit-identical integer results; the benchmark script
-under benchmarks/ times them against each other.
+"""Hot numeric kernels, in NumPy.
 
 Kernels:
   * edit_distance          unit-cost Levenshtein between two id sequences
@@ -13,6 +7,10 @@ Kernels:
                            edit-move graph (the DP-free oracle used to
                            cross-check the DP route; keep the two
                            implementations independent)
+
+Both matrix kernels return uint8 and reject inputs whose values would not
+fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
+bfs_distance_matrix paths of UNREACHABLE steps or more.
 
 Plus deterministic constructors for the exhaustive small-string universe
 and its edit-move graph (nodes = strings, edges = single edit operations).
@@ -25,86 +23,30 @@ therefore exact for pairs inside the universe.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-
-_UNVISITED = np.uint8(255)
-
-
-def _resolve_backend(name: str) -> str:
-    name = (name or "auto").strip().lower()
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"UTTERTUNE_BACKEND must be auto, numba, or numpy, got {name!r}"
-        )
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("UTTERTUNE_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-_BACKEND = _resolve_backend(os.environ.get("UTTERTUNE_BACKEND", "auto"))
+UNREACHABLE = 255
+# Every DP value is <= max(la, lb), and a cell adds 1 before taking the
+# minimum, so strings up to 254 long keep every uint8 step below overflow.
+MAX_MATRIX_LEN = UNREACHABLE - 1
+# Cells per DP layer in edit_distance_matrix. At length 6 the two rows of
+# layers of one row block then take about 2 MB, the size of an L2 cache.
+_DP_BLOCK_CELLS = 1 << 17
 
 
 def active_backend() -> str:
-    """Name of the backend in use: 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch backends at runtime (mainly for tests and benchmarks)."""
-    global _BACKEND
-    _BACKEND = _resolve_backend(name)
-    return _BACKEND
+    """Name of the kernel backend; there is one, NumPy."""
+    return "numpy"
 
 
 # -- single-pair edit distance -------------------------------------------
 
 
-@njit(cache=True)
-def _edit_distance_nb(a, b):  # pragma: no cover - compiled
-    m = a.shape[0]
-    n = b.shape[0]
-    prev = np.empty(n + 1, dtype=np.int64)
-    cur = np.empty(n + 1, dtype=np.int64)
-    for j in range(n + 1):
-        prev[j] = j
-    for i in range(m):
-        cur[0] = i + 1
-        ai = a[i]
-        for j in range(n):
-            cost = 0 if ai == b[j] else 1
-            best = prev[j] + cost
-            if prev[j + 1] + 1 < best:
-                best = prev[j + 1] + 1
-            if cur[j] + 1 < best:
-                best = cur[j] + 1
-            cur[j + 1] = best
-        prev, cur = cur, prev
-    return prev[n]
-
-
-def _edit_distance_np(a: np.ndarray, b: np.ndarray) -> int:
+def edit_distance(a, b) -> int:
+    """Unit-cost Levenshtein distance between two integer sequences."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
     m, n = a.shape[0], b.shape[0]
     if n == 0:
         return m
@@ -120,158 +62,122 @@ def _edit_distance_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[n])
 
 
-def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance between two integer sequences."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if _BACKEND == "numba":
-        return int(_edit_distance_nb(a, b))
-    return _edit_distance_np(a, b)
-
-
 # -- all-pairs edit distance over a padded table ---------------------------
-
-
-@njit(cache=True)
-def _edit_distance_matrix_nb(padded, lengths):  # pragma: no cover - compiled
-    n_str = padded.shape[0]
-    out = np.empty((n_str, n_str), dtype=np.uint8)
-    max_len = padded.shape[1]
-    prev = np.empty(max_len + 1, dtype=np.int64)
-    cur = np.empty(max_len + 1, dtype=np.int64)
-    for ia in range(n_str):
-        la = lengths[ia]
-        for ib in range(n_str):
-            lb = lengths[ib]
-            for j in range(lb + 1):
-                prev[j] = j
-            for i in range(la):
-                cur[0] = i + 1
-                ai = padded[ia, i]
-                for j in range(lb):
-                    cost = 0 if ai == padded[ib, j] else 1
-                    best = prev[j] + cost
-                    if prev[j + 1] + 1 < best:
-                        best = prev[j + 1] + 1
-                    if cur[j] + 1 < best:
-                        best = cur[j] + 1
-                    cur[j + 1] = best
-                for j in range(lb + 1):
-                    prev[j] = cur[j]
-            out[ia, ib] = prev[lb]
-    return out
-
-
-def _edit_distance_matrix_np(padded: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    n_str = padded.shape[0]
-    out = np.empty((n_str, n_str), dtype=np.uint8)
-    max_len = int(lengths.max()) if n_str else 0
-    by_len = [np.nonzero(lengths == L)[0] for L in range(max_len + 1)]
-    for la in range(max_len + 1):
-        rows = by_len[la]
-        if rows.size == 0:
-            continue
-        A = padded[rows, :la]
-        for lb in range(max_len + 1):
-            cols = by_len[lb]
-            if cols.size == 0:
-                continue
-            B = padded[cols, :lb]
-            # DP layers: one (len(rows), len(cols)) matrix per table cell,
-            # iterated over the <= 7x7 cells only.
-            prev_row = [
-                np.full((rows.size, cols.size), j, dtype=np.int64)
-                for j in range(lb + 1)
-            ]
-            for i in range(la):
-                cur_row = [np.full((rows.size, cols.size), i + 1, dtype=np.int64)]
-                ai = A[:, i][:, None]
-                for j in range(lb):
-                    cost = (ai != B[:, j][None, :]).astype(np.int64)
-                    best = np.minimum(prev_row[j] + cost, prev_row[j + 1] + 1)
-                    np.minimum(best, cur_row[j] + 1, out=best)
-                    cur_row.append(best)
-                prev_row = cur_row
-            out[np.ix_(rows, cols)] = prev_row[lb].astype(np.uint8)
-    return out
 
 
 def edit_distance_matrix(padded, lengths) -> np.ndarray:
     """Levenshtein distance for every ordered pair of table rows.
 
-    padded is (n, max_len) int8/int64 with rows padded past their length;
-    lengths is (n,). Returns a (n, n) uint8 matrix (distances <= max_len).
+    padded is (n, width) int8/int64 with rows padded past their length;
+    lengths is (n,). Returns a (n, n) uint8 matrix (distances <= max
+    length). Raises ValueError if a string is longer than MAX_MATRIX_LEN.
     """
     padded = np.ascontiguousarray(padded, dtype=np.int64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _edit_distance_matrix_nb(padded, lengths)
-    return _edit_distance_matrix_np(padded, lengths)
+    n_str = padded.shape[0]
+    out = np.empty((n_str, n_str), dtype=np.uint8)
+    max_len = int(lengths.max()) if n_str else 0
+    if max_len > MAX_MATRIX_LEN:
+        raise ValueError(
+            f"edit_distance_matrix takes strings up to {MAX_MATRIX_LEN} long, "
+            f"got one of length {max_len}"
+        )
+    by_len = [np.nonzero(lengths == L)[0] for L in range(max_len + 1)]
+    for la in range(max_len + 1):
+        rows_la = by_len[la]
+        if rows_la.size == 0:
+            continue
+        for lb in range(max_len + 1):
+            cols = by_len[lb]
+            if cols.size == 0:
+                continue
+            B = padded[cols, :lb]
+            # DP layers: one (block, len(cols)) matrix per table cell, two
+            # rows of them, swapped after each row of the table. Rows go in
+            # blocks so that the layers stay in cache.
+            block = min(rows_la.size, max(1, _DP_BLOCK_CELLS // cols.size))
+            prev_buf = np.empty((lb + 1, block, cols.size), dtype=np.uint8)
+            cur_buf = np.empty_like(prev_buf)
+            neq_buf = np.empty((block, cols.size), dtype=bool)
+            step_buf = np.empty((block, cols.size), dtype=np.uint8)
+            for start in range(0, rows_la.size, block):
+                rows = rows_la[start : start + block]
+                A = padded[rows, :la]
+                prev, cur = prev_buf[:, : rows.size], cur_buf[:, : rows.size]
+                neq, step = neq_buf[: rows.size], step_buf[: rows.size]
+                prev[...] = np.arange(lb + 1, dtype=np.uint8)[:, None, None]
+                for i in range(la):
+                    cur[0] = i + 1
+                    ai = A[:, i][:, None]
+                    for j in range(lb):
+                        c = cur[j + 1]
+                        np.not_equal(ai, B[:, j], out=neq)
+                        np.add(prev[j], neq, out=c)
+                        # Deletion and insertion both cost 1: +1 on their min.
+                        np.minimum(prev[j + 1], cur[j], out=step)
+                        np.add(step, 1, out=step)
+                        np.minimum(c, step, out=c)
+                    prev, cur = cur, prev
+                out[np.ix_(rows, cols)] = prev[lb]
+    return out
 
 
 # -- BFS oracle over the edit-move graph -----------------------------------
 
 
-@njit(cache=True)
-def _bfs_matrix_nb(indptr, indices, n_nodes):  # pragma: no cover - compiled
-    out = np.full((n_nodes, n_nodes), 255, dtype=np.uint8)
-    queue = np.empty(n_nodes, dtype=np.int64)
-    for src in range(n_nodes):
-        dist = out[src]
-        dist[src] = 0
-        queue[0] = src
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for e in range(indptr[u], indptr[u + 1]):
-                v = indices[e]
-                if dist[v] == 255:
-                    dist[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return out
-
-
-def _bfs_matrix_np(indptr: np.ndarray, indices: np.ndarray, n_nodes: int) -> np.ndarray:
-    # Pad adjacency to a rectangle so each BFS level is one fancy-index
-    # gather; padding points each node at itself (harmless self loop).
-    degrees = np.diff(indptr)
-    max_deg = int(degrees.max()) if n_nodes else 0
-    adj = np.repeat(np.arange(n_nodes, dtype=np.int64)[:, None], max_deg, axis=1)
-    for u in range(n_nodes):
-        d = degrees[u]
-        adj[u, :d] = indices[indptr[u] : indptr[u] + d]
-    out = np.full((n_nodes, n_nodes), _UNVISITED, dtype=np.uint8)
-    for src in range(n_nodes):
-        dist = out[src]
-        dist[src] = 0
-        frontier = np.array([src], dtype=np.int64)
-        level = np.uint8(0)
-        while frontier.size:
-            level = np.uint8(level + 1)
-            reached = adj[frontier].ravel()
-            new_mask = dist[reached] == _UNVISITED
-            new_nodes = np.unique(reached[new_mask])
-            if new_nodes.size == 0:
-                break
-            dist[new_nodes] = level
-            frontier = new_nodes
-    return out
-
-
 def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
-    """All-pairs shortest-path lengths by BFS from every node.
+    """All-pairs shortest-path lengths by BFS from every node at once.
 
-    255 marks unreachable. Independent of the DP kernels by construction.
+    (indptr, indices) is a CSR adjacency, directed or not; out[src, v] is
+    the number of edges on a shortest path from src to v, UNREACHABLE (255)
+    if there is none. Raises ValueError if some shortest path has 255
+    edges or more. Independent of the DP kernels by construction.
+
+    All sources advance together, one level per step, on bit sets: row v
+    of the frontier holds one bit per source that first reached v at the
+    previous level (the multi-source BFS of Then et al., PVLDB 8(4), 2014).
     """
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _bfs_matrix_nb(indptr, indices, n_nodes)
-    return _bfs_matrix_np(indptr, indices, n_nodes)
+    n = int(n_nodes)
+    # In-neighbour lists (the CSR transposed), padded to a rectangle with
+    # self loops, so a node's next frontier row is an OR over one column.
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    targets = indices[order]
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=in_ptr[1:])
+    max_deg = int(np.diff(in_ptr).max()) if n else 0
+    in_adj = np.repeat(np.arange(n, dtype=np.int64)[:, None], max_deg, axis=1)
+    in_adj[targets, np.arange(targets.size) - in_ptr[targets]] = heads[order]
+
+    # dist[v, src] while searching; transposed on return.
+    dist = np.full((n, n), UNREACHABLE, dtype=np.uint8)
+    np.fill_diagonal(dist, 0)
+    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    unseen = ~frontier
+    reached = np.empty_like(frontier)
+    gathered = np.empty_like(frontier)
+    level = 0
+    while True:
+        level += 1
+        reached.fill(0)
+        for k in range(max_deg):
+            np.take(frontier, in_adj[:, k], axis=0, out=gathered)
+            np.bitwise_or(reached, gathered, out=reached)
+        np.bitwise_and(reached, unseen, out=reached)
+        if not reached.any():
+            break
+        if level >= UNREACHABLE:
+            raise ValueError(
+                f"bfs_distance_matrix stores path lengths up to "
+                f"{UNREACHABLE - 1} edges; this graph has longer ones"
+            )
+        np.bitwise_xor(unseen, reached, out=unseen)
+        new = np.unpackbits(reached, axis=1, count=n).view(bool)
+        np.copyto(dist, level, where=new)
+        frontier, reached = reached, frontier
+    return np.ascontiguousarray(dist.T)
 
 
 # -- exhaustive string universe --------------------------------------------
@@ -332,18 +238,3 @@ def edit_move_graph(alphabet_size: int, max_len: int):
     for u in range(n):
         indices[indptr[u] : indptr[u + 1]] = neighbor_lists[u]
     return indptr, indices, n
-
-
-def warmup():
-    """Force numba compilation so later timing excludes JIT cost."""
-    if _BACKEND != "numba":
-        return
-    a = np.array([0, 1], dtype=np.int64)
-    b = np.array([1], dtype=np.int64)
-    _edit_distance_nb(a, b)
-    padded = np.array([[0, -1], [1, 0]], dtype=np.int64)
-    lengths = np.array([1, 2], dtype=np.int64)
-    _edit_distance_matrix_nb(padded, lengths)
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int64)
-    _bfs_matrix_nb(indptr, indices, 2)

@@ -35,7 +35,6 @@ from uttertune.kernels import (
     edit_distance_matrix,
     edit_move_graph,
     enumerate_strings,
-    warmup,
 )
 from uttertune.lora import init_adapter, load_adapter, trainable_param_count
 from uttertune.manifest import load_manifest, manifest_config_text
@@ -242,7 +241,6 @@ def test_criterion_6_leakage_bounded(reference_run, desk_config):
 
 def test_criterion_7_distance_dual_route():
     started = time.perf_counter()
-    warmup()
     padded, lengths = enumerate_strings(4, 6)
     dp = edit_distance_matrix(padded, lengths)
     indptr, indices, n_nodes = edit_move_graph(4, 6)

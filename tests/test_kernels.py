@@ -1,4 +1,6 @@
-"""Dual-backend edit-distance kernels and the BFS edit-move oracle."""
+"""Edit-distance kernels and the BFS edit-move oracle."""
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,16 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uttertune import kernels
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.NUMBA_AVAILABLE else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    before = kernels.active_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(before)
 
 
 def ref_edit_distance(a, b):
@@ -36,8 +28,34 @@ def ref_edit_distance(a, b):
     return dp[m][n]
 
 
+def ref_bfs_matrix(indptr, indices, n):
+    """One plain queue BFS per source, used only by these tests."""
+    out = np.full((n, n), 255, dtype=np.uint8)
+    for src in range(n):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                if int(v) not in dist:
+                    dist[int(v)] = dist[u] + 1
+                    queue.append(int(v))
+        for v, d in dist.items():
+            out[src, v] = d
+    return out
+
+
+def csr(n, edges):
+    """CSR (indptr, indices) of a directed graph given as (u, v) pairs."""
+    edges = sorted(edges)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, _ in edges:
+        indptr[u + 1] += 1
+    return np.cumsum(indptr), np.array([v for _, v in edges], dtype=np.int64)
+
+
 class TestEditDistance:
-    def test_known_pairs(self, backend):
+    def test_known_pairs(self):
         cases = [
             (b"kitten", b"sitting", 3),
             (b"flaw", b"lawn", 2),
@@ -57,12 +75,7 @@ class TestEditDistance:
     )
     @settings(max_examples=150)
     def test_matches_reference(self, a, b):
-        for name in BACKENDS:
-            kernels.set_backend(name)
-            try:
-                assert kernels.edit_distance(a, b) == ref_edit_distance(a, b)
-            finally:
-                kernels.set_backend("auto")
+        assert kernels.edit_distance(a, b) == ref_edit_distance(a, b)
 
     @given(
         st.lists(st.integers(0, 3), max_size=8),
@@ -74,7 +87,7 @@ class TestEditDistance:
 
 
 class TestEditDistanceMatrix:
-    def test_matches_single_pair_kernel(self, backend):
+    def test_matches_single_pair_kernel(self):
         rng = np.random.default_rng(7)
         n, width = 25, 5
         lengths = rng.integers(0, width + 1, size=n)
@@ -89,22 +102,45 @@ class TestEditDistanceMatrix:
                 )
                 assert mat[i, j] == want
 
-    def test_backends_agree(self):
-        padded, lengths = kernels.enumerate_strings(3, 4)
-        results = {}
-        for name in BACKENDS:
-            kernels.set_backend(name)
-            try:
-                results[name] = kernels.edit_distance_matrix(padded, lengths)
-            finally:
-                kernels.set_backend("auto")
-        mats = list(results.values())
-        for other in mats[1:]:
-            assert np.array_equal(mats[0], other)
+    @pytest.mark.parametrize("block_cells", [None, 1, 7, 64])
+    def test_matches_reference_on_mixed_lengths(self, block_cells,
+                                                monkeypatch):
+        # Lengths 0..12 in one table, with repeated rows: unlike the
+        # enumerated universe, the table is not closed under prefixes.
+        # Small row blocks split each length class, the last block short.
+        if block_cells is not None:
+            monkeypatch.setattr(kernels, "_DP_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(11)
+        n, width = 40, 12
+        lengths = rng.integers(0, width + 1, size=n)
+        padded = np.full((n, width), -1, dtype=np.int64)
+        for i, L in enumerate(lengths):
+            padded[i, :L] = rng.integers(0, 6, size=L)
+        for dst, src in ((5, 3), (17, 3), (30, 12)):
+            padded[dst], lengths[dst] = padded[src], lengths[src]
+        mat = kernels.edit_distance_matrix(padded, lengths)
+        assert mat.dtype == np.uint8 and mat.shape == (n, n)
+        rows = [list(padded[i, : lengths[i]]) for i in range(n)]
+        want = [[ref_edit_distance(a, b) for b in rows] for a in rows]
+        assert np.array_equal(mat, np.array(want))
+
+    def test_longest_allowed_strings(self):
+        L = kernels.MAX_MATRIX_LEN
+        padded = np.full((3, L), -1, dtype=np.int64)
+        padded[0] = 0
+        padded[1] = 1
+        mat = kernels.edit_distance_matrix(padded, np.array([L, L, 0]))
+        assert mat.tolist() == [[0, L, L], [L, 0, L], [L, L, 0]]
+
+    def test_string_too_long_for_uint8_rejected(self):
+        padded = np.full((2, 300), -1, dtype=np.int64)
+        padded[0] = 0
+        with pytest.raises(ValueError, match="254"):
+            kernels.edit_distance_matrix(padded, np.array([300, 0]))
 
 
 class TestBfsOracle:
-    def test_oracle_equals_dp_on_small_universe(self, backend):
+    def test_oracle_equals_dp_on_small_universe(self):
         padded, lengths = kernels.enumerate_strings(2, 3)
         indptr, indices, n = kernels.edit_move_graph(2, 3)
         assert n == padded.shape[0] == 15
@@ -112,7 +148,7 @@ class TestBfsOracle:
         dp = kernels.edit_distance_matrix(padded, lengths)
         assert np.array_equal(oracle, dp)
 
-    def test_metric_axioms(self, backend):
+    def test_metric_axioms(self):
         indptr, indices, n = kernels.edit_move_graph(3, 3)
         d = kernels.bfs_distance_matrix(indptr, indices, n).astype(np.int64)
         assert (np.diag(d) == 0).all()
@@ -123,10 +159,54 @@ class TestBfsOracle:
             i, j, k = rng.integers(0, n, size=3)
             assert d[i, j] <= d[i, k] + d[k, j]
 
-    def test_all_reachable(self, backend):
+    def test_all_reachable(self):
         indptr, indices, n = kernels.edit_move_graph(2, 2)
         d = kernels.bfs_distance_matrix(indptr, indices, n)
         assert (d != 255).all()
+
+    @pytest.mark.parametrize("n", [2, 7, 9, 16, 61])
+    def test_matches_queue_bfs_on_directed_graphs(self, n):
+        rng = np.random.default_rng(n)
+        for p in (0.05, 0.2):
+            adj = rng.random((n, n)) < p
+            indptr, indices = csr(n, zip(*np.nonzero(adj)))
+            got = kernels.bfs_distance_matrix(indptr, indices, n)
+            assert got.dtype == np.uint8 and got.shape == (n, n)
+            assert np.array_equal(got, ref_bfs_matrix(indptr, indices, n))
+
+    def test_direction_of_edges_is_kept(self):
+        indptr, indices = csr(3, [(0, 1), (1, 2)])
+        d = kernels.bfs_distance_matrix(indptr, indices, 3)
+        assert d.tolist() == [[0, 1, 2], [255, 0, 1], [255, 255, 0]]
+
+    def test_isolated_nodes_stay_unreachable(self):
+        # Nodes 3, 6 and 10 have no edges; 11 nodes is not a multiple of 8.
+        edges = [(0, 1), (1, 0), (1, 2), (2, 4), (4, 5), (5, 0), (7, 8),
+                 (8, 9), (9, 7)]
+        indptr, indices = csr(11, edges)
+        d = kernels.bfs_distance_matrix(indptr, indices, 11)
+        assert np.array_equal(d, ref_bfs_matrix(indptr, indices, 11))
+        for v in (3, 6, 10):
+            assert d[v].tolist() == [255] * v + [0] + [255] * (10 - v)
+            assert (np.delete(d[:, v], v) == 255).all()
+
+    def test_single_node_without_edges(self):
+        d = kernels.bfs_distance_matrix([0, 0], [], 1)
+        assert d.dtype == np.uint8 and d.tolist() == [[0]]
+
+    def test_longest_allowed_path(self):
+        n = 255
+        indptr, indices = csr(n, [(u, u + 1) for u in range(n - 1)])
+        d = kernels.bfs_distance_matrix(indptr, indices, n)
+        assert d[0, n - 1] == 254 and d[n - 1, 0] == 255
+
+    def test_path_too_long_for_uint8_rejected(self):
+        n = 300
+        edges = [(u, u + 1) for u in range(n - 1)]
+        edges += [(v, u) for u, v in edges]
+        indptr, indices = csr(n, edges)
+        with pytest.raises(ValueError, match="254"):
+            kernels.bfs_distance_matrix(indptr, indices, n)
 
 
 class TestUniverse:
@@ -161,23 +241,4 @@ class TestUniverse:
 
 class TestBackendSelection:
     def test_active_backend_is_known(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-    def test_set_backend_roundtrip(self):
-        before = kernels.active_backend()
-        try:
-            assert kernels.set_backend("numpy") == "numpy"
-            assert kernels.active_backend() == "numpy"
-        finally:
-            kernels.set_backend(before)
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-
-    def test_auto_resolves(self):
-        before = kernels.active_backend()
-        try:
-            assert kernels.set_backend("auto") in ("numba", "numpy")
-        finally:
-            kernels.set_backend(before)
+        assert kernels.active_backend() == "numpy"
