@@ -430,13 +430,13 @@ def _cmd_generate(args) -> int:
         )
     ids = generate(
         model,
-        prompt,
+        [prompt],
         budget,
         mode=config["decode"],
         seed=config["seed"],
         temperature=config["temperature"],
         adapter=adapter,
-    )
+    )[0]
     elapsed = time.perf_counter() - started
     codes = decode_speech_ids(ids, vocab.speech_token_offset)
     kana = codes_to_kana(codes)

@@ -15,8 +15,6 @@ bootstraps a confidence interval for the correctness difference.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +87,6 @@ def _aggregate(rows) -> tuple[float, float, int]:
     return mean_cer, accent_rate, n_excluded
 
 
-def _eval_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("UTTERTUNE_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def item_text(item: EvalItem, mode: str) -> str:
     if mode == "plain":
         return item.text_plain
@@ -151,10 +142,7 @@ def _align_target_span(ref_ids, hyp_ids, lo, hi):
     return span[0]
 
 
-def _judge_item(model, vocab, item, text, adapter, max_new) -> SampleResult:
-    prompt = encode_text(text, vocab)
-    budget = min(max_new, model.config.max_seq - len(prompt))
-    hyp_ids = generate(model, prompt, max_new=budget, adapter=adapter)
+def _judge_item(vocab, item, hyp_ids) -> SampleResult:
     codes = decode_speech_ids(hyp_ids, vocab.speech_token_offset)
     hyp_kana = codes_to_kana(codes)
     hyp_pitch = codes_to_pitch(codes)
@@ -191,32 +179,32 @@ def evaluate_set(
     mode: str,
     adapter=None,
     max_new: int = _DEFAULT_MAX_NEW,
-    threads: int | None = None,
 ) -> EvalReport:
     """Greedy generation and scoring over one eval set.
+
+    Each item may emit up to max_new speech tokens, fewer where its prompt
+    leaves less room in the model's context. All prompts of one budget go
+    to generate in one call, which decodes them in length-matched batches;
+    the ids it returns equal those of decoding each item on its own.
 
     Accent is judged on the target word located by minimal-edit alignment of
     the hypothesis morae against the reference reading — the textual analog
     of finding the word inside a transcription. Accent counts as correct only
     when every mora of the word appears exactly and contiguously in the
-    hypothesis with the target pitch pattern. Items are independent, so
-    UTTERTUNE_THREADS (or the threads argument) may fan generation out
-    across a thread pool without changing results.
+    hypothesis with the target pitch pattern.
     """
     items = tuple(items)
-    texts = [item_text(item, mode) for item in items]
-    n_threads = _eval_threads(threads)
-    model.params64()  # build the shared float64 view before any fan-out
-
-    def judge(pair):
-        item, text = pair
-        return _judge_item(model, vocab, item, text, adapter, max_new)
-
-    if n_threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(judge, zip(items, texts)))
-    else:
-        rows = [judge(pair) for pair in zip(items, texts)]
+    prompts = [encode_text(item_text(item, mode), vocab) for item in items]
+    budgets = [min(max_new, model.config.max_seq - len(p)) for p in prompts]
+    hyps: list[list[int]] = [[] for _ in items]
+    for budget in sorted(set(budgets)):
+        picked = [i for i, b in enumerate(budgets) if b == budget]
+        outs = generate(
+            model, [prompts[i] for i in picked], max_new=budget, adapter=adapter
+        )
+        for i, out in zip(picked, outs):
+            hyps[i] = out
+    rows = [_judge_item(vocab, item, hyp) for item, hyp in zip(items, hyps)]
     return EvalReport.from_samples(mode, rows)
 
 
@@ -362,7 +350,6 @@ def leakage_test(
     resamples: int = 10_000,
     seed: int = 0,
     max_new: int = _DEFAULT_MAX_NEW,
-    threads: int | None = None,
 ) -> LeakageResult:
     """Accent correctness of the untagged word: base vs adapted model.
 
@@ -382,7 +369,6 @@ def leakage_test(
             mode,
             adapter=use_adapter,
             max_new=max_new,
-            threads=threads,
         )
         return [bool(r.accent_correct) for r in report.per_sample]
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and run manifests."""
 
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uttertune
 from uttertune.cli import main
 from uttertune.errors import CorruptFile
 from uttertune.eval import load_report
@@ -575,6 +577,16 @@ def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys, command,
 
 # -- console entry point ---------------------------------------------------------
 
+# The child interpreter imports the same uttertune as this process, also
+# when it comes from a source checkout rather than an installed package.
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(uttertune.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p
+    ),
+}
+
 
 def test_module_invocation_pitch():
     proc = subprocess.run(
@@ -582,6 +594,7 @@ def test_module_invocation_pitch():
          "チ'ミ/モーリョー"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "HL LHHH\n"
@@ -593,6 +606,7 @@ def test_module_invocation_parse_error_exit_code():
          "ア'イ'ウ"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 1
     assert "MultipleNuclei" in proc.stderr
@@ -604,6 +618,7 @@ def test_module_invocation_stdin():
         input="モーリョー\n",
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "モ ー リョ ー\n"

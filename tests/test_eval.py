@@ -12,6 +12,9 @@ from uttertune.dataprep import (
     build_corpus,
     build_eval_sets,
     build_lexicon,
+    codes_to_kana,
+    codes_to_pitch,
+    decode_speech_ids,
     vocab_training_text,
 )
 from uttertune.errors import CorruptFile, DecodeError
@@ -27,7 +30,7 @@ from uttertune.eval import (
     load_report,
     save_report,
 )
-from uttertune.model import ToyLM, ToyLMConfig
+from uttertune.model import ToyLM, ToyLMConfig, generate
 from uttertune.tokenizer import encode_text, train_bpe
 
 # -- cer -----------------------------------------------------------------
@@ -142,9 +145,10 @@ def tiny_model(vocab):
 def _fake_generate(mapping):
     """A stand-in for model.generate keyed on the prompt ids."""
 
-    def fake(model, prompt_ids, max_new, mode="greedy", seed=None,
+    def fake(model, prompts, max_new, mode="greedy", seed=None,
              temperature=1.0, adapter=None):
-        return list(mapping[tuple(int(i) for i in prompt_ids)])[:max_new]
+        return [list(mapping[tuple(int(i) for i in p)])[:max_new]
+                for p in prompts]
 
     return fake
 
@@ -294,22 +298,27 @@ def test_mode_validation(eval_sets):
         item_text(eval_sets.test_set_1[0], "loud")
 
 
-def test_evaluation_is_deterministic_across_thread_counts(
-    tiny_model, vocab, eval_sets
-):
-    items = eval_sets.test_set_2[:8]
-    serial = evaluate_set(tiny_model, vocab, items, "tagged", threads=1)
-    threaded = evaluate_set(tiny_model, vocab, items, "tagged", threads=4)
-    assert serial == threaded
-
-
-def test_threads_env_variable_is_honored(
-    monkeypatch, tiny_model, vocab, eval_sets
-):
-    items = eval_sets.test_set_2[:4]
-    baseline = evaluate_set(tiny_model, vocab, items, "kana")
-    monkeypatch.setenv("UTTERTUNE_THREADS", "3")
-    assert evaluate_set(tiny_model, vocab, items, "kana") == baseline
+def test_each_item_decodes_within_its_own_budget(vocab, eval_sets):
+    items = eval_sets.test_set_2
+    prompts = [encode_text(item_text(item, "tagged"), vocab) for item in items]
+    lengths = sorted(len(p) for p in prompts)
+    # A context that clips the longer prompts' budgets below max_new and
+    # leaves the longest no room at all.
+    max_seq = lengths[-1]
+    assert lengths[0] + 4 < max_seq
+    model = ToyLM.init(ToyLMConfig(
+        vocab_size=vocab.total_size,
+        speech_offset=vocab.speech_token_offset,
+        speech_count=vocab.speech_token_count,
+        layers=1, width=16, heads=2, ff_width=32, max_seq=max_seq, seed=4,
+    ))
+    report = evaluate_set(model, vocab, items, "tagged", max_new=4)
+    for prompt, row in zip(prompts, report.per_sample):
+        budget = min(4, max_seq - len(prompt))
+        ids = generate(model, [prompt], max_new=budget)[0]
+        codes = decode_speech_ids(ids, vocab.speech_token_offset)
+        assert row.hypothesis_kana == codes_to_kana(codes)
+        assert row.hypothesis_pitch == codes_to_pitch(codes)
 
 
 # -- report serialization --------------------------------------------------

@@ -13,6 +13,8 @@ from uttertune.model import (
     ToyLMConfig,
     TrainConfig,
     TrainingExample,
+    _DECODE_BATCH,
+    _adapter64,
     _forward_batch,
     _gelu,
     _gelu_backward,
@@ -419,8 +421,8 @@ def test_fingerprint_tracks_weights():
 
 def test_greedy_generation_is_deterministic_and_in_range(tiny_model):
     prompt = [1, 2, 3, 4]
-    a = generate(tiny_model, prompt, max_new=10)
-    b = generate(tiny_model, prompt, max_new=10)
+    a = generate(tiny_model, [prompt], max_new=10)[0]
+    b = generate(tiny_model, [prompt], max_new=10)[0]
     assert a == b
     assert len(a) <= 10
     lo, hi = TINY.speech_offset, TINY.speech_offset + TINY.speech_count
@@ -429,8 +431,8 @@ def test_greedy_generation_is_deterministic_and_in_range(tiny_model):
 
 def test_sampled_generation_is_seeded(tiny_model):
     prompt = [5, 6, 7]
-    a = generate(tiny_model, prompt, max_new=10, mode="sampled", seed=99)
-    b = generate(tiny_model, prompt, max_new=10, mode="sampled", seed=99)
+    a = generate(tiny_model, [prompt], max_new=10, mode="sampled", seed=99)[0]
+    b = generate(tiny_model, [prompt], max_new=10, mode="sampled", seed=99)[0]
     assert a == b
 
 
@@ -443,17 +445,138 @@ def test_generation_stops_at_end_of_speech():
     head[:, TINY.eos_id] = 1.0
     model.weights["head"] = head
     model.invalidate_cache()
-    assert generate(model, [1, 2], max_new=10) == []
+    assert generate(model, [[1, 2]], max_new=10) == [[]]
 
 
 def test_generation_rejects_overflow(tiny_model):
     with pytest.raises(SequenceTooLong):
-        generate(tiny_model, [0] * 40, max_new=20)
+        generate(tiny_model, [[0] * 40], max_new=20)
 
 
 def test_generation_rejects_unknown_mode(tiny_model):
     with pytest.raises(ValueError):
-        generate(tiny_model, [1], max_new=3, mode="beam")
+        generate(tiny_model, [[1]], max_new=3, mode="beam")
+
+
+@pytest.mark.parametrize(
+    "bad", [[], [1, TINY.vocab_size, 2], [3, -1]],
+    ids=["empty", "id-over-vocab", "negative-id"],
+)
+def test_generation_rejects_bad_prompt_by_index(tiny_model, bad):
+    with pytest.raises(ValueError, match=r"^prompt 1 "):
+        generate(tiny_model, [[1, 2], bad, [3]], max_new=3)
+
+
+def _uncached_decode(model, prompt, max_new, adapter=None, rng=None,
+                     temperature=1.0):
+    """Reference decode: the full forward over the growing prefix per token."""
+    lo = model.config.speech_offset
+    hi = lo + model.config.speech_count
+    ids = list(prompt)
+    out = []
+    for _ in range(max_new):
+        speech = model.forward(ids, adapter=adapter)[-1, lo:hi]
+        if rng is None:
+            nxt = lo + int(np.argmax(speech))
+        else:
+            z = speech / temperature
+            p = np.exp(z - z.max())
+            nxt = lo + int(rng.choice(hi - lo, p=p / p.sum()))
+        if nxt == model.config.eos_id:
+            break
+        out.append(nxt)
+        ids.append(nxt)
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained_adapter(tiny_model):
+    rng = np.random.default_rng(5)
+    adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
+                           dropout_rate=0.0, seed=6)
+    train_adapter(tiny_model, adapter, make_examples(rng, 16, with_tags=True),
+                  TrainConfig(steps=30, learning_rate=1e-2, batch_size=4))
+    assert any(np.abs(layer.C).max() > 0 for layer in adapter.layers)
+    return adapter
+
+
+def _never_ends(model):
+    """A copy of model whose end-of-speech logit is always -1000."""
+    weights = {k: v.copy() for k, v in model.weights.items()}
+    weights["lnf.g"][0] = 0.0
+    weights["lnf.b"][0] = 10.0
+    weights["head"][:, model.config.eos_id] = 0.0
+    weights["head"][0, model.config.eos_id] = -100.0
+    return ToyLM(model.config, weights)
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_batched_decode_matches_uncached_oracle(tiny_model, trained_adapter,
+                                                with_adapter):
+    adapter = trained_adapter if with_adapter else None
+    rng = np.random.default_rng(21)
+    prompts = [[int(t) for t in rng.integers(0, 32, size=n)]
+               for n in (2, 5, 3, 5, 7, 2, 4)]
+    # One length group larger than the batch cap, so it splits.
+    prompts += [[int(t) for t in rng.integers(0, 32, size=3)]
+                for _ in range(_DECODE_BATCH + 3)]
+    got = generate(tiny_model, prompts, max_new=12, adapter=adapter)
+    want = [_uncached_decode(tiny_model, p, 12, adapter) for p in prompts]
+    assert got == want
+    assert len({len(o) for o in want}) > 2  # rows leave the batch at EOS
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_batched_decode_runs_to_max_seq(tiny_model, trained_adapter,
+                                        with_adapter):
+    adapter = trained_adapter if with_adapter else None
+    model = _never_ends(tiny_model)
+    prompts = [[1, TAG_START, 5, TAG_END] + [7] * 36, [2] * 40, [9] * 41]
+    budget = TINY.max_seq - 40
+    got = generate(model, prompts[:2], max_new=budget, adapter=adapter)
+    want = [_uncached_decode(model, p, budget, adapter) for p in prompts[:2]]
+    assert got == want
+    assert [len(o) for o in got] == [budget, budget]
+    with pytest.raises(SequenceTooLong):
+        generate(model, prompts, max_new=budget, adapter=adapter)
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
+                                                with_adapter):
+    adapter64 = _adapter64(trained_adapter if with_adapter else None)
+    params = tiny_model.params64()
+    rng = np.random.default_rng(8)
+    ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
+    ids[:, 2], ids[:, 6] = TAG_START, TAG_END
+    full, _ = _forward_batch(params, TINY, ids, np.arange(ids.size),
+                             adapter64, None)
+    # Prefill 4 positions, then a chunk of 3, then one position at a time.
+    past = None
+    for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
+        chunk = ids[:, lo:hi]
+        logits, cache = _forward_batch(params, TINY, chunk,
+                                       np.arange(chunk.size), adapter64, None,
+                                       past)
+        want = full[:, lo:hi]
+        assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
+        past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
+        assert past[0][0].shape[2] == hi
+
+
+def test_sampled_decode_of_one_prompt_matches_uncached(tiny_model,
+                                                       trained_adapter):
+    prompt = [4, TAG_START, 8, TAG_END, 2]
+    for seed, temperature in [(3, 1.0), (17, 0.5), (40, 2.0)]:
+        got = generate(tiny_model, [prompt], max_new=15, mode="sampled",
+                       seed=seed, temperature=temperature,
+                       adapter=trained_adapter)[0]
+        want = _uncached_decode(tiny_model, prompt, 15, trained_adapter,
+                                np.random.default_rng(seed), temperature)
+        assert got == want
 
 
 def test_gelu_matches_closed_tanh_form():
