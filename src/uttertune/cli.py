@@ -341,21 +341,23 @@ def _cmd_train(args) -> int:
         seed=config["model_seed"],
     )
     model = ToyLM.init(model_config)
-
-    started = time.perf_counter()
-    pretrain_curve = pretrain(
-        model,
-        to_training_examples(pretrain_records, vocab),
-        TrainConfig(
-            steps=config["pretrain_steps"],
-            learning_rate=config["pretrain_lr"],
-            warmup_fraction=config["warmup_fraction"],
-            batch_size=config["pretrain_batch"],
-            seed=config["pretrain_seed"],
-        ),
+    pretrain_config = TrainConfig(
+        steps=config["pretrain_steps"],
+        learning_rate=config["pretrain_lr"],
+        warmup_fraction=config["warmup_fraction"],
+        batch_size=config["pretrain_batch"],
+        seed=config["pretrain_seed"],
     )
-    pretrain_seconds = time.perf_counter() - started
-
+    adapter_config = TrainConfig(
+        steps=config["steps"],
+        learning_rate=config["learning_rate"],
+        warmup_fraction=config["warmup_fraction"],
+        batch_size=config["batch_size"],
+        seed=config["seed"],
+    )
+    # Built before pretraining so that its checks (rank, dropout, scaling)
+    # reject a bad adapter setting at once; it depends on the base only
+    # through its shape, and takes the trained base's spec below.
     adapter = init_adapter(
         model.shape_spec(),
         r=config["rank"],
@@ -364,18 +366,20 @@ def _cmd_train(args) -> int:
         seed=config["seed"],
         scaling=config["scaling"],
     )
+
+    started = time.perf_counter()
+    pretrain_curve = pretrain(
+        model, to_training_examples(pretrain_records, vocab), pretrain_config
+    )
+    pretrain_seconds = time.perf_counter() - started
+
+    adapter.base_spec = model.shape_spec()
     started = time.perf_counter()
     adapter_curve = train_adapter(
         model,
         adapter,
         to_training_examples(adapter_records, vocab),
-        TrainConfig(
-            steps=config["steps"],
-            learning_rate=config["learning_rate"],
-            warmup_fraction=config["warmup_fraction"],
-            batch_size=config["batch_size"],
-            seed=config["seed"],
-        ),
+        adapter_config,
     )
     adapter_seconds = time.perf_counter() - started
 
@@ -652,8 +656,9 @@ def build_parser() -> _Parser:
                        dest="adapter_corpus", help="adapter training corpus")
     train.add_argument("--vocab", required=True, metavar="FILE")
     train.add_argument("--seed", type=int, help="adapter init/training seed")
-    train.add_argument("--steps", type=int, help="adapter training steps")
-    train.add_argument("--rank", type=int)
+    train.add_argument("--steps", type=_positive_int,
+                       help="adapter training steps")
+    train.add_argument("--rank", type=_positive_int)
     train.add_argument("--alpha", type=float)
     train.add_argument("--dropout", type=float)
     train.add_argument("--scaling", choices=SCALING_MODES)

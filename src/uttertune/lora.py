@@ -86,9 +86,6 @@ class LoraAdapter:
     def scale(self) -> float:
         return self.alpha / self.rank if self.scaling == "normalized" else self.alpha
 
-    def layer_map(self) -> dict[str, LoraLayer]:
-        return {layer.target: layer for layer in self.layers}
-
 
 def init_adapter(
     base_spec: BaseShapeSpec,
@@ -135,18 +132,6 @@ def init_adapter(
     )
 
 
-def effective_weight(W: np.ndarray, layer: LoraLayer, scaling: str = "literal") -> np.ndarray:
-    """W + alpha * B C (or alpha/r * B C in normalized mode)."""
-    d, rb = layer.B.shape
-    rc, k = layer.C.shape
-    if W.shape != (d, k):
-        raise ShapeMismatch(f"W shape {W.shape} incompatible with ({d},{k})")
-    if scaling not in SCALING_MODES:
-        raise ValueError(f"scaling must be one of {SCALING_MODES}")
-    scale = layer.alpha / layer.rank if scaling == "normalized" else layer.alpha
-    return W + scale * (layer.B @ layer.C)
-
-
 def trainable_param_count(adapter: LoraAdapter) -> tuple[int, float]:
     """(trainable parameter count, ratio against the base model)."""
     count = sum(layer.B.size + layer.C.size for layer in adapter.layers)
@@ -178,29 +163,6 @@ def merge(
         embed[tid] = (
             embed[tid].astype(np.float64)
             + adapter.tag_deltas[row].astype(np.float64)
-        ).astype(embed.dtype)
-    return out
-
-
-def unmerge(
-    adapter: LoraAdapter,
-    weights: dict[str, np.ndarray],
-    tag_token_ids: tuple[int, int],
-) -> dict[str, np.ndarray]:
-    """Inverse of merge, exact up to float32 rounding of the storage."""
-    out = {name: w.copy() for name, w in weights.items()}
-    scale = adapter.scale()
-    for layer in adapter.layers:
-        W = out[layer.target]
-        update = np.float64(scale) * (
-            layer.B.astype(np.float64) @ layer.C.astype(np.float64)
-        )
-        out[layer.target] = (W.astype(np.float64) - update).astype(W.dtype)
-    embed = out["embed"]
-    for row, tid in enumerate(tag_token_ids):
-        embed[tid] = (
-            embed[tid].astype(np.float64)
-            - adapter.tag_deltas[row].astype(np.float64)
         ).astype(embed.dtype)
     return out
 
@@ -269,27 +231,3 @@ def load_adapter(path) -> LoraAdapter:
     except KeyError as missing:
         raise CorruptFile(f"{path}: missing field {missing}") from None
 
-
-def adapters_equal(a: LoraAdapter, b: LoraAdapter) -> bool:
-    """Bitwise equality of all factors, deltas, and config."""
-    if (
-        a.rank != b.rank
-        or a.alpha != b.alpha
-        or a.dropout_rate != b.dropout_rate
-        or a.scaling != b.scaling
-        or a.seed != b.seed
-        or a.base_spec != b.base_spec
-    ):
-        return False
-    if not np.array_equal(
-        a.tag_deltas.view(np.uint32), b.tag_deltas.view(np.uint32)
-    ):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.target != lb.target:
-            return False
-        if not np.array_equal(la.B.view(np.uint32), lb.B.view(np.uint32)):
-            return False
-        if not np.array_equal(la.C.view(np.uint32), lb.C.view(np.uint32)):
-            return False
-    return True

@@ -5,6 +5,11 @@ causal attention with Q/K/V/O projections (the LoRA attach points), GELU
 feed-forward, untied output head. Everything is numpy with hand-written
 reverse-mode gradients; float32 is the canonical storage dtype and
 training runs on float64 masters that are cast back once at the end.
+pretrain and train_adapter share one AdamW loop; only what trains differs
+(every base weight, or the adapter's factors and tag deltas). The trainable
+values, their gradient and both moments are each one flat float64 vector
+with a view per name: the backward pass adds into the gradient's views,
+and clipping and the update work in place on whole vectors.
 
 The adapter path is computed separately from the frozen path
 (x @ W + scale * ((dropout(x)) @ B) @ C) so adapter-input dropout has a
@@ -91,8 +96,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0,1)")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("steps", "batch_size", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +122,9 @@ def _weight_names(cfg: ToyLMConfig) -> list[str]:
     return names
 
 
-# Matmul weights get weight decay; embeddings, norms, and biases do not.
-def _decayed(name: str) -> bool:
-    return (
-        name == "head"
-        or name.endswith(".ff1")
-        or name.endswith(".ff2")
-        or name.split(".")[-1] in PROJECTIONS
-    )
+# Matmul weights and the adapter's factors get weight decay; embeddings,
+# norms, biases and tag deltas do not. Keyed by a name's last component.
+_DECAYED = frozenset(PROJECTIONS + ("ff1", "ff2", "head", "B", "C"))
 
 
 class ToyLM:
@@ -250,7 +251,7 @@ class ToyLM:
 
     def loss(self, examples, adapter: LoraAdapter | None = None) -> float:
         """Mean next-token cross-entropy over speech positions only."""
-        value, _, _ = _loss_forward(
+        value, _ = _loss_forward(
             self.params64(), self.config, examples, _adapter64(adapter), None
         )
         return float(value)
@@ -483,18 +484,13 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
 
 
 def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
-                    want_base_grads: bool):
-    """Gradients for (optionally) base params and (if present) the adapter."""
+                    grads, adapter_grads) -> None:
+    """Adds the base gradients into grads (None skips them) and, with an
+    adapter, its gradients into adapter_grads; each dict is shaped like
+    the parameters it belongs to."""
     H = cfg.heads
     dh = cfg.width // H
     N, T = cache["ids"].shape
-    grads = None
-    if want_base_grads:
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-    adapter_grads = None
-    if adapter is not None:
-        aparams, _scale, _rate = adapter
-        adapter_grads = {k: np.zeros_like(v) for k, v in aparams.items()}
 
     flat_final = cache["final_out"].reshape(-1, cfg.width)
     if grads is not None:
@@ -573,7 +569,6 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
         for row, hits in enumerate(cache["tag_hits"]):
             if hits.any():
                 adapter_grads["tag_deltas"][row] += dx[hits].sum(axis=0)
-    return grads, adapter_grads
 
 
 # -- loss assembly -----------------------------------------------------------
@@ -615,17 +610,18 @@ def _loss_forward(params, cfg, examples, adapter, dropout_rng):
     total = float((logsumexp[n, t] - picked).sum())
     count = len(n)
     loss = total / count
-    return loss, (logits, cache, ids, tgt, mask, shifted, logsumexp, count), None
+    return loss, (logits, cache, ids, tgt, mask, shifted, logsumexp, count)
 
 
-def _loss_backward(cfg, bundle, params, adapter, want_base_grads):
+def _loss_backward(cfg, bundle, params, adapter, grads, adapter_grads) -> None:
+    """Adds the loss gradients in, as _backward_batch does."""
     logits, cache, ids, tgt, mask, shifted, logsumexp, count = bundle
     probs = np.exp(shifted - logsumexp[..., None])
     dlogits = probs * mask[..., None]
     n, t = np.nonzero(mask)
     dlogits[n, t, tgt[n, t]] -= 1.0
     dlogits /= count
-    return _backward_batch(dlogits, params, cfg, cache, adapter, want_base_grads)
+    _backward_batch(dlogits, params, cfg, cache, adapter, grads, adapter_grads)
 
 
 def loss_and_grads(model: ToyLM, examples, adapter: LoraAdapter | None = None,
@@ -641,10 +637,13 @@ def loss_and_grads(model: ToyLM, examples, adapter: LoraAdapter | None = None,
     rng = None
     if dropout_seed is not None and adapter is not None and adapter.dropout_rate > 0:
         rng = np.random.default_rng(dropout_seed)
-    loss, bundle, _ = _loss_forward(params, model.config, examples, adapter64, rng)
-    grads, adapter_grads = _loss_backward(
-        model.config, bundle, params, adapter64, want_base_grads=adapter is None
-    )
+    loss, bundle = _loss_forward(params, model.config, examples, adapter64, rng)
+    grads = adapter_grads = None
+    if adapter is None:
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+    else:
+        adapter_grads = {k: np.zeros_like(v) for k, v in adapter64[0].items()}
+    _loss_backward(model.config, bundle, params, adapter64, grads, adapter_grads)
     return loss, grads, adapter_grads
 
 
@@ -671,13 +670,11 @@ def gradient_check(
         rng = None
         if dropout_seed is not None and rate > 0.0:
             rng = np.random.default_rng(dropout_seed)
-        value, bundle, _ = _loss_forward(
-            base, model.config, examples, adapter64, rng
-        )
-        return value, bundle
+        return _loss_forward(base, model.config, examples, adapter64, rng)
 
     _, bundle = run_loss()
-    _, agrads = _loss_backward(model.config, bundle, base, adapter64, False)
+    agrads = {k: np.zeros_like(v) for k, v in aparams.items()}
+    _loss_backward(model.config, bundle, base, adapter64, None, agrads)
     names = sorted(aparams)
     sizes = np.array([aparams[n].size for n in names])
     rng = np.random.default_rng(seed)
@@ -710,50 +707,13 @@ def lr_at_step(step: int, cfg: TrainConfig) -> float:
     warmup = max(1, int(round(cfg.warmup_fraction * cfg.steps)))
     if step <= warmup:
         return cfg.learning_rate * step / warmup
-    if cfg.steps == warmup:
-        return cfg.learning_rate
     progress = (step - warmup) / (cfg.steps - warmup)
     return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class _AdamW:
-    def __init__(self, shapes: dict[str, tuple], weight_decay: float,
-                 decay_filter):
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self.t = 0
-        self.wd = weight_decay
-        self.decay_filter = decay_filter
-        self.beta1 = 0.9
-        self.beta2 = 0.999
-        self.eps = 1e-8
-
-    def step(self, params: dict, grads: dict, lr: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.wd > 0.0 and self.decay_filter(name):
-                update = update + self.wd * params[name]
-            params[name] -= lr * update
-
-
-def _clip_global(grads: dict, max_norm: float) -> None:
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def _sample_batch(examples, rng, batch_size):
@@ -761,65 +721,101 @@ def _sample_batch(examples, rng, batch_size):
     return [examples[int(i)] for i in idx]
 
 
-def pretrain(model: ToyLM, examples, cfg: TrainConfig):
-    """Train every base parameter; stands in for the pretrained checkpoint."""
+def _views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
+    """One view into flat per name of like, shaped as it is, laid end to end
+    in like's order."""
+    views, offset = {}, 0
+    for name, array in like.items():
+        views[name] = flat[offset : offset + array.size].reshape(array.shape)
+        offset += array.size
+    return views
+
+
+def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
+           cfg: TrainConfig):
+    """AdamW (Loshchilov & Hutter) with global-norm clipping on the base
+    weights (no adapter) or on the adapter, the base frozen; the adapter's
+    dropout masks come from the batch generator. The clip norm sums per
+    name, in order. Returns (the trained float64 views by name, the curve).
+    """
     if not examples:
         raise ValueError("empty dataset")
-    params = {k: v.astype(np.float64) for k, v in model.weights.items()}
-    opt = _AdamW(
-        {k: v.shape for k, v in params.items()}, cfg.weight_decay, _decayed
-    )
     rng = np.random.default_rng(cfg.seed)
+    if adapter is None:
+        initial = model.weights
+    else:
+        initial, scale, rate = _adapter64(adapter)
+    flat = np.concatenate([a.ravel() for a in initial.values()],
+                          dtype=np.float64)
+    decay = np.concatenate([np.full(a.size, name.split(".")[-1] in _DECAYED)
+                            for name, a in initial.items()])
+    grad, scratch = np.empty_like(flat), np.empty_like(flat)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    trained, grads = _views(flat, initial), _views(grad, initial)
+    squares = list(_views(scratch, initial).values())
+    if adapter is None:
+        params, adapter64, dropout_rng = trained, None, None
+        base_grads, adapter_grads = grads, None
+    else:
+        params, adapter64 = model.params64(), (trained, scale, rate)
+        dropout_rng = rng if rate > 0.0 else None
+        base_grads, adapter_grads = None, grads
     curve = []
     for step in range(1, cfg.steps + 1):
         batch = _sample_batch(examples, rng, cfg.batch_size)
-        loss, bundle, _ = _loss_forward(params, model.config, batch, None, None)
+        loss, bundle = _loss_forward(
+            params, model.config, batch, adapter64, dropout_rng
+        )
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at step {step}")
-        grads, _ = _loss_backward(model.config, bundle, params, None, True)
-        _clip_global(grads, cfg.grad_clip)
-        opt.step(params, grads, lr_at_step(step, cfg))
+        grad.fill(0.0)
+        _loss_backward(
+            model.config, bundle, params, adapter64, base_grads, adapter_grads
+        )
+        np.multiply(grad, grad, out=scratch)
+        norm = math.sqrt(sum(float(square.sum()) for square in squares))
+        if norm > cfg.grad_clip:
+            grad *= cfg.grad_clip / norm
+        # w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w), the wd
+        # term at decayed entries only; grad is spent once m and v hold it.
+        m *= _BETA1
+        np.multiply(grad, 1.0 - _BETA1, out=scratch)
+        m += scratch
+        v *= _BETA2
+        grad *= grad
+        grad *= 1.0 - _BETA2
+        v += grad
+        np.divide(v, 1.0 - _BETA2**step, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += _ADAM_EPS
+        np.divide(m, 1.0 - _BETA1**step, out=scratch)
+        scratch /= grad
+        if cfg.weight_decay > 0.0:
+            np.multiply(flat, cfg.weight_decay, out=grad, where=decay)
+            np.add(scratch, grad, out=scratch, where=decay)
+        scratch *= lr_at_step(step, cfg)
+        flat -= scratch
         if step % cfg.log_every == 0 or step == cfg.steps:
             curve.append((step, loss))
-    for name in model.weights:
-        model.weights[name] = params[name].astype(np.float32)
+    return trained, curve
+
+
+def pretrain(model: ToyLM, examples, cfg: TrainConfig):
+    """Train every base parameter; stands in for the pretrained checkpoint."""
+    trained, curve = _train(model, None, examples, cfg)
+    for name, value in trained.items():
+        model.weights[name] = value.astype(np.float32)
     model.invalidate_cache()
     return curve
 
 
 def train_adapter(model: ToyLM, adapter: LoraAdapter, examples, cfg: TrainConfig):
     """Train only the adapter factors and tag deltas; base stays frozen."""
-    if not examples:
-        raise ValueError("empty dataset")
-    base = model.params64()
-    adapter64 = _adapter64(adapter)
-    aparams, _scale, rate = adapter64
-
-    def decay_filter(name: str) -> bool:
-        return name != "tag_deltas"
-
-    opt = _AdamW(
-        {k: v.shape for k, v in aparams.items()}, cfg.weight_decay, decay_filter
-    )
-    rng = np.random.default_rng(cfg.seed)
-    curve = []
-    for step in range(1, cfg.steps + 1):
-        batch = _sample_batch(examples, rng, cfg.batch_size)
-        dropout_rng = rng if rate > 0.0 else None
-        loss, bundle, _ = _loss_forward(
-            base, model.config, batch, adapter64, dropout_rng
-        )
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"loss {loss} at step {step}")
-        _, agrads = _loss_backward(model.config, bundle, base, adapter64, False)
-        _clip_global(agrads, cfg.grad_clip)
-        opt.step(aparams, agrads, lr_at_step(step, cfg))
-        if step % cfg.log_every == 0 or step == cfg.steps:
-            curve.append((step, loss))
+    trained, curve = _train(model, adapter, examples, cfg)
     for layer in adapter.layers:
-        layer.B = aparams[f"{layer.target}.B"].astype(np.float32)
-        layer.C = aparams[f"{layer.target}.C"].astype(np.float32)
-    adapter.tag_deltas = aparams["tag_deltas"].astype(np.float32)
+        layer.B = trained[f"{layer.target}.B"].astype(np.float32)
+        layer.C = trained[f"{layer.target}.C"].astype(np.float32)
+    adapter.tag_deltas = trained["tag_deltas"].astype(np.float32)
     return curve
 
 

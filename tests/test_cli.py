@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uttertune
+import uttertune.cli
 from uttertune.cli import main
 from uttertune.errors import CorruptFile
 from uttertune.eval import load_report
@@ -426,7 +427,8 @@ def test_adapter_merge_bakes_weights(pipeline, tmp_path):
     base = ToyLM.load(pipeline["model"])
     adapter = load_adapter(pipeline["adapter"])
     merged = ToyLM.load(out / "merged_model.ut")
-    layer = adapter.layer_map()["L0.q"]
+    layer = adapter.layers[0]
+    assert layer.target == "L0.q"
     expected = (
         base.weights["L0.q"].astype(np.float64)
         + adapter.scale()
@@ -573,6 +575,56 @@ def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert ("--max-new" if source == "flag" else "max_new") in err
+
+
+@pytest.fixture
+def no_pretrain(monkeypatch):
+    """Makes train fail loudly if it reaches pretraining."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretrain started before the settings were checked")
+    monkeypatch.setattr(uttertune.cli, "pretrain", refuse)
+
+
+def _train_argv(pipeline, tmp_path):
+    return ["train", "--corpus", pipeline["corpus1"],
+            "--adapter-corpus", pipeline["corpus2"],
+            "--vocab", pipeline["vocab"], "--out", str(tmp_path / "t")]
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--rank"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_train_flag_below_one_is_usage_error(pipeline, tmp_path, capsys,
+                                             no_pretrain, flag, value):
+    assert main(_train_argv(pipeline, tmp_path) + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("steps = 0", "steps"),
+    ("pretrain_steps = 0", "steps"),
+    ("batch_size = -2", "batch_size"),
+    ("pretrain_batch = 0", "batch_size"),
+    ("rank = 0", "rank"),
+    ("rank = 65", "rank"),
+    ("dropout = 1.5", "dropout"),
+    ("scaling = halved", "scaling"),
+])
+def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
+                                                      capsys, no_pretrain,
+                                                      line, named):
+    """A bad setting of either stage is a data error raised before the
+    pretraining stage runs (the default width is 64, so rank 65 is too
+    large)."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = _train_argv(pipeline, tmp_path) + ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert named in err
+    assert not (tmp_path / "t" / "base_model.ut").exists()
 
 
 # -- console entry point ---------------------------------------------------------

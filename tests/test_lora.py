@@ -3,21 +3,44 @@
 import numpy as np
 import pytest
 
-from uttertune.errors import CorruptFile, InvalidRank, ShapeMismatch
+from uttertune.errors import CorruptFile, InvalidRank
 from uttertune.lora import (
+    PROJECTIONS,
     BaseShapeSpec,
-    LoraLayer,
-    adapters_equal,
-    effective_weight,
+    LoraAdapter,
     init_adapter,
     load_adapter,
     merge,
     save_adapter,
     trainable_param_count,
-    unmerge,
 )
 
 SPEC = BaseShapeSpec(n_layers=2, width=64, base_param_count=250_000)
+
+
+def adapters_equal(a: LoraAdapter, b: LoraAdapter) -> bool:
+    """Bitwise equality of all factors, deltas, and config."""
+    if (
+        a.rank != b.rank
+        or a.alpha != b.alpha
+        or a.dropout_rate != b.dropout_rate
+        or a.scaling != b.scaling
+        or a.seed != b.seed
+        or a.base_spec != b.base_spec
+    ):
+        return False
+    if not np.array_equal(
+        a.tag_deltas.view(np.uint32), b.tag_deltas.view(np.uint32)
+    ):
+        return False
+    for la, lb in zip(a.layers, b.layers):
+        if la.target != lb.target:
+            return False
+        if not np.array_equal(la.B.view(np.uint32), lb.B.view(np.uint32)):
+            return False
+        if not np.array_equal(la.C.view(np.uint32), lb.C.view(np.uint32)):
+            return False
+    return True
 
 
 class TestInit:
@@ -62,71 +85,47 @@ class TestInit:
         ]
 
 
+def merged_q(W, B, C, alpha, scaling="literal"):
+    """merge's L0.q for an adapter that puts B, C on every projection."""
+    d, r = B.shape
+    spec = BaseShapeSpec(n_layers=1, width=d, base_param_count=1000)
+    adapter = init_adapter(spec, r=r, alpha=alpha, scaling=scaling)
+    for layer in adapter.layers:
+        layer.B, layer.C = B, C
+    weights = {f"L0.{p}": W for p in PROJECTIONS}
+    weights["embed"] = np.zeros((4, d), np.float32)
+    return merge(adapter, weights, tag_token_ids=(0, 1))["L0.q"]
+
+
 class TestEffectiveWeight:
     def test_zero_b_gives_w(self):
         rng = np.random.default_rng(0)
         W = rng.normal(size=(6, 6))
-        layer = LoraLayer(
-            "L0.q",
-            np.zeros((6, 3), np.float32),
-            rng.normal(size=(3, 6)).astype(np.float32),
-            3,
-            64.0,
-            0.0,
-        )
-        assert np.array_equal(effective_weight(W, layer), W)
+        B = np.zeros((6, 3), np.float32)
+        C = rng.normal(size=(3, 6)).astype(np.float32)
+        assert np.array_equal(merged_q(W, B, C, 64.0), W)
 
     def test_ones_hand_case(self):
-        layer = LoraLayer(
-            "L0.q",
-            np.ones((4, 2), np.float32),
-            np.ones((2, 4), np.float32),
-            2,
-            1.0,
-            0.0,
-        )
-        out = effective_weight(np.zeros((4, 4)), layer)
+        B = np.ones((4, 2), np.float32)
+        C = np.ones((2, 4), np.float32)
+        out = merged_q(np.zeros((4, 4)), B, C, 1.0)
         assert np.array_equal(out, np.full((4, 4), 2.0))
 
     def test_alpha_zero_gives_w(self):
         rng = np.random.default_rng(1)
         W = rng.normal(size=(5, 5))
-        layer = LoraLayer(
-            "L0.q",
-            rng.normal(size=(5, 2)).astype(np.float32),
-            rng.normal(size=(2, 5)).astype(np.float32),
-            2,
-            0.0,
-            0.0,
-        )
-        assert np.array_equal(effective_weight(W, layer), W)
+        B = rng.normal(size=(5, 2)).astype(np.float32)
+        C = rng.normal(size=(2, 5)).astype(np.float32)
+        assert np.array_equal(merged_q(W, B, C, 0.0), W)
 
     def test_normalized_scaling_divides_by_rank(self):
         rng = np.random.default_rng(2)
         W = np.zeros((4, 4))
-        layer = LoraLayer(
-            "L0.q",
-            rng.normal(size=(4, 2)).astype(np.float32),
-            rng.normal(size=(2, 4)).astype(np.float32),
-            2,
-            8.0,
-            0.0,
-        )
-        lit = effective_weight(W, layer, scaling="literal")
-        norm = effective_weight(W, layer, scaling="normalized")
+        B = rng.normal(size=(4, 2)).astype(np.float32)
+        C = rng.normal(size=(2, 4)).astype(np.float32)
+        lit = merged_q(W, B, C, 8.0, scaling="literal")
+        norm = merged_q(W, B, C, 8.0, scaling="normalized")
         assert np.allclose(lit, 2.0 * norm)
-
-    def test_shape_mismatch(self):
-        layer = LoraLayer(
-            "L0.q",
-            np.zeros((4, 2), np.float32),
-            np.zeros((2, 4), np.float32),
-            2,
-            1.0,
-            0.0,
-        )
-        with pytest.raises(ShapeMismatch):
-            effective_weight(np.zeros((5, 4)), layer)
 
 
 class TestParamBudget:
@@ -140,7 +139,7 @@ class TestParamBudget:
         assert ratio == count / 1_000_000
 
 
-class TestMergeUnmerge:
+class TestMerge:
     def _setup(self):
         spec = BaseShapeSpec(n_layers=1, width=8, base_param_count=1000)
         adapter = init_adapter(spec, r=2, alpha=4.0, seed=3)
@@ -165,15 +164,6 @@ class TestMergeUnmerge:
         untouched = [i for i in range(10) if i not in (4, 5)]
         assert np.array_equal(merged["embed"][untouched], weights["embed"][untouched])
         assert not np.array_equal(merged["embed"][4], weights["embed"][4])
-
-    def test_unmerge_restores_within_storage_precision(self):
-        adapter, weights = self._setup()
-        merged = merge(adapter, weights, tag_token_ids=(4, 5))
-        restored = unmerge(adapter, merged, tag_token_ids=(4, 5))
-        for name in weights:
-            np.testing.assert_allclose(
-                restored[name], weights[name], rtol=1e-6, atol=1e-7
-            )
 
     def test_merge_does_not_mutate_inputs(self):
         adapter, weights = self._setup()

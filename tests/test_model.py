@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uttertune.errors import CorruptFile, NonFiniteLoss, SequenceTooLong
-from uttertune.lora import init_adapter
+from uttertune.lora import PROJECTIONS, init_adapter
 from uttertune.model import (
     ToyLM,
     ToyLMConfig,
@@ -18,6 +18,9 @@ from uttertune.model import (
     _forward_batch,
     _gelu,
     _gelu_backward,
+    _loss_backward,
+    _loss_forward,
+    _train,
     generate,
     gradient_check,
     loss_and_grads,
@@ -81,6 +84,13 @@ def test_warmup_fraction_bounds():
         TrainConfig(warmup_fraction=0.0)
     with pytest.raises(ValueError):
         TrainConfig(warmup_fraction=1.0)
+
+
+@pytest.mark.parametrize("field", ["steps", "batch_size", "log_every"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_train_config_counts_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        TrainConfig(**{field: value})
 
 
 def test_training_example_requires_input():
@@ -382,6 +392,131 @@ def test_non_finite_loss_is_reported():
     cfg = TrainConfig(steps=5, log_every=1)
     with pytest.raises(NonFiniteLoss):
         pretrain(model, examples, cfg)
+
+
+# -- the flat-buffer loop against the per-tensor optimizer -------------------
+
+
+class _PerTensorAdamW:
+    """AdamW with one moment pair per tensor, as the training loops ran it
+    before the flat-buffer loop: the reference the loop must match."""
+
+    def __init__(self, shapes, weight_decay, decay_filter):
+        self.m = {k: np.zeros(s) for k, s in shapes.items()}
+        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.t = 0
+        self.wd = weight_decay
+        self.decay_filter = decay_filter
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, g in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.wd > 0.0 and self.decay_filter(name):
+                update = update + self.wd * params[name]
+            params[name] -= lr * update
+
+
+def _per_tensor_clip(grads, max_norm) -> bool:
+    """Global-norm clipping tensor by tensor; True when it clipped."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+        return True
+    return False
+
+
+def _per_tensor_train(model, adapter, examples, cfg):
+    """The per-tensor loop of pretrain (adapter None) and train_adapter,
+    with the same generator use; returns (trained float64 values by name,
+    curve, steps clipped)."""
+    rng = np.random.default_rng(cfg.seed)
+    if adapter is None:
+        params = {k: v.astype(np.float64) for k, v in model.weights.items()}
+        adapter64 = dropout_rng = None
+        trainable = params
+
+        def decayed(name):
+            return (name == "head" or name.endswith((".ff1", ".ff2"))
+                    or name.split(".")[-1] in PROJECTIONS)
+    else:
+        params = model.params64()
+        adapter64 = _adapter64(adapter)
+        trainable, _scale, rate = adapter64
+        dropout_rng = rng if rate > 0.0 else None
+
+        def decayed(name):
+            return name != "tag_deltas"
+    opt = _PerTensorAdamW({k: v.shape for k, v in trainable.items()},
+                          cfg.weight_decay, decayed)
+    curve, clipped = [], 0
+    for step in range(1, cfg.steps + 1):
+        idx = rng.integers(0, len(examples), size=cfg.batch_size)
+        batch = [examples[int(i)] for i in idx]
+        loss, bundle = _loss_forward(params, model.config, batch, adapter64,
+                                     dropout_rng)
+        grads = {k: np.zeros_like(v) for k, v in trainable.items()}
+        if adapter is None:
+            _loss_backward(model.config, bundle, params, None, grads, None)
+        else:
+            _loss_backward(model.config, bundle, params, adapter64, None, grads)
+        clipped += _per_tensor_clip(grads, cfg.grad_clip)
+        opt.step(trainable, grads, lr_at_step(step, cfg))
+        if step % cfg.log_every == 0 or step == cfg.steps:
+            curve.append((step, loss))
+    return trainable, curve, clipped
+
+
+def _assert_bitwise_equal(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("grad_clip", [1.2, 1e6], ids=["clipping", "no-clip"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_pretrain_loop_matches_per_tensor_optimizer(grad_clip, weight_decay):
+    model = ToyLM.init(TINY)
+    examples = make_examples(np.random.default_rng(9), 24)
+    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=1,
+                      log_every=7, grad_clip=grad_clip,
+                      weight_decay=weight_decay)
+    want, want_curve, clipped = _per_tensor_train(model, None, examples, cfg)
+    assert (0 < clipped < cfg.steps) if grad_clip < 2.0 else clipped == 0
+    got, curve = _train(model, None, examples, cfg)
+    assert curve == want_curve
+    _assert_bitwise_equal(got, want)
+
+
+def test_adapter_loop_matches_per_tensor_optimizer(tiny_model):
+    adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
+                           dropout_rate=0.1, seed=3)
+    examples = make_examples(np.random.default_rng(10), 24, with_tags=True)
+    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=2,
+                      log_every=7, grad_clip=0.15)
+    want, want_curve, clipped = _per_tensor_train(tiny_model, adapter,
+                                                  examples, cfg)
+    assert 0 < clipped < cfg.steps
+    got, curve = _train(tiny_model, adapter, examples, cfg)
+    assert curve == want_curve
+    _assert_bitwise_equal(got, want)
+    assert np.any(want["tag_deltas"]) and np.any(want["L0.q.C"])
 
 
 # -- persistence -------------------------------------------------------------
