@@ -160,10 +160,15 @@ def _resolve(args, defaults, file_values) -> dict:
     return resolve_config(defaults, file_values, overrides)
 
 
-def _check_max_new(config) -> None:
-    # A flag below 1 is already a usage error, so this is a config value.
-    if config["max_new"] < 1:
-        raise ValueError(f"config max_new must be >= 1, got {config['max_new']}")
+_COUNT_KEYS = ("max_new", "n_test_1", "n_test_2", "n_leakage", "resamples",
+               "sentences")
+
+
+def _check_counts(config) -> None:
+    # A count flag below 1 is already a usage error, so this is a config value.
+    for key in _COUNT_KEYS:
+        if key in config and config[key] < 1:
+            raise ValueError(f"config {key} must be >= 1, got {config[key]}")
 
 
 def _out_dir(args) -> Path:
@@ -273,6 +278,7 @@ def _cmd_notation(args) -> int:
 
 def _cmd_corpus_build(args) -> int:
     config = _resolve(args, _CORPUS_DEFAULTS, _file_config(args))
+    _check_counts(config)
     out = _out_dir(args)
     started = time.perf_counter()
     records = build_corpus(
@@ -421,7 +427,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     config = _resolve(args, _GENERATE_DEFAULTS, _file_config(args))
-    _check_max_new(config)
+    _check_counts(config)
     model, adapter = _load_model_and_adapter(args)
     vocab = load_vocab(args.vocab)
     text = _read_text(args.text)
@@ -471,7 +477,7 @@ def _cmd_eval(args) -> int:
     file_values = _file_config(args)
     config = _resolve(args, _EVAL_DEFAULTS, file_values)
     thresholds = {k: file_values[k] for k in _THRESHOLD_KEYS if k in file_values}
-    _check_max_new(config)
+    _check_counts(config)
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
     out = _out_dir(args)
@@ -629,7 +635,7 @@ def build_parser() -> _Parser:
     csub = corpus.add_subparsers(dest="action", required=True)
     build = csub.add_parser("build", help="sample sentences from the lexicon")
     _add_config_flag(build)
-    build.add_argument("--sentences", type=int)
+    build.add_argument("--sentences", type=_positive_int)
     build.add_argument("--tag-fraction", type=float, dest="tag_fraction")
     build.add_argument("--kana-fraction", type=float, dest="kana_fraction")
     build.add_argument("--seed", type=int)

@@ -22,7 +22,6 @@ the eval builders only draw from the other.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -232,28 +231,9 @@ def parse_lexicon_table(text: str) -> tuple[LexiconEntry, ...]:
     return tuple(entries)
 
 
-def format_lexicon_table(entries: Iterable[LexiconEntry]) -> str:
-    lines = []
-    for entry in entries:
-        cells = [entry.grapheme, entry.pos]
-        cells += [f"{r.text}:{r.prior:g}" for r in entry.readings]
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def build_lexicon() -> tuple[LexiconEntry, ...]:
     """The built-in desk lexicon: 40 words, 12 ambiguous nouns."""
     return parse_lexicon_table(_LEXICON_TABLE)
-
-
-def save_lexicon(entries: Iterable[LexiconEntry], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_lexicon_table(entries))
-
-
-def load_lexicon(path) -> tuple[LexiconEntry, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lexicon_table(fh.read())
 
 
 # -- sentence-space partition -------------------------------------------------
@@ -459,55 +439,6 @@ def to_training_examples(records: Iterable[CorpusRecord],
     return out
 
 
-# -- reading-balance check ----------------------------------------------------
-
-
-def chi_square_two_cell(observed: tuple[int, int],
-                        priors: tuple[float, float]) -> tuple[float, float]:
-    """Goodness-of-fit statistic and p-value (df=1) for two categories."""
-    total = observed[0] + observed[1]
-    if total == 0:
-        return 0.0, 1.0
-    norm = priors[0] + priors[1]
-    stat = 0.0
-    for obs, prior in zip(observed, priors):
-        expected = total * prior / norm
-        stat += (obs - expected) ** 2 / expected
-    return stat, math.erfc(math.sqrt(stat / 2.0))
-
-
-class ReadingBalance(NamedTuple):
-    grapheme: str
-    counts: tuple[int, ...]
-    chi_square: float
-    p_value: float
-
-
-def reading_balance(records: Iterable[CorpusRecord],
-                    lexicon) -> list[ReadingBalance]:
-    """Observed reading counts vs priors for each ambiguous word."""
-    by_grapheme = {e.grapheme: e for e in lexicon if e.is_ambiguous}
-    counts = {g: [0] * len(e.readings) for g, e in by_grapheme.items()}
-    for r in records:
-        for grapheme, annotation in zip(r.graphemes, r.annotations):
-            entry = by_grapheme.get(grapheme)
-            if entry is None:
-                continue
-            for idx, reading in enumerate(entry.readings):
-                if reading.text == annotation:
-                    counts[grapheme][idx] += 1
-                    break
-    out = []
-    for grapheme, entry in by_grapheme.items():
-        observed = counts[grapheme]
-        stat, p = chi_square_two_cell(
-            (observed[0], observed[1]),
-            (entry.readings[0].prior, entry.readings[1].prior),
-        )
-        out.append(ReadingBalance(grapheme, tuple(observed), stat, p))
-    return out
-
-
 # -- evaluation sets ----------------------------------------------------------
 
 
@@ -538,7 +469,6 @@ class EvalItem:
 class EvalSets(NamedTuple):
     test_set_1: tuple[EvalItem, ...]
     test_set_2: tuple[EvalItem, ...]
-    kana_baseline_variant: tuple[EvalItem, ...]
     leakage_set: tuple[EvalItem, ...]
 
 
@@ -580,9 +510,9 @@ def build_eval_sets(
     test_set_1: unambiguous words only, target is one unambiguous noun.
     test_set_2: exactly one ambiguous noun per sentence with a prescribed
     reading; readings alternate per word so each ambiguous word is
-    prescribed its majority and minority readings equally often. The
-    kana_baseline_variant is the same item list; evaluate it in kana
-    mode (reading spelled out, accent marks absent).
+    prescribed its majority and minority readings equally often. The kana
+    baseline is this same set evaluated in kana mode (reading spelled out,
+    accent marks absent).
     leakage_set: one unambiguous noun is tagged while an ambiguous noun
     stays plain; its gold reading is the majority one. text_plain is the
     fully untagged variant for baseline-model comparison.
@@ -646,62 +576,5 @@ def build_eval_sets(
     return EvalSets(
         test_set_1=tuple(test_1),
         test_set_2=tuple(test_2),
-        kana_baseline_variant=tuple(test_2),
         leakage_set=tuple(leakage),
     )
-
-
-_EVAL_MAGIC = "uttertune-evalset v1"
-
-
-def save_eval_items(items: Iterable[EvalItem], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_EVAL_MAGIC + "\n")
-        for it in items:
-            fh.write(
-                "\t".join(
-                    (
-                        str(it.item_id),
-                        " ".join(it.graphemes),
-                        it.text_plain,
-                        it.text_kana,
-                        it.text_tagged,
-                        str(it.target_index),
-                        it.target_grapheme,
-                        it.target_annotation,
-                        str(it.target_mora_start),
-                        str(it.target_mora_count),
-                        " ".join(str(c.to_id(0)) for c in it.codes),
-                    )
-                )
-                + "\n"
-            )
-
-
-def load_eval_items(path) -> tuple[EvalItem, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _EVAL_MAGIC:
-        raise CorruptFile(f"not an eval-set file: {path}")
-    items = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 11:
-            raise CorruptFile(f"eval-set line {lineno}: expected 11 fields")
-        rel_ids = [int(x) for x in fields[10].split()] if fields[10] else []
-        items.append(
-            EvalItem(
-                item_id=int(fields[0]),
-                graphemes=tuple(fields[1].split()),
-                text_plain=fields[2],
-                text_kana=fields[3],
-                text_tagged=fields[4],
-                target_index=int(fields[5]),
-                target_grapheme=fields[6],
-                target_annotation=fields[7],
-                target_mora_start=int(fields[8]),
-                target_mora_count=int(fields[9]),
-                codes=decode_speech_ids(rel_ids, 0),
-            )
-        )
-    return tuple(items)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataprep import EvalItem, codes_to_kana, codes_to_pitch, decode_speech_ids
 from .errors import CorruptFile
-from .kernels import edit_distance
+from .kernels import edit_distance, edit_distance_table
 from .model import ToyLM, generate
 from .notation import normalize_kana
 from .tokenizer import Vocabulary, encode_text
@@ -100,27 +100,16 @@ def item_text(item: EvalItem, mode: str) -> str:
 def _align_target_span(ref_ids, hyp_ids, lo, hi):
     """Locate reference morae [lo, hi) inside the hypothesis.
 
-    Runs a minimal-edit alignment of the two mora sequences and returns the
-    start of the hypothesis run matched one-to-one to the span, or None when
-    any span mora was substituted, dropped, or split apart by an insertion.
+    Backtraces the Levenshtein table of the two mora sequences (the one DP,
+    kernels.edit_distance_table, that CER reads too) to a minimal-edit
+    alignment, and returns the start of the hypothesis run matched
+    one-to-one to the span, or None when any span mora was substituted,
+    dropped, or split apart by an insertion.
     The backtrace prefers diagonal then deletion moves, so the result is
     deterministic even when several alignments tie.
     """
+    dist = edit_distance_table(ref_ids, hyp_ids).tolist()
     n, m = len(ref_ids), len(hyp_ids)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = dist[i], dist[i - 1]
-        r = ref_ids[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (r != hyp_ids[j - 1]),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
     link: list[int | None] = [None] * n
     i, j = n, m
     while i > 0:

@@ -1,6 +1,10 @@
 """Hot numeric kernels, in NumPy.
 
 Kernels:
+  * edit_distance_table    the full Levenshtein DP table between two id
+                           sequences: the one DP that both eval's CER
+                           (through edit_distance, its last cell) and its
+                           target-word alignment (a backtrace) read
   * edit_distance          unit-cost Levenshtein between two id sequences
   * edit_distance_matrix   all-pairs Levenshtein over a padded string table
   * bfs_distance_matrix    all-pairs shortest paths on an explicit
@@ -43,23 +47,35 @@ def active_backend() -> str:
 # -- single-pair edit distance -------------------------------------------
 
 
-def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance between two integer sequences."""
+def edit_distance_table(a, b) -> np.ndarray:
+    """Unit-cost Levenshtein table between two integer sequences.
+
+    Returns the (len(a)+1, len(b)+1) int64 matrix whose cell [i, j] is the
+    distance between a[:i] and b[:j] (Wagner & Fischer, JACM 21(1), 1974).
+    Each row is filled by a few vectorised passes over the row above.
+    """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     m, n = a.shape[0], b.shape[0]
-    if n == 0:
-        return m
-    prev = np.arange(n + 1, dtype=np.int64)
-    idx = np.arange(n + 1, dtype=np.int64)
+    # The DP runs on e[i, j] = d[i, j] - i - j. There a deletion or an
+    # insertion costs 0 and a diagonal step -2 or -1, so that
+    # e[i, j] = min(e[i-1, j], e[i-1, j-1] + cost[i-1, j-1], e[i, j-1]),
+    # with zeros on both borders: a row is the running minimum of two
+    # shifted views of the row above.
+    cost = (a[:, None] != b[None, :]).astype(np.int64) - 2
+    table = np.zeros((m + 1, n + 1), dtype=np.int64)
     for i in range(m):
-        # Candidates ignoring the within-row (insertion) dependency.
-        cand = np.empty(n + 1, dtype=np.int64)
-        cand[0] = i + 1
-        cand[1:] = np.minimum(prev[1:] + 1, prev[:-1] + (a[i] != b))
-        # Fold insertions back in: cur[j] = min_{k<=j} cand[k] + (j-k).
-        prev = np.minimum.accumulate(cand - idx) + idx
-    return int(prev[n])
+        prev, row = table[i], table[i + 1]
+        np.add(prev[:-1], cost[i], out=row[1:])
+        np.minimum(row[1:], prev[1:], out=row[1:])
+        np.minimum.accumulate(row, out=row)
+    table += np.add.outer(np.arange(m + 1), np.arange(n + 1))
+    return table
+
+
+def edit_distance(a, b) -> int:
+    """Unit-cost Levenshtein distance between two integer sequences."""
+    return int(edit_distance_table(a, b)[-1, -1])
 
 
 # -- all-pairs edit distance over a padded table ---------------------------

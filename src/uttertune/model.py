@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class ToyLMConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("layers", "width", "heads", "ff_width", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.width % self.heads != 0:
             raise ValueError("width must be divisible by heads")
         if not 0 <= self.speech_offset < self.vocab_size:
@@ -185,18 +188,9 @@ class ToyLM:
         return h.hexdigest()[:16]
 
     def save(self, path) -> None:
-        meta = {
-            "kind": "model",
-            "vocab_size": str(self.config.vocab_size),
-            "speech_offset": str(self.config.speech_offset),
-            "speech_count": str(self.config.speech_count),
-            "layers": str(self.config.layers),
-            "width": str(self.config.width),
-            "heads": str(self.config.heads),
-            "ff_width": str(self.config.ff_width),
-            "max_seq": str(self.config.max_seq),
-            "seed": str(self.config.seed),
-        }
+        meta = {"kind": "model"}
+        meta.update((f.name, str(getattr(self.config, f.name)))
+                    for f in fields(ToyLMConfig))
         save_tensors(path, self.weights, meta)
 
     @classmethod
@@ -208,15 +202,7 @@ class ToyLM:
             )
         try:
             config = ToyLMConfig(
-                vocab_size=int(meta["vocab_size"]),
-                speech_offset=int(meta["speech_offset"]),
-                speech_count=int(meta["speech_count"]),
-                layers=int(meta["layers"]),
-                width=int(meta["width"]),
-                heads=int(meta["heads"]),
-                ff_width=int(meta["ff_width"]),
-                max_seq=int(meta["max_seq"]),
-                seed=int(meta["seed"]),
+                **{f.name: int(meta[f.name]) for f in fields(ToyLMConfig)}
             )
         except KeyError as missing:
             raise CorruptFile(f"{path}: missing meta field {missing}") from None

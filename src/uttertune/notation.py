@@ -121,11 +121,12 @@ class PitchPattern:
                 raise ValueError(f"pitch level must be H or L, got {lv!r}")
 
 
-def segment_morae(katakana: str) -> list[Mora]:
+def segment_morae(katakana: str, offset: int = 0) -> list[Mora]:
     """Split a katakana string into morae.
 
     A base kana greedily absorbs one following small kana; ー, ッ, ン each
-    stand alone. Empty input yields an empty list.
+    stand alone. Empty input yields an empty list. Error positions count
+    from offset.
     """
     morae: list[Mora] = []
     i = 0
@@ -143,61 +144,42 @@ def segment_morae(katakana: str) -> list[Mora]:
             morae.append(Mora(ch))
             i += 1
         elif ch in SMALL_KANA:
-            raise DanglingSmallKana(ch, i)
+            raise DanglingSmallKana(ch, offset + i)
         else:
-            raise UnsupportedCharacter(ch, i)
+            raise UnsupportedCharacter(ch, offset + i)
     return morae
 
 
 def _parse_phrase(segment: str, offset: int) -> AccentPhrase:
-    """Parse one slash-free phrase, interpreting apostrophes in place."""
+    """Parse one slash-free phrase: the runs between nucleus marks are
+    segmented left to right, and each mark is checked where it stands."""
     morae: list[Mora] = []
     nucleus: int | None = None
-    last_was_mora = False
-    i = 0
-    n = len(segment)
-    while i < n:
-        ch = segment[i]
-        if ch in NUCLEUS_MARKS:
-            if not last_was_mora:
-                raise MisplacedNucleusMark(
-                    f"nucleus mark at position {offset + i} does not follow a mora"
-                )
-            # A mark between a lone base kana and a small kana would split
-            # a two-character mora; that is a placement error, not a
-            # dangling small kana.
-            if (
-                i + 1 < n
-                and segment[i + 1] in SMALL_KANA
-                and len(morae[-1].surface) == 1
-                and morae[-1].surface in BASE_KANA
-            ):
-                raise MisplacedNucleusMark(
-                    f"nucleus mark at position {offset + i} splits a two-character mora"
-                )
-            if nucleus is not None:
-                raise MultipleNuclei(
-                    f"second nucleus mark at position {offset + i}"
-                )
-            nucleus = len(morae)
-            last_was_mora = False
-            i += 1
-        elif ch in BASE_KANA:
-            if i + 1 < n and segment[i + 1] in SMALL_KANA:
-                morae.append(Mora(ch + segment[i + 1]))
-                i += 2
-            else:
-                morae.append(Mora(ch))
-                i += 1
-            last_was_mora = True
-        elif ch in STANDALONE_KANA:
-            morae.append(Mora(ch))
-            i += 1
-            last_was_mora = True
-        elif ch in SMALL_KANA:
-            raise DanglingSmallKana(ch, offset + i)
-        else:
-            raise UnsupportedCharacter(ch, offset + i)
+    start = 0
+    for i, ch in enumerate(segment):
+        if ch not in NUCLEUS_MARKS:
+            continue
+        morae += segment_morae(segment[start:i], offset + start)
+        if i == start:
+            raise MisplacedNucleusMark(
+                f"nucleus mark at position {offset + i} does not follow a mora"
+            )
+        # A mark between a lone base kana and a small kana would split a
+        # two-character mora; that is a placement error, not a dangling
+        # small kana.
+        if (
+            segment[i + 1 : i + 2] in SMALL_KANA
+            and len(morae[-1].surface) == 1
+            and morae[-1].surface in BASE_KANA
+        ):
+            raise MisplacedNucleusMark(
+                f"nucleus mark at position {offset + i} splits a two-character mora"
+            )
+        if nucleus is not None:
+            raise MultipleNuclei(f"second nucleus mark at position {offset + i}")
+        nucleus = len(morae)
+        start = i + 1
+    morae += segment_morae(segment[start:], offset + start)
     if not morae:
         raise EmptyPhrase(f"empty accent phrase at position {offset}")
     return AccentPhrase(morae=tuple(morae), nucleus=nucleus)

@@ -110,10 +110,6 @@ class Vocabulary:
         return len(self.atoms) + len(self.merges)
 
     @property
-    def special_tokens(self) -> dict[str, int]:
-        return {PHON_START: self.base_size, PHON_END: self.base_size + 1}
-
-    @property
     def phon_start_id(self) -> int:
         return self.base_size
 
@@ -128,12 +124,6 @@ class Vocabulary:
     @property
     def total_size(self) -> int:
         return self.speech_token_offset + self.speech_token_count
-
-    def token_to_id(self, token: str) -> int:
-        tid = self.string_to_id.get(token)
-        if tid is None:
-            raise UncoveredSymbol(f"token {token!r} not in vocabulary")
-        return tid
 
 
 def train_bpe(

@@ -553,28 +553,55 @@ def test_container_without_its_fields_is_one_line_data_error(pipeline,
         assert "missing" in err
 
 
-@pytest.mark.parametrize("command", ["generate", "eval"])
-@pytest.mark.parametrize("source, value, code", [
-    ("flag", "-5", 1), ("flag", "0", 1), ("config", "-5", 2), ("config", "0", 2),
-])
+_MAX_NEW_CASES = [("flag", "-5", 1), ("flag", "0", 1), ("config", "-5", 2),
+                  ("config", "0", 2)]
+_COUNT_CASES = [
+    pytest.param(source, value, code, command, "max_new",
+                 id=f"{source}-{value}-{code}-{command}")
+    for command in ("generate", "eval")
+    for source, value, code in _MAX_NEW_CASES
+] + [
+    pytest.param(source, value, code, command, key,
+                 id=f"{key}-{source}-{value}-{code}-{command}")
+    for source, value, code, command, key in (
+        ("config", "0", 2, "eval", "n_test_1"),
+        ("config", "0", 2, "eval", "n_test_2"),
+        ("config", "-3", 2, "eval", "n_test_2"),
+        ("config", "0", 2, "eval", "n_leakage"),
+        ("config", "0", 2, "eval", "resamples"),
+        ("config", "0", 2, "corpus", "sentences"),
+        ("flag", "0", 1, "corpus", "sentences"),
+    )
+]
+
+
+@pytest.mark.parametrize("source, value, code, command, key", _COUNT_CASES)
 def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys, command,
-                                       source, value, code):
-    """A flag below 1 is a usage error, a config value below 1 a bad config
-    value."""
-    argv = [command, "--model", pipeline["model"], "--vocab", pipeline["vocab"]]
-    argv += ["--text", "駅"] if command == "generate" else [
-        "--out", str(tmp_path / "e")
-    ]
+                                       source, value, code, key):
+    """A count flag below 1 is a usage error, a count config value below 1
+    a bad config value; either is reported before any work starts."""
+    out = tmp_path / "o"
+    if command == "corpus":
+        argv = ["corpus", "build"]
+    else:
+        argv = [command, "--model", pipeline["model"],
+                "--vocab", pipeline["vocab"]]
+        argv += ["--text", "駅"] if command == "generate" else [
+            "--adapter", pipeline["adapter"], "--leakage"
+        ]
+    argv += ["--out", str(out)]
+    flag = "--" + key.replace("_", "-")
     if source == "flag":
-        argv += ["--max-new", value]
+        argv += [flag, value]
     else:
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"max_new = {value}\n", encoding="utf-8")
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         argv += ["--config", str(cfg)]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert ("--max-new" if source == "flag" else "max_new") in err
+    assert (flag if source == "flag" else key) in err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -610,6 +637,10 @@ def test_train_flag_below_one_is_usage_error(pipeline, tmp_path, capsys,
     ("rank = 65", "rank"),
     ("dropout = 1.5", "dropout"),
     ("scaling = halved", "scaling"),
+    ("heads = 0", "heads"),
+    ("layers = 0", "layers"),
+    ("layers = -1", "layers"),
+    ("ff_width = 0", "ff_width"),
 ])
 def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
                                                       capsys, no_pretrain,

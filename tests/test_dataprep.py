@@ -1,6 +1,9 @@
 """Tests for the synthetic corpus: codec bijection, oracle rendering,
 lexicon table, corpus construction, and eval-set properties."""
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,21 +24,14 @@ from uttertune.dataprep import (
     build_corpus,
     build_eval_sets,
     build_lexicon,
-    chi_square_two_cell,
     codes_to_kana,
     codes_to_pitch,
     decode_speech_ids,
-    format_lexicon_table,
     is_held_out,
     load_corpus,
-    load_eval_items,
-    load_lexicon,
     parse_lexicon_table,
-    reading_balance,
     render_oracle,
     save_corpus,
-    save_eval_items,
-    save_lexicon,
     to_training_examples,
     vocab_training_text,
 )
@@ -224,14 +220,6 @@ def test_lexicon_covers_whole_inventory(lexicon):
     assert used == set(MORA_INVENTORY)
 
 
-def test_lexicon_table_round_trip(lexicon, tmp_path):
-    text = format_lexicon_table(lexicon)
-    assert parse_lexicon_table(text) == lexicon
-    path = tmp_path / "lexicon.tsv"
-    save_lexicon(lexicon, path)
-    assert load_lexicon(path) == lexicon
-
-
 def test_lexicon_table_rejects_duplicates():
     with pytest.raises(CorruptFile):
         parse_lexicon_table("雨\tnoun\tア'メ:1\n雨\tnoun\tアメ:1\n")
@@ -357,6 +345,50 @@ def test_corpus_load_rejects_foreign_file(tmp_path):
 # -- reading balance -------------------------------------------------------
 
 
+def chi_square_two_cell(observed, priors):
+    """Goodness-of-fit statistic and p-value (df=1) for two categories."""
+    total = observed[0] + observed[1]
+    if total == 0:
+        return 0.0, 1.0
+    norm = priors[0] + priors[1]
+    stat = 0.0
+    for obs, prior in zip(observed, priors):
+        expected = total * prior / norm
+        stat += (obs - expected) ** 2 / expected
+    return stat, math.erfc(math.sqrt(stat / 2.0))
+
+
+class ReadingBalance(NamedTuple):
+    grapheme: str
+    counts: tuple[int, ...]
+    chi_square: float
+    p_value: float
+
+
+def reading_balance(records, lexicon):
+    """Observed reading counts vs priors for each ambiguous word."""
+    by_grapheme = {e.grapheme: e for e in lexicon if e.is_ambiguous}
+    counts = {g: [0] * len(e.readings) for g, e in by_grapheme.items()}
+    for r in records:
+        for grapheme, annotation in zip(r.graphemes, r.annotations):
+            entry = by_grapheme.get(grapheme)
+            if entry is None:
+                continue
+            for idx, reading in enumerate(entry.readings):
+                if reading.text == annotation:
+                    counts[grapheme][idx] += 1
+                    break
+    out = []
+    for grapheme, entry in by_grapheme.items():
+        observed = counts[grapheme]
+        stat, p = chi_square_two_cell(
+            (observed[0], observed[1]),
+            (entry.readings[0].prior, entry.readings[1].prior),
+        )
+        out.append(ReadingBalance(grapheme, tuple(observed), stat, p))
+    return out
+
+
 def test_chi_square_hand_values():
     stat, p = chi_square_two_cell((50, 50), (0.5, 0.5))
     assert stat == 0.0 and p == 1.0
@@ -429,7 +461,6 @@ def test_eval_sets_shape(eval_sets):
     assert len(eval_sets.test_set_1) == 48
     assert len(eval_sets.test_set_2) == 120
     assert len(eval_sets.leakage_set) == 240
-    assert eval_sets.kana_baseline_variant == eval_sets.test_set_2
 
 
 def test_eval_sets_deterministic(lexicon, eval_sets):
@@ -522,19 +553,6 @@ def test_eval_sets_disjoint_from_training(lexicon, corpus, eval_sets):
     }
     assert not (train_keys & eval_keys)
     assert all(is_held_out(k) for k in eval_keys)
-
-
-def test_eval_items_round_trip(eval_sets, tmp_path):
-    path = tmp_path / "test2.tsv"
-    save_eval_items(eval_sets.test_set_2, path)
-    assert load_eval_items(path) == eval_sets.test_set_2
-
-
-def test_eval_items_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.tsv"
-    path.write_text("garbage\n", encoding="utf-8")
-    with pytest.raises(CorruptFile):
-        load_eval_items(path)
 
 
 def test_eval_sets_need_both_word_kinds(lexicon):

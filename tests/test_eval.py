@@ -1,6 +1,9 @@
 """Tests for CER, set evaluation, report serialization, and the
 leakage bootstrap."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,79 @@ def test_cer_matches_recursive_definition_exhaustively():
 @settings(max_examples=150)
 def test_cer_numerator_is_symmetric(a, b):
     assert cer(a, b) * len(a) == cer(b, a) * len(b)
+
+
+# -- target-span alignment ------------------------------------------------
+
+
+def _reference_links(ref_ids, hyp_ids):
+    """The hypothesis mora matched to each reference mora (or None), from a
+    pure-Python DP table and its backtrace: the alignment that eval ran
+    before it read kernels.edit_distance_table."""
+    n, m = len(ref_ids), len(hyp_ids)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    for j in range(m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        row, prev = dist[i], dist[i - 1]
+        r = ref_ids[i - 1]
+        for j in range(1, m + 1):
+            row[j] = min(
+                prev[j - 1] + (r != hyp_ids[j - 1]),
+                prev[j] + 1,
+                row[j - 1] + 1,
+            )
+    link = [None] * n
+    i, j = n, m
+    while i > 0:
+        if j > 0 and dist[i][j] == dist[i - 1][j - 1] + (
+            ref_ids[i - 1] != hyp_ids[j - 1]
+        ):
+            if ref_ids[i - 1] == hyp_ids[j - 1]:
+                link[i - 1] = j - 1
+            i, j = i - 1, j - 1
+        elif dist[i][j] == dist[i - 1][j] + 1:
+            i -= 1
+        else:
+            j -= 1
+    return link
+
+
+def _reference_span_start(link, lo, hi):
+    span = link[lo:hi]
+    if not span or None in span:
+        return None
+    if span != list(range(span[0], span[0] + (hi - lo))):
+        return None
+    return span[0]
+
+
+def test_align_target_span_matches_reference_exhaustively(monkeypatch):
+    """Every pair of sequences over 3 letters up to length 5, every
+    non-empty span of the reference.
+
+    All spans of one pair read the same table, so the kernel is memoized
+    for the pair at hand; the backtrace still runs once per span."""
+    monkeypatch.setattr(
+        eval_mod, "edit_distance_table",
+        functools.lru_cache(maxsize=1)(eval_mod.edit_distance_table),
+    )
+    universe = [
+        seq for length in range(6)
+        for seq in itertools.product(range(3), repeat=length)
+    ]
+    assert len(universe) == 364
+    align = eval_mod._align_target_span
+    for ref in universe:
+        spans = [(lo, hi) for hi in range(len(ref) + 1) for lo in range(hi)]
+        for hyp in universe:
+            link = _reference_links(ref, hyp)
+            for lo, hi in spans:
+                assert align(ref, hyp, lo, hi) == _reference_span_start(
+                    link, lo, hi
+                ), (ref, hyp, lo, hi)
 
 
 # -- fixtures for set evaluation ----------------------------------------

@@ -85,6 +85,20 @@ class TestEditDistance:
     def test_symmetry(self, a, b):
         assert kernels.edit_distance(a, b) == kernels.edit_distance(b, a)
 
+    @given(
+        st.lists(st.integers(0, 3), max_size=9),
+        st.lists(st.integers(0, 3), max_size=9),
+    )
+    @settings(max_examples=100)
+    def test_table_holds_every_prefix_distance(self, a, b):
+        table = kernels.edit_distance_table(a, b)
+        assert table.shape == (len(a) + 1, len(b) + 1)
+        assert table.dtype == np.int64
+        for i in range(len(a) + 1):
+            for j in range(len(b) + 1):
+                assert table[i, j] == ref_edit_distance(a[:i], b[:j])
+        assert table[-1, -1] == kernels.edit_distance(a, b)
+
 
 class TestEditDistanceMatrix:
     def test_matches_single_pair_kernel(self):

@@ -74,6 +74,15 @@ def test_width_must_divide_heads():
         ToyLMConfig(vocab_size=40, speech_offset=32, speech_count=8, heads=3)
 
 
+@pytest.mark.parametrize("name", ["layers", "width", "heads", "ff_width",
+                                  "max_seq"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_shape_fields_below_one_are_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        ToyLMConfig(vocab_size=40, speech_offset=32, speech_count=8,
+                    **{name: value})
+
+
 def test_speech_range_must_fit_vocab():
     with pytest.raises(ValueError):
         ToyLMConfig(vocab_size=40, speech_offset=35, speech_count=8)

@@ -162,7 +162,7 @@ class TestEncodeDecode:
     def test_plain_span_uses_merges(self):
         vocab = train_bpe(["チ'チ'チ'ミ"], target_vocab_size=4, seed=0)
         ids = encode(TaggedText((PlainSpan("チ'ミ"),)), vocab)
-        merged_id = vocab.token_to_id("チ'")
+        merged_id = vocab.string_to_id["チ'"]
         assert ids == [merged_id, vocab.atom_to_id["ミ"]]
 
     def test_tag_literal_in_plain_text_rejected(self, wide_vocab):
