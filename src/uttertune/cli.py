@@ -20,6 +20,7 @@ threshold from the config unmet.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -56,13 +57,22 @@ from .lora import (
     trainable_param_count,
 )
 from .manifest import (
+    COMMAND_DEFAULTS,
+    THRESHOLD_KEYS,
     RunManifest,
     parse_config_file,
     resolve_config,
     save_manifest,
 )
 from .model import ToyLM, ToyLMConfig, TrainConfig, generate, pretrain, train_adapter
-from .notation import parse_annotation, phrase_pitch
+from .notation import (
+    AccentPhrase,
+    Mora,
+    PhonemeAnnotation,
+    parse_annotation,
+    phrase_pitch,
+    render_annotation,
+)
 from .tokenizer import encode_text, load_vocab, save_vocab, train_bpe
 
 EXIT_OK = 0
@@ -70,53 +80,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_THRESHOLD = 4
-
-_THRESHOLD_KEYS = ("tagged_accent_min", "kana_cer_max", "leakage_halfwidth_max")
-
-_CORPUS_DEFAULTS = {
-    "sentences": 400,
-    "tag_fraction": 0.0,
-    "kana_fraction": 0.0,
-    "seed": 0,
-}
-_VOCAB_DEFAULTS = {"vocab_size": 180, "seed": 0}
-_TRAIN_DEFAULTS = {
-    "width": 64,
-    "layers": 2,
-    "heads": 4,
-    "ff_width": 256,
-    "max_seq": 256,
-    "model_seed": 0,
-    "pretrain_steps": 3000,
-    "pretrain_lr": 3e-4,
-    "pretrain_batch": 8,
-    "pretrain_seed": 0,
-    "warmup_fraction": 0.1,
-    "steps": 3000,
-    "learning_rate": 1e-3,
-    "batch_size": 8,
-    "rank": 16,
-    "alpha": 64.0,
-    "dropout": 0.05,
-    "scaling": "literal",
-    "seed": 0,
-}
-_GENERATE_DEFAULTS = {
-    "max_new": 40,
-    "temperature": 1.0,
-    "seed": 0,
-    "decode": "greedy",
-}
-_EVAL_DEFAULTS = {
-    "mode": "plain",
-    "seed": 0,
-    "n_test_1": 48,
-    "n_test_2": 120,
-    "n_leakage": 240,
-    "max_new": 40,
-    "resamples": 10_000,
-}
-
 
 class _UsageError(Exception):
     pass
@@ -155,7 +118,8 @@ def _file_config(args) -> dict:
     return parse_config_file(args.config) if getattr(args, "config", None) else {}
 
 
-def _resolve(args, defaults, file_values) -> dict:
+def _resolve(args, command, file_values) -> dict:
+    defaults = COMMAND_DEFAULTS[command]
     overrides = {k: getattr(args, k, None) for k in defaults}
     return resolve_config(defaults, file_values, overrides)
 
@@ -164,11 +128,13 @@ _COUNT_KEYS = ("max_new", "n_test_1", "n_test_2", "n_leakage", "resamples",
                "sentences")
 
 
-def _check_counts(config) -> None:
+def _check_config(config) -> None:
     # A count flag below 1 is already a usage error, so this is a config value.
-    for key in _COUNT_KEYS:
-        if key in config and config[key] < 1:
-            raise ValueError(f"config {key} must be >= 1, got {config[key]}")
+    for key, value in config.items():
+        if key in _COUNT_KEYS and value < 1:
+            raise ValueError(f"config {key} must be >= 1, got {value}")
+        if key in THRESHOLD_KEYS and not math.isfinite(value):
+            raise ValueError(f"config {key} must be finite, got {value}")
 
 
 def _out_dir(args) -> Path:
@@ -234,24 +200,14 @@ def _cmd_notation(args) -> int:
             phrases = []
             for line in text.splitlines():
                 tokens = line.split()
-                if (
-                    len(tokens) < 4
-                    or tokens[0] != "phrase"
-                    or tokens[-2] != "nucleus"
-                ):
+                if len(tokens) < 4 or tokens[0] != "phrase" or tokens[-2] != "nucleus":
                     raise _UsageError(
                         f"render expects 'phrase <morae...> nucleus <n>' lines, "
                         f"got {line!r}"
                     )
-                morae, nucleus = tokens[1:-2], int(tokens[-1])
-                if nucleus:
-                    body = "".join(morae[:nucleus]) + "'" + "".join(morae[nucleus:])
-                else:
-                    body = "".join(morae)
-                phrases.append(body)
-            notated = "/".join(phrases)
-            parse_annotation(notated)  # validate before echoing
-            print(notated)
+                morae = tuple(Mora(m) for m in tokens[1:-2])
+                phrases.append(AccentPhrase(morae, int(tokens[-1]) or None))
+            print(render_annotation(PhonemeAnnotation(tuple(phrases))))
         elif args.action == "pitch":
             annotation = parse_annotation(text)
             print(
@@ -277,8 +233,8 @@ def _cmd_notation(args) -> int:
 
 
 def _cmd_corpus_build(args) -> int:
-    config = _resolve(args, _CORPUS_DEFAULTS, _file_config(args))
-    _check_counts(config)
+    config = _resolve(args, "corpus build", _file_config(args))
+    _check_config(config)
     out = _out_dir(args)
     started = time.perf_counter()
     records = build_corpus(
@@ -300,7 +256,7 @@ def _cmd_corpus_build(args) -> int:
 
 
 def _cmd_vocab_train(args) -> int:
-    config = _resolve(args, _VOCAB_DEFAULTS, _file_config(args))
+    config = _resolve(args, "vocab train", _file_config(args))
     out = _out_dir(args)
     started = time.perf_counter()
     records = load_corpus(args.corpus)
@@ -329,7 +285,7 @@ def _cmd_vocab_train(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _resolve(args, _TRAIN_DEFAULTS, _file_config(args))
+    config = _resolve(args, "train", _file_config(args))
     out = _out_dir(args)
     vocab = load_vocab(args.vocab)
     pretrain_records = load_corpus(args.corpus)
@@ -426,8 +382,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    config = _resolve(args, _GENERATE_DEFAULTS, _file_config(args))
-    _check_counts(config)
+    config = _resolve(args, "generate", _file_config(args))
+    _check_config(config)
     model, adapter = _load_model_and_adapter(args)
     vocab = load_vocab(args.vocab)
     text = _read_text(args.text)
@@ -475,9 +431,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_eval(args) -> int:
     file_values = _file_config(args)
-    config = _resolve(args, _EVAL_DEFAULTS, file_values)
-    thresholds = {k: file_values[k] for k in _THRESHOLD_KEYS if k in file_values}
-    _check_counts(config)
+    thresholds = {k: file_values[k] for k in THRESHOLD_KEYS if k in file_values}
+    config = {**_resolve(args, "eval", file_values), **thresholds}
+    _check_config(config)
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
     out = _out_dir(args)
@@ -512,7 +468,9 @@ def _cmd_eval(args) -> int:
                 f"< tagged_accent_min {thresholds['tagged_accent_min']}"
             )
     if config["mode"] == "kana" and "kana_cer_max" in thresholds:
-        if report.mean_cer > thresholds["kana_cer_max"]:
+        if report.n_excluded == report.n_items:
+            failures.append(f"CER undefined: all {report.n_items} items excluded")
+        elif report.mean_cer > thresholds["kana_cer_max"]:
             failures.append(
                 f"CER {report.mean_cer:.4f} > kana_cer_max "
                 f"{thresholds['kana_cer_max']}"
@@ -554,7 +512,7 @@ def _cmd_eval(args) -> int:
     if args.adapter:
         inputs["adapter"] = args.adapter
     _write_manifest(
-        out, "eval", {**config, **thresholds}, inputs, outputs,
+        out, "eval", config, inputs, outputs,
         {"total": elapsed},
     )
     for failure in failures:

@@ -321,7 +321,7 @@ def build_corpus(
         raise EmptyLexicon("lexicon is empty")
     if not any(e.pos == NOUN and e.is_ambiguous for e in lexicon):
         raise EmptyLexicon("lexicon has no ambiguous noun")
-    if tag_fraction < 0 or kana_fraction < 0 or tag_fraction + kana_fraction > 1:
+    if tag_fraction < 0 or kana_fraction < 0 or not tag_fraction + kana_fraction <= 1:
         raise ValueError("tag_fraction and kana_fraction must sum within [0, 1]")
     rng = np.random.default_rng(seed)
     records = []
@@ -449,7 +449,6 @@ class EvalItem:
     text_plain: str
     text_kana: str
     text_tagged: str
-    target_index: int
     target_grapheme: str
     target_annotation: str
     target_mora_start: int
@@ -489,7 +488,6 @@ def _make_item(item_id, words, readings, target_index, tagged_index=None):
         text_plain=_assemble(words, readings, None, None),
         text_kana=_assemble(words, readings, target_index, KANA_FORM),
         text_tagged=_assemble(words, readings, tagged_index, TAGGED_FORM),
-        target_index=target_index,
         target_grapheme=words[target_index].grapheme,
         target_annotation=target_reading.text,
         target_mora_start=starts[target_index],

@@ -14,6 +14,7 @@ remain free to move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,8 @@ def init_adapter(
         raise InvalidRank(f"rank {r} exceeds model width {base_spec.width}")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must be in [0,1), got {dropout_rate}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     rng = np.random.default_rng(seed)
     d = base_spec.width
     layers = []

@@ -1,4 +1,7 @@
-"""Run manifests and config files.
+"""Run manifests, config files and the config schema.
+
+``COMMAND_DEFAULTS`` is the one list of config keys: each command's keys
+with their defaults, from which ``CONFIG_KEYS`` takes each key's type.
 
 Every artifact-producing command writes a ``manifest.txt`` next to its
 output: the resolved config snapshot, the input and output paths, the
@@ -15,51 +18,61 @@ from .errors import CorruptFile
 
 _MAGIC = "uttertune-manifest v1"
 
-# Every key a config file may define, with its value type. Commands
-# consume the subset they understand, so one file can drive a whole
-# pipeline.
+# Every key a config file may define, with its built-in default, under
+# the command (as a manifest records it) that consumes it. A key may serve
+# several commands, so one file can drive a whole pipeline.
+COMMAND_DEFAULTS: dict[str, dict[str, int | float | str]] = {
+    "corpus build": {
+        "sentences": 400,
+        "tag_fraction": 0.0,
+        "kana_fraction": 0.0,
+        "seed": 0,
+    },
+    "vocab train": {"vocab_size": 180, "seed": 0},
+    "train": {
+        # model shape
+        "width": 64,
+        "layers": 2,
+        "heads": 4,
+        "ff_width": 256,
+        "max_seq": 256,
+        "model_seed": 0,
+        # base-model pretraining
+        "pretrain_steps": 3000,
+        "pretrain_lr": 3e-4,
+        "pretrain_batch": 8,
+        "pretrain_seed": 0,
+        "warmup_fraction": 0.1,
+        # adapter training
+        "steps": 3000,
+        "learning_rate": 1e-3,
+        "batch_size": 8,
+        "rank": 16,
+        "alpha": 64.0,
+        "dropout": 0.05,
+        "scaling": "literal",
+        "seed": 0,
+    },
+    "generate": {"max_new": 40, "temperature": 1.0, "seed": 0, "decode": "greedy"},
+    "eval": {
+        "mode": "plain",
+        "seed": 0,
+        "n_test_1": 48,
+        "n_test_2": 120,
+        "n_leakage": 240,
+        "max_new": 40,
+        "resamples": 10_000,
+    },
+}
+
+# Pass/fail bounds that eval checks only when the config file sets them.
+THRESHOLD_KEYS = ("tagged_accent_min", "kana_cer_max", "leakage_halfwidth_max")
+
+# Each key's value type: its default's type; thresholds are floats.
 CONFIG_KEYS: dict[str, type] = {
-    # corpus build
-    "sentences": int,
-    "tag_fraction": float,
-    "kana_fraction": float,
-    "seed": int,
-    # vocab train
-    "vocab_size": int,
-    # model shape
-    "width": int,
-    "layers": int,
-    "heads": int,
-    "ff_width": int,
-    "max_seq": int,
-    "model_seed": int,
-    # base-model pretraining
-    "pretrain_steps": int,
-    "pretrain_lr": float,
-    "pretrain_batch": int,
-    "pretrain_seed": int,
-    "warmup_fraction": float,
-    # adapter training
-    "steps": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "rank": int,
-    "alpha": float,
-    "dropout": float,
-    "scaling": str,
-    # generation
-    "max_new": int,
-    "temperature": float,
-    "decode": str,
-    # evaluation
-    "mode": str,
-    "n_test_1": int,
-    "n_test_2": int,
-    "n_leakage": int,
-    "resamples": int,
-    "tagged_accent_min": float,
-    "kana_cer_max": float,
-    "leakage_halfwidth_max": float,
+    **{key: type(value) for defaults in COMMAND_DEFAULTS.values()
+       for key, value in defaults.items()},
+    **dict.fromkeys(THRESHOLD_KEYS, float),
 }
 
 
@@ -91,8 +104,8 @@ def parse_config_file(path) -> dict[str, int | float | str]:
 def resolve_config(defaults, file_values, overrides) -> dict:
     """Layer values: built-in defaults, then config file, then flags.
 
-    Only keys present in ``defaults`` are consumed; a flag override of
-    ``None`` means the flag was not given.
+    The file's keys outside ``defaults`` are ignored; ``overrides`` has
+    keys from ``defaults`` only, and ``None`` means the flag was not given.
     """
     resolved = dict(defaults)
     for key, value in file_values.items():
@@ -100,8 +113,6 @@ def resolve_config(defaults, file_values, overrides) -> dict:
             resolved[key] = value
     for key, value in overrides.items():
         if value is not None:
-            if key not in resolved:
-                raise KeyError(f"override for unknown config key {key!r}")
             resolved[key] = value
     return resolved
 

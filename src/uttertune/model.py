@@ -99,6 +99,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0,1)")
+        lr = self.learning_rate
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
         for name in ("steps", "batch_size", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -225,10 +228,6 @@ class ToyLM:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError("forward takes a single id sequence")
-        if ids.shape[0] > self.config.max_seq:
-            raise SequenceTooLong(
-                f"{ids.shape[0]} tokens > max_seq {self.config.max_seq}"
-            )
         logits, _ = _forward_batch(
             self.params64(), self.config, ids[None, :], np.arange(ids.shape[0]),
             _adapter64(adapter), None,
@@ -835,6 +834,8 @@ def generate(
     """
     if mode not in ("greedy", "sampled"):
         raise ValueError(f"mode must be greedy or sampled, got {mode!r}")
+    if mode == "sampled" and not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     cfg = model.config
     prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
     for index, prompt in enumerate(prompts):
@@ -891,7 +892,7 @@ def _next_tokens(logits, cfg: ToyLMConfig, rng, temperature: float):
         return lo + np.argmax(speech, axis=1)
     picks = []
     for row in speech:
-        z = row / max(temperature, 1e-8)
+        z = row / temperature
         z = z - z.max()
         p = np.exp(z)
         p /= p.sum()

@@ -11,11 +11,14 @@ import pytest
 
 import uttertune
 import uttertune.cli
+import uttertune.eval
 from uttertune.cli import main
 from uttertune.errors import CorruptFile
 from uttertune.eval import load_report
 from uttertune.lora import load_adapter
 from uttertune.manifest import (
+    COMMAND_DEFAULTS,
+    CONFIG_KEYS,
     RunManifest,
     load_manifest,
     manifest_config_text,
@@ -59,6 +62,11 @@ def test_render_inverts_parse(capsys, monkeypatch):
 def test_render_rejects_garbage(capsys):
     assert main(["notation", "render", "not a phrase line"]) == 1
     assert main(["notation", "render", "phrase チ nucleus two"]) == 1
+    # a nucleus outside 1..n, and a token that is not one mora
+    assert main(["notation", "render", "phrase ア イ nucleus 5"]) == 1
+    assert main(["notation", "render", "phrase ア イ nucleus -1"]) == 1
+    assert main(["notation", "render", "phrase アイ nucleus 0"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_morae_output(capsys):
@@ -204,6 +212,73 @@ def test_config_file_parsing(tmp_path):
     cfg.write_text("sentences 1\n", encoding="utf-8")
     with pytest.raises(CorruptFile):
         parse_config_file(cfg)
+
+
+# The config schema written out by hand: the reference that the types
+# derived from the per-command defaults must equal.
+_REFERENCE_CONFIG_KEYS = {
+    # corpus build
+    "sentences": int,
+    "tag_fraction": float,
+    "kana_fraction": float,
+    "seed": int,
+    # vocab train
+    "vocab_size": int,
+    # model shape
+    "width": int,
+    "layers": int,
+    "heads": int,
+    "ff_width": int,
+    "max_seq": int,
+    "model_seed": int,
+    # base-model pretraining
+    "pretrain_steps": int,
+    "pretrain_lr": float,
+    "pretrain_batch": int,
+    "pretrain_seed": int,
+    "warmup_fraction": float,
+    # adapter training
+    "steps": int,
+    "learning_rate": float,
+    "batch_size": int,
+    "rank": int,
+    "alpha": float,
+    "dropout": float,
+    "scaling": str,
+    # generation
+    "max_new": int,
+    "temperature": float,
+    "decode": str,
+    # evaluation
+    "mode": str,
+    "n_test_1": int,
+    "n_test_2": int,
+    "n_leakage": int,
+    "resamples": int,
+    "tagged_accent_min": float,
+    "kana_cer_max": float,
+    "leakage_halfwidth_max": float,
+}
+
+
+def test_config_keys_derived_from_defaults():
+    assert CONFIG_KEYS == _REFERENCE_CONFIG_KEYS
+    assert set(COMMAND_DEFAULTS) == {
+        "corpus build", "vocab train", "train", "generate", "eval",
+    }
+
+
+def test_shared_config_key_has_one_type():
+    """A key that several commands read (seed, max_new) has the same type
+    in each command's defaults."""
+    types: dict[str, set] = {}
+    for defaults in COMMAND_DEFAULTS.values():
+        for key, value in defaults.items():
+            types.setdefault(key, set()).add(type(value))
+    shared = {k for k in types
+              if sum(k in d for d in COMMAND_DEFAULTS.values()) > 1}
+    assert {"seed", "max_new"} <= shared
+    assert all(len(t) == 1 for t in types.values())
 
 
 def test_config_precedence():
@@ -401,6 +476,34 @@ def test_eval_threshold_gate(pipeline, tmp_path, capsys):
     assert (tmp_path / "e" / "report_tagged.tsv").exists()
 
 
+def test_kana_threshold_unmet_when_every_item_excluded(pipeline, tmp_path,
+                                                       capsys, monkeypatch):
+    """With no kept item the mean CER is undefined, so kana_cer_max fails."""
+    monkeypatch.setattr(uttertune.eval, "CER_EXCLUSION_THRESHOLD", -1.0)
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(_TINY_CFG + "kana_cer_max = 0.01\n", encoding="utf-8")
+    rc = main(["eval", "--config", str(cfg), "--model", pipeline["model"],
+               "--vocab", pipeline["vocab"], "--mode", "kana",
+               "--out", str(tmp_path / "e")])
+    assert rc == 4
+    assert "all 12 items excluded" in capsys.readouterr().err
+    report = load_report(tmp_path / "e" / "report_kana.tsv")
+    assert report.n_excluded == report.n_items == 12
+    assert report.mean_cer == 0.0
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "inf"])
+def test_generate_rejects_bad_sampled_temperature(pipeline, capsys, value):
+    rc = main(["generate", "--model", pipeline["model"],
+               "--vocab", pipeline["vocab"], "--text", "駅",
+               "--decode", "sampled", "--temperature", value])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "temperature" in err
+
+
 def test_eval_leakage_artifact(pipeline, tmp_path, capsys):
     rc = main(["eval", "--config", str(pipeline["cfg"]),
                "--model", pipeline["model"], "--vocab", pipeline["vocab"],
@@ -571,6 +674,9 @@ _COUNT_CASES = [
         ("config", "0", 2, "eval", "resamples"),
         ("config", "0", 2, "corpus", "sentences"),
         ("flag", "0", 1, "corpus", "sentences"),
+        ("config", "nan", 2, "eval", "tagged_accent_min"),
+        ("config", "nan", 2, "eval", "kana_cer_max"),
+        ("config", "inf", 2, "eval", "leakage_halfwidth_max"),
     )
 ]
 
@@ -641,6 +747,12 @@ def test_train_flag_below_one_is_usage_error(pipeline, tmp_path, capsys,
     ("layers = 0", "layers"),
     ("layers = -1", "layers"),
     ("ff_width = 0", "ff_width"),
+    ("learning_rate = -1", "learning_rate"),
+    ("learning_rate = nan", "learning_rate"),
+    ("pretrain_lr = 0", "learning_rate"),
+    ("pretrain_lr = inf", "learning_rate"),
+    ("alpha = nan", "alpha"),
+    ("alpha = inf", "alpha"),
 ])
 def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
                                                       capsys, no_pretrain,

@@ -260,8 +260,10 @@ def test_corpus_rejects_degenerate_lexicons(lexicon):
 
 
 def test_corpus_rejects_bad_fractions(lexicon):
-    with pytest.raises(ValueError):
-        build_corpus(lexicon, 10, 0.8, seed=0, kana_fraction=0.3)
+    nan = float("nan")
+    for tag, kana in ((0.8, 0.3), (-0.1, 0.5), (nan, 0.0), (0.0, nan)):
+        with pytest.raises(ValueError):
+            build_corpus(lexicon, 10, tag, seed=0, kana_fraction=kana)
 
 
 def test_tag_fraction_zero_produces_no_tags(lexicon):
