@@ -73,6 +73,7 @@ from .notation import (
     phrase_pitch,
     render_annotation,
 )
+from .tensorio import save_table
 from .tokenizer import encode_text, load_vocab, save_vocab, train_bpe
 
 EXIT_OK = 0
@@ -124,15 +125,17 @@ def _resolve(args, command, file_values) -> dict:
     return resolve_config(defaults, file_values, overrides)
 
 
-_COUNT_KEYS = ("max_new", "n_test_1", "n_test_2", "n_leakage", "resamples",
-               "sentences")
+# The least value of each count and seed key. A count flag below 1 is
+# already a usage error, so a count below 1 here is a config value.
+_MINIMUMS = {"max_new": 1, "n_test_1": 1, "n_test_2": 1, "n_leakage": 1,
+             "resamples": 1, "sentences": 1,
+             "seed": 0, "model_seed": 0, "pretrain_seed": 0}
 
 
 def _check_config(config) -> None:
-    # A count flag below 1 is already a usage error, so this is a config value.
     for key, value in config.items():
-        if key in _COUNT_KEYS and value < 1:
-            raise ValueError(f"config {key} must be >= 1, got {value}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
         if key in THRESHOLD_KEYS and not math.isfinite(value):
             raise ValueError(f"config {key} must be finite, got {value}")
 
@@ -176,13 +179,6 @@ def _check_pairing(model: ToyLM, adapter) -> None:
             f"adapter base fingerprint {spec.fingerprint} does not match "
             f"model fingerprint {model.fingerprint()}"
         )
-
-
-def _write_curve(path: Path, curve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step\tloss\n")
-        for step, loss in curve:
-            fh.write(f"{step}\t{loss!r}\n")
 
 
 # -- notation --------------------------------------------------------------
@@ -235,7 +231,6 @@ def _cmd_notation(args) -> int:
 def _cmd_corpus_build(args) -> int:
     config = _resolve(args, "corpus build", _file_config(args))
     _check_config(config)
-    out = _out_dir(args)
     started = time.perf_counter()
     records = build_corpus(
         build_lexicon(),
@@ -244,6 +239,7 @@ def _cmd_corpus_build(args) -> int:
         seed=config["seed"],
         kana_fraction=config["kana_fraction"],
     )
+    out = _out_dir(args)
     corpus_path = out / "corpus.tsv"
     save_corpus(records, corpus_path)
     elapsed = time.perf_counter() - started
@@ -257,7 +253,7 @@ def _cmd_corpus_build(args) -> int:
 
 def _cmd_vocab_train(args) -> int:
     config = _resolve(args, "vocab train", _file_config(args))
-    out = _out_dir(args)
+    _check_config(config)
     started = time.perf_counter()
     records = load_corpus(args.corpus)
     texts = vocab_training_text(records, build_lexicon())
@@ -267,6 +263,7 @@ def _cmd_vocab_train(args) -> int:
         seed=config["seed"],
         speech_token_count=SPEECH_TOKEN_COUNT,
     )
+    out = _out_dir(args)
     vocab_path = out / "vocab.txt"
     save_vocab(vocab, vocab_path)
     elapsed = time.perf_counter() - started
@@ -286,7 +283,7 @@ def _cmd_vocab_train(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _resolve(args, "train", _file_config(args))
-    out = _out_dir(args)
+    _check_config(config)
     vocab = load_vocab(args.vocab)
     pretrain_records = load_corpus(args.corpus)
     adapter_records = load_corpus(args.adapter_corpus)
@@ -328,6 +325,7 @@ def _cmd_train(args) -> int:
         seed=config["seed"],
         scaling=config["scaling"],
     )
+    out = _out_dir(args)
 
     started = time.perf_counter()
     pretrain_curve = pretrain(
@@ -349,8 +347,8 @@ def _cmd_train(args) -> int:
     adapter_path = out / "adapter.ut"
     model.save(model_path)
     save_adapter(adapter, adapter_path)
-    _write_curve(out / "pretrain_curve.tsv", pretrain_curve)
-    _write_curve(out / "adapter_curve.tsv", adapter_curve)
+    for name, curve in (("pretrain", pretrain_curve), ("adapter", adapter_curve)):
+        save_table(out / f"{name}_curve.tsv", "step\tloss", {}, curve)
     _write_manifest(
         out,
         "train",
@@ -389,15 +387,14 @@ def _cmd_generate(args) -> int:
     text = _read_text(args.text)
     started = time.perf_counter()
     prompt = encode_text(text, vocab)
-    budget = min(config["max_new"], model.config.max_seq - len(prompt))
-    if budget <= 0:
+    if len(prompt) >= model.config.max_seq:
         raise SequenceTooLong(
             f"prompt occupies {len(prompt)} of {model.config.max_seq} positions"
         )
     ids = generate(
         model,
         [prompt],
-        budget,
+        config["max_new"],
         mode=config["decode"],
         seed=config["seed"],
         temperature=config["temperature"],
@@ -409,13 +406,13 @@ def _cmd_generate(args) -> int:
     pitch = codes_to_pitch(codes)
     print(kana)
     print(pitch)
-    print(" ".join(str(i) for i in ids))
+    ids_text = " ".join(str(i) for i in ids)
+    print(ids_text)
     if args.out:
         out = _out_dir(args)
         gen_path = out / "generation.tsv"
-        with open(gen_path, "w", encoding="utf-8") as fh:
-            fh.write("text\tids\tkana\tpitch\n")
-            fh.write(f"{text}\t{' '.join(str(i) for i in ids)}\t{kana}\t{pitch}\n")
+        save_table(gen_path, "text\tids\tkana\tpitch", {},
+                   [(text, ids_text, kana, pitch)])
         inputs = {"model": args.model, "vocab": args.vocab}
         if args.adapter:
             inputs["adapter"] = args.adapter
@@ -436,9 +433,9 @@ def _cmd_eval(args) -> int:
     _check_config(config)
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
-    out = _out_dir(args)
     model, adapter = _load_model_and_adapter(args)
     vocab = load_vocab(args.vocab)
+    out = _out_dir(args)
 
     started = time.perf_counter()
     sets = build_eval_sets(

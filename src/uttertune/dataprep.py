@@ -36,6 +36,7 @@ from .notation import (
     parse_annotation,
     render_annotation,
 )
+from .tensorio import load_table, save_table
 from .tokenizer import PHON_END, PHON_START, Vocabulary, encode_text
 
 # -- mora inventory and speech-token codec -----------------------------------
@@ -357,51 +358,34 @@ def build_corpus(
 
 
 _CORPUS_MAGIC = "uttertune-corpus v1"
+_CONVERTED_FORMS = {"-": None, TAGGED_FORM: TAGGED_FORM, KANA_FORM: KANA_FORM}
 
 
 def save_corpus(records: Iterable[CorpusRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_CORPUS_MAGIC + "\n")
-        for r in records:
-            fh.write(
-                "\t".join(
-                    (
-                        str(r.sentence_id),
-                        r.input_text,
-                        " ".join(str(i) for i in r.target_relative_ids()),
-                        " ".join(r.graphemes),
-                        " ".join(r.annotations),
-                        "-" if r.converted_index is None else str(r.converted_index),
-                        "-" if r.converted_form is None else r.converted_form,
-                    )
-                )
-                + "\n"
-            )
+    rows = (
+        (r.sentence_id, r.input_text,
+         " ".join(str(i) for i in r.target_relative_ids()),
+         " ".join(r.graphemes), " ".join(r.annotations),
+         "-" if r.converted_index is None else r.converted_index,
+         r.converted_form or "-")
+        for r in records
+    )
+    save_table(path, _CORPUS_MAGIC, {}, rows)
 
 
 def load_corpus(path) -> list[CorpusRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CORPUS_MAGIC:
-        raise CorruptFile(f"not a corpus file: {path}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise CorruptFile(f"corpus line {lineno}: expected 7 fields")
-        rel_ids = [int(x) for x in fields[2].split()] if fields[2] else []
-        records.append(
-            CorpusRecord(
-                sentence_id=int(fields[0]),
-                input_text=fields[1],
-                codes=decode_speech_ids(rel_ids, 0),
-                graphemes=tuple(fields[3].split()),
-                annotations=tuple(fields[4].split()),
-                converted_index=None if fields[5] == "-" else int(fields[5]),
-                converted_form=None if fields[6] == "-" else fields[6],
-            )
-        )
-    return records
+    _, rows = load_table(path, _CORPUS_MAGIC, (), 7)
+    try:
+        return [
+            CorpusRecord(int(sentence_id), text, decode_speech_ids(ids.split(), 0),
+                         tuple(graphemes.split()), tuple(annotations.split()),
+                         None if index == "-" else int(index),
+                         _CONVERTED_FORMS[form])
+            for sentence_id, text, ids, graphemes, annotations, index, form
+            in rows
+        ]
+    except (KeyError, ValueError, DecodeError) as exc:
+        raise CorruptFile(f"{path}: bad value {exc}") from None
 
 
 def vocab_training_text(records: Iterable[CorpusRecord],

@@ -24,6 +24,7 @@ from .errors import CorruptFile
 from .kernels import edit_distance, edit_distance_table
 from .model import ToyLM, generate
 from .notation import normalize_kana
+from .tensorio import load_table, save_table
 from .tokenizer import Vocabulary, encode_text
 
 CER_EXCLUSION_THRESHOLD = 0.5
@@ -172,9 +173,9 @@ def evaluate_set(
     """Greedy generation and scoring over one eval set.
 
     Each item may emit up to max_new speech tokens, fewer where its prompt
-    leaves less room in the model's context. All prompts of one budget go
-    to generate in one call, which decodes them in length-matched batches;
-    the ids it returns equal those of decoding each item on its own.
+    leaves less room in the model's context. All prompts go to generate in
+    one call, which decodes them in length-matched batches; the ids it
+    returns equal those of decoding each item on its own.
 
     Accent is judged on the target word located by minimal-edit alignment of
     the hypothesis morae against the reference reading — the textual analog
@@ -184,15 +185,7 @@ def evaluate_set(
     """
     items = tuple(items)
     prompts = [encode_text(item_text(item, mode), vocab) for item in items]
-    budgets = [min(max_new, model.config.max_seq - len(p)) for p in prompts]
-    hyps: list[list[int]] = [[] for _ in items]
-    for budget in sorted(set(budgets)):
-        picked = [i for i, b in enumerate(budgets) if b == budget]
-        outs = generate(
-            model, [prompts[i] for i in picked], max_new=budget, adapter=adapter
-        )
-        for i, out in zip(picked, outs):
-            hyps[i] = out
+    hyps = generate(model, prompts, max_new=max_new, adapter=adapter)
     rows = [_judge_item(vocab, item, hyp) for item, hyp in zip(items, hyps)]
     return EvalReport.from_samples(mode, rows)
 
@@ -200,84 +193,39 @@ def evaluate_set(
 # -- report serialization ------------------------------------------------------
 
 _REPORT_MAGIC = "uttertune-evalreport v1"
+_REPORT_KEYS = ("mode", "n_items", "n_excluded", "mean_cer", "accent_rate")
+_ACCENT = {"na": None, "correct": True, "incorrect": False}
+_EXCLUDED = {"excluded": True, "kept": False}
 
 
 def save_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_REPORT_MAGIC + "\n")
-        fh.write(f"mode\t{report.mode}\n")
-        fh.write(f"n_items\t{report.n_items}\n")
-        fh.write(f"n_excluded\t{report.n_excluded}\n")
-        fh.write(f"mean_cer\t{report.mean_cer!r}\n")
-        fh.write(f"accent_rate\t{report.accent_rate!r}\n")
-        for r in report.per_sample:
-            accent = "na" if r.accent_correct is None else (
-                "correct" if r.accent_correct else "incorrect"
-            )
-            fh.write(
-                "\t".join(
-                    (
-                        "row",
-                        str(r.item_id),
-                        repr(r.cer),
-                        accent,
-                        "excluded" if r.excluded else "kept",
-                        r.reason or "-",
-                        r.hypothesis_kana,
-                        r.hypothesis_pitch,
-                    )
-                )
-                + "\n"
-            )
+    accent = {value: text for text, value in _ACCENT.items()}
+    excluded = {value: text for text, value in _EXCLUDED.items()}
+    rows = (
+        (r.item_id, r.cer, accent[r.accent_correct], excluded[r.excluded],
+         r.reason or "-", r.hypothesis_kana, r.hypothesis_pitch)
+        for r in report.per_sample
+    )
+    header = {key: getattr(report, key) for key in _REPORT_KEYS}
+    save_table(path, _REPORT_MAGIC, header, rows)
 
 
 def load_report(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _REPORT_MAGIC:
-        raise CorruptFile(f"not an eval report: {path}")
-    header: dict[str, str] = {}
-    rows = []
-    for line in lines[1:]:
-        fields = line.split("\t")
-        if fields[0] == "row":
-            if len(fields) != 8:
-                raise CorruptFile("malformed report row")
-            accent = {"na": None, "correct": True, "incorrect": False}[fields[3]]
-            rows.append(
-                SampleResult(
-                    item_id=int(fields[1]),
-                    cer=float(fields[2]),
-                    accent_correct=accent,
-                    excluded=fields[4] == "excluded",
-                    reason=None if fields[5] == "-" else fields[5],
-                    hypothesis_kana=fields[6],
-                    hypothesis_pitch=fields[7],
-                )
-            )
-        elif len(fields) == 2:
-            header[fields[0]] = fields[1]
-        else:
-            raise CorruptFile("malformed report header line")
+    header, rows = load_table(path, _REPORT_MAGIC, _REPORT_KEYS, 7)
     try:
-        report = EvalReport(
-            mode=header["mode"],
-            per_sample=tuple(rows),
-            mean_cer=float(header["mean_cer"]),
-            accent_rate=float(header["accent_rate"]),
-            n_items=int(header["n_items"]),
-            n_excluded=int(header["n_excluded"]),
-        )
-    except KeyError as missing:
-        raise CorruptFile(f"{path}: missing header field {missing}") from None
-    mean_cer, accent_rate, n_excluded = _aggregate(report.per_sample)
-    if (
-        mean_cer != report.mean_cer
-        or accent_rate != report.accent_rate
-        or n_excluded != report.n_excluded
-        or len(report.per_sample) != report.n_items
-    ):
-        raise CorruptFile("report aggregates do not match its rows")
+        report = EvalReport.from_samples(header["mode"], (
+            SampleResult(int(item_id), float(cer_text), _ACCENT[judged],
+                         _EXCLUDED[kept], None if reason == "-" else reason,
+                         kana, pitch)
+            for item_id, cer_text, judged, kept, reason, kana, pitch in rows
+        ))
+        stated = (int(header["n_items"]), int(header["n_excluded"]),
+                  float(header["mean_cer"]), float(header["accent_rate"]))
+    except (KeyError, ValueError) as exc:
+        raise CorruptFile(f"{path}: bad value {exc}") from None
+    if stated != (report.n_items, report.n_excluded, report.mean_cer,
+                  report.accent_rate):
+        raise CorruptFile(f"{path}: report aggregates do not match its rows")
     return report
 
 
@@ -388,60 +336,36 @@ def leakage_test(
     )
 
 
+_LEAKAGE_MAGIC = "uttertune-leakage v1"
+_LEAKAGE_KEYS = ("baseline_rate", "adapted_rate", "difference", "ci_low",
+                 "ci_high", "resamples")
+
+
 def save_leakage(result: LeakageResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("uttertune-leakage v1\n")
-        fh.write(f"baseline_rate\t{result.baseline_rate!r}\n")
-        fh.write(f"adapted_rate\t{result.adapted_rate!r}\n")
-        fh.write(f"difference\t{result.difference!r}\n")
-        fh.write(f"ci_low\t{result.ci_low!r}\n")
-        fh.write(f"ci_high\t{result.ci_high!r}\n")
-        fh.write(f"resamples\t{result.resamples}\n")
-        for o in result.outcomes:
-            fh.write(
-                f"row\t{o.item_id}\t{o.grapheme}\t"
-                f"{int(o.baseline_correct)}\t{int(o.adapted_correct)}\n"
-            )
+    rows = (
+        (o.item_id, o.grapheme, int(o.baseline_correct), int(o.adapted_correct))
+        for o in result.outcomes
+    )
+    header = {key: getattr(result, key) for key in _LEAKAGE_KEYS}
+    save_table(path, _LEAKAGE_MAGIC, header, rows)
 
 
 def load_leakage(path) -> LeakageResult:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "uttertune-leakage v1":
-        raise CorruptFile(f"{path}: not a leakage result file")
-    header: dict[str, str] = {}
-    outcomes = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        fields = line.split("\t")
-        if fields[0] == "row":
-            if len(fields) != 5:
-                raise CorruptFile(f"{path}: malformed row {line!r}")
-            outcomes.append(
-                LeakageOutcome(
-                    item_id=int(fields[1]),
-                    grapheme=fields[2],
-                    baseline_correct=bool(int(fields[3])),
-                    adapted_correct=bool(int(fields[4])),
-                )
-            )
-        elif len(fields) == 2:
-            header[fields[0]] = fields[1]
-        else:
-            raise CorruptFile(f"{path}: malformed line {line!r}")
+    header, rows = load_table(path, _LEAKAGE_MAGIC, _LEAKAGE_KEYS, 4)
+    flag = {"0": False, "1": True}
     try:
-        result = LeakageResult(
-            baseline_rate=float(header["baseline_rate"]),
-            adapted_rate=float(header["adapted_rate"]),
-            difference=float(header["difference"]),
-            ci_low=float(header["ci_low"]),
-            ci_high=float(header["ci_high"]),
-            resamples=int(header["resamples"]),
-            outcomes=tuple(outcomes),
+        outcomes = tuple(
+            LeakageOutcome(int(item_id), grapheme, flag[base], flag[adapted])
+            for item_id, grapheme, base, adapted in rows
         )
-    except KeyError as missing:
-        raise CorruptFile(f"{path}: missing header field {missing}") from None
+        result = LeakageResult(
+            **{key: float(header[key]) for key in _LEAKAGE_KEYS
+               if key != "resamples"},
+            resamples=int(header["resamples"]),
+            outcomes=outcomes,
+        )
+    except (KeyError, ValueError) as exc:
+        raise CorruptFile(f"{path}: bad value {exc}") from None
     if outcomes:
         baseline = sum(o.baseline_correct for o in outcomes) / len(outcomes)
         adapted = sum(o.adapted_correct for o in outcomes) / len(outcomes)

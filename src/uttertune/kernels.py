@@ -12,6 +12,10 @@ Kernels:
                            cross-check the DP route; keep the two
                            implementations independent)
 
+edit_distance_matrix keeps its own recurrence over uint8 layers: batching
+edit_distance_table's running minimum (np.minimum.accumulate along axis 0
+of a 3-D array) took ~9 s on check 7's (4, 6) universe against ~2 s.
+
 Both matrix kernels return uint8 and reject inputs whose values would not
 fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
 bfs_distance_matrix paths of UNREACHABLE steps or more.

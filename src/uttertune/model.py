@@ -432,7 +432,6 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         x_new.reshape(-1, cfg.width)[rows] += ff_rows
         layers_cache.append(
             {
-                "x_in": x,
                 "ln1_out": ln1_out,
                 "ln1_cache": ln1_cache,
                 "masks": masks,
@@ -445,7 +444,6 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
                 "vh": vh,
                 "attn": attn,
                 "ctx": ctx,
-                "x_attn": x_attn,
                 "ln2_rows": ln2_rows,
                 "ln2_cache": ln2_cache,
                 "pre_act": pre_act,
@@ -461,7 +459,6 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         "rows": rows,
         "tag_hits": tag_hits,
         "layers": layers_cache,
-        "x_final": x,
         "final_out": final_out,
         "lnf_cache": lnf_cache,
     }
@@ -595,12 +592,12 @@ def _loss_forward(params, cfg, examples, adapter, dropout_rng):
     total = float((logsumexp[n, t] - picked).sum())
     count = len(n)
     loss = total / count
-    return loss, (logits, cache, ids, tgt, mask, shifted, logsumexp, count)
+    return loss, (cache, tgt, mask, shifted, logsumexp, count)
 
 
 def _loss_backward(cfg, bundle, params, adapter, grads, adapter_grads) -> None:
     """Adds the loss gradients in, as _backward_batch does."""
-    logits, cache, ids, tgt, mask, shifted, logsumexp, count = bundle
+    cache, tgt, mask, shifted, logsumexp, count = bundle
     probs = np.exp(shifted - logsumexp[..., None])
     dlogits = probs * mask[..., None]
     n, t = np.nonzero(mask)
@@ -825,6 +822,8 @@ def generate(
 ) -> list[list[int]]:
     """For each prompt, up to max_new speech-token ids (end-of-speech excluded).
 
+    A prompt of length L gets at most max_seq - L ids, so one longer than
+    max_seq raises SequenceTooLong and one that fills the context gets none.
     Prompts of equal length decode together, up to _DECODE_BATCH per
     forward: one forward over the whole prompts, then one new token per row
     and step against the cached keys and values; a row that emits
@@ -845,10 +844,9 @@ def generate(
             raise ValueError(
                 f"prompt {index} holds ids outside [0, {cfg.vocab_size})"
             )
-        if prompt.size + max_new > cfg.max_seq:
+        if prompt.size > cfg.max_seq:
             raise SequenceTooLong(
-                f"prompt {index}: {prompt.size} + max_new {max_new} "
-                f"exceeds max_seq {cfg.max_seq}"
+                f"prompt {index}: {prompt.size} ids exceed max_seq {cfg.max_seq}"
             )
     params = model.params64()
     adapter64 = _adapter64(adapter)
@@ -859,11 +857,12 @@ def generate(
     outs: list[list[int]] = [[] for _ in prompts]
     for length in sorted(by_length):
         group = by_length[length]
+        budget = min(max_new, cfg.max_seq - length)
         for start in range(0, len(group), _DECODE_BATCH):
             live = group[start : start + _DECODE_BATCH]
             ids = np.stack([prompts[index] for index in live])
             past = None
-            for _ in range(max_new):
+            for _ in range(budget):
                 logits, cache = _forward_batch(
                     params, cfg, ids, np.arange(ids.size), adapter64, None,
                     past,

@@ -1,10 +1,17 @@
-"""Versioned named-tensor container with a whole-file checksum.
+"""The package's two file codecs: named tensors and tab-separated tables.
 
-Layout: a UTF-8 text header (format line, meta lines, one line per tensor
+Tensors: a UTF-8 text header (format line, meta lines, one line per tensor
 with name/shape, then "end"), the raw tensor payloads in header order as
 row-major little-endian float32, and a trailing 32-byte SHA-256 digest of
 every preceding byte. Writing the same tensors and meta twice yields
 byte-identical files.
+
+Tables (corpus.tsv, report_<mode>.tsv, leakage.tsv, the *_curve.tsv files,
+generation.tsv): a fixed first line, one "key<TAB>value" line per header
+key in a fixed order, then one line of tab-separated fields per row, led by
+a "row" field when the table has a header. load_table checks that framing
+and names path:line where it breaks; each artifact's loader maps the
+string fields.
 """
 
 from __future__ import annotations
@@ -113,3 +120,46 @@ def load_tensors(path):
     if offset != len(payload):
         raise CorruptFile("trailing bytes after last tensor")
     return tensors, meta
+
+
+_ROW_MARK = "row"
+
+
+def save_table(path, first_line: str, header: dict, rows) -> None:
+    """Write a table; header values and row fields are written with str()."""
+    mark = (_ROW_MARK,) if header else ()
+    lines = [first_line]
+    for record in [*header.items(), *(mark + tuple(row) for row in rows)]:
+        fields = [str(f) for f in record]
+        if any("\t" in f or "\n" in f for f in fields):
+            raise ValueError(f"{path}: a field holds a tab or newline: {fields!r}")
+        lines.append("\t".join(fields))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_table(path, first_line: str, header_keys, width: int):
+    """(header values by key, rows as lists of width fields) of a table
+    whose first line is first_line and whose header holds header_keys."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().removesuffix("\n").split("\n")
+    except UnicodeDecodeError:
+        raise CorruptFile(f"{path}: not UTF-8 text") from None
+    if lines[0] != first_line:
+        raise CorruptFile(f"{path}:1: expected first line {first_line!r}")
+    header = {}
+    for lineno, key in enumerate(header_keys, start=2):
+        fields = lines[lineno - 1].split("\t") if lineno <= len(lines) else []
+        if len(fields) != 2 or fields[0] != key:
+            raise CorruptFile(f"{path}:{lineno}: expected header key {key!r}")
+        header[key] = fields[1]
+    mark = [_ROW_MARK] if header_keys else []
+    rows = []
+    first_row = len(header_keys) + 2
+    for lineno, line in enumerate(lines[first_row - 1 :], start=first_row):
+        fields = line.split("\t")
+        if len(fields) != len(mark) + width or fields[: len(mark)] != mark:
+            raise CorruptFile(f"{path}:{lineno}: expected a row of {width} fields")
+        rows.append(fields[len(mark) :])
+    return header, rows

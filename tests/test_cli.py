@@ -758,8 +758,8 @@ def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
                                                       capsys, no_pretrain,
                                                       line, named):
     """A bad setting of either stage is a data error raised before the
-    pretraining stage runs (the default width is 64, so rank 65 is too
-    large)."""
+    pretraining stage runs and before the output directory is made (the
+    default width is 64, so rank 65 is too large)."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     argv = _train_argv(pipeline, tmp_path) + ["--config", str(cfg)]
@@ -767,7 +767,49 @@ def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert named in err
-    assert not (tmp_path / "t" / "base_model.ut").exists()
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command, line, extra, named", [
+    pytest.param("corpus", "tag_fraction = nan", [], "tag_fraction",
+                 id="corpus-tag_fraction-nan"),
+    pytest.param("vocab", "vocab_size = 60", [], "target 60 below atom count",
+                 id="vocab-vocab_size-60"),
+    pytest.param("eval", "", ["--model", "missing-model.ut"],
+                 "missing-model.ut", id="eval-missing-model"),
+] + [
+    pytest.param(command, f"{key} = -1", [], f"config {key} must be >= 0",
+                 id=f"{command}-{key}--1")
+    for command, key in (("corpus", "seed"), ("vocab", "seed"),
+                         ("train", "seed"), ("train", "model_seed"),
+                         ("train", "pretrain_seed"), ("generate", "seed"),
+                         ("eval", "seed"))
+])
+def test_rejected_run_makes_no_out_dir(pipeline, tmp_path, capsys,
+                                       no_pretrain, command, line, extra,
+                                       named):
+    """A bad value or input is a one-line data error, reported before the
+    command makes its output directory."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = {
+        "corpus": ["corpus", "build"],
+        "vocab": ["vocab", "train", "--corpus", pipeline["corpus1"]],
+        "train": ["train", "--corpus", pipeline["corpus1"],
+                  "--adapter-corpus", pipeline["corpus2"],
+                  "--vocab", pipeline["vocab"]],
+        "generate": ["generate", "--model", pipeline["model"],
+                     "--vocab", pipeline["vocab"], "--text", "駅"],
+        "eval": ["eval", "--model", pipeline["model"],
+                 "--vocab", pipeline["vocab"]],
+    }[command]
+    argv += extra + ["--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert named in err
+    assert not out.exists()
 
 
 # -- console entry point ---------------------------------------------------------

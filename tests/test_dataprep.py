@@ -344,6 +344,31 @@ def test_corpus_load_rejects_foreign_file(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("column, value", [
+    (0, "x"), (2, "0 x"), (2, "999"), (5, "first"), (6, "zzz"),
+], ids=["sentence-id", "speech-id-word", "speech-id-range", "converted-index",
+        "converted-form"])
+def test_corpus_load_rejects_bad_value(corpus, tmp_path, column, value):
+    path = tmp_path / "corpus.tsv"
+    save_corpus(corpus[:3], path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[2].split("\t")
+    fields[column] = value
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=str(path)):
+        load_corpus(path)
+
+
+def test_corpus_load_names_line_of_short_row(corpus, tmp_path):
+    path = tmp_path / "corpus.tsv"
+    save_corpus(corpus[:3], path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + "3\tonly two\n", encoding="utf-8")
+    with pytest.raises(CorruptFile, match=f"{path}:5: "):
+        load_corpus(path)
+
+
 # -- reading balance -------------------------------------------------------
 
 

@@ -30,7 +30,9 @@ from uttertune.eval import (
     format_summary,
     item_text,
     leakage_test,
+    load_leakage,
     load_report,
+    save_leakage,
     save_report,
 )
 from uttertune.model import ToyLM, ToyLMConfig, generate
@@ -454,6 +456,33 @@ def test_report_load_rejects_missing_header_field(tmp_path, field):
         load_report(path)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("\tcorrect\t", "\tmaybe\t"),
+    ("\tkept\t", "\tkpt\t"),
+    ("row\t1\t", "row\tone\t"),
+    ("n_items\t4", "n_items\tfour"),
+], ids=["accent-word", "exclusion-word", "item-id", "header-count"])
+def test_report_load_rejects_bad_value(tmp_path, old, new):
+    path = tmp_path / "report.tsv"
+    save_report(_sample_report(), path)
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=str(path)):
+        load_report(path)
+
+
+def test_report_load_rejects_row_of_wrong_width(tmp_path):
+    path = tmp_path / "report.tsv"
+    save_report(_sample_report(), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[6].endswith("\tHL\n")
+    lines[6] = lines[6].replace("\tHL\n", "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=f"{path}:7: "):
+        load_report(path)
+
+
 def test_report_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk"
     path.write_text("hello\n", encoding="utf-8")
@@ -553,10 +582,9 @@ def test_leakage_reports_per_word_outcomes(
     assert graphemes <= {e.grapheme for e in build_lexicon() if e.is_ambiguous}
 
 
-def test_leakage_round_trip(monkeypatch, tiny_model, vocab, eval_sets,
-                            tmp_path):
-    from uttertune.eval import load_leakage, save_leakage
-
+@pytest.fixture
+def saved_leakage(monkeypatch, tiny_model, vocab, eval_sets, tmp_path):
+    """A leakage result from oracle outputs, and the file it was saved to."""
     items = eval_sets.leakage_set
     mapping = _oracle_mapping(items, vocab, "plain")
     mapping.update(_oracle_mapping(items, vocab, "tagged"))
@@ -565,23 +593,32 @@ def test_leakage_round_trip(monkeypatch, tiny_model, vocab, eval_sets,
                           resamples=500, seed=1)
     path = tmp_path / "leakage.tsv"
     save_leakage(result, path)
+    return result, path
+
+
+def test_leakage_round_trip(saved_leakage):
+    result, path = saved_leakage
     assert load_leakage(path) == result
 
 
-def test_leakage_load_rejects_tampered_rates(monkeypatch, tiny_model, vocab,
-                                             eval_sets, tmp_path):
-    from uttertune.eval import load_leakage, save_leakage
-
-    items = eval_sets.leakage_set
-    mapping = _oracle_mapping(items, vocab, "plain")
-    mapping.update(_oracle_mapping(items, vocab, "tagged"))
-    monkeypatch.setattr(eval_mod, "generate", _fake_generate(mapping))
-    result = leakage_test(tiny_model, vocab, items, adapter=None,
-                          resamples=500, seed=1)
-    path = tmp_path / "leakage.tsv"
-    save_leakage(result, path)
+def test_leakage_load_rejects_tampered_rates(saved_leakage):
+    _, path = saved_leakage
     text = path.read_text(encoding="utf-8")
     path.write_text(text.replace("baseline_rate\t1.0", "baseline_rate\t0.5"),
                     encoding="utf-8")
     with pytest.raises(CorruptFile):
+        load_leakage(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\t1\t1\n", "\t7\t1\n"),
+    ("\t1\t1\n", "\t1\ttrue\n"),
+    ("resamples\t500", "resamples\tmany"),
+], ids=["flag-seven", "flag-word", "header-count"])
+def test_leakage_load_rejects_bad_value(saved_leakage, old, new):
+    _, path = saved_leakage
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=str(path)):
         load_leakage(path)

@@ -593,8 +593,13 @@ def test_generation_stops_at_end_of_speech():
 
 
 def test_generation_rejects_overflow(tiny_model):
+    """Only a prompt longer than the context is rejected; a prompt that fits
+    decodes at most into the positions it leaves free."""
     with pytest.raises(SequenceTooLong):
-        generate(tiny_model, [[0] * 40], max_new=20)
+        generate(tiny_model, [[1], [0] * (TINY.max_seq + 1)], max_new=1)
+    got = generate(tiny_model, [[0] * 40, [0] * TINY.max_seq], max_new=20)
+    assert len(got[0]) <= TINY.max_seq - 40
+    assert got[1] == []
 
 
 def test_generation_rejects_unknown_mode(tiny_model):
@@ -677,14 +682,14 @@ def test_batched_decode_runs_to_max_seq(tiny_model, trained_adapter,
                                         with_adapter):
     adapter = trained_adapter if with_adapter else None
     model = _never_ends(tiny_model)
-    prompts = [[1, TAG_START, 5, TAG_END] + [7] * 36, [2] * 40, [9] * 41]
-    budget = TINY.max_seq - 40
-    got = generate(model, prompts[:2], max_new=budget, adapter=adapter)
-    want = [_uncached_decode(model, p, budget, adapter) for p in prompts[:2]]
+    prompts = [[1, TAG_START, 5, TAG_END] + [7] * 36, [2] * 40, [9] * 41,
+               [3] * TINY.max_seq]
+    budgets = [TINY.max_seq - len(p) for p in prompts]
+    got = generate(model, prompts, max_new=20, adapter=adapter)
+    want = [_uncached_decode(model, p, b, adapter)
+            for p, b in zip(prompts, budgets)]
     assert got == want
-    assert [len(o) for o in got] == [budget, budget]
-    with pytest.raises(SequenceTooLong):
-        generate(model, prompts, max_new=budget, adapter=adapter)
+    assert [len(o) for o in got] == budgets == [8, 8, 7, 0]
 
 
 @pytest.mark.parametrize("with_adapter", [False, True],

@@ -1,10 +1,13 @@
-"""Tensor container: round trips, checksums, corruption detection."""
+"""Tensor container and table codec: round trips, checksums, corruption
+detection."""
+
+import re
 
 import numpy as np
 import pytest
 
 from uttertune.errors import CorruptFile, VersionMismatch
-from uttertune.tensorio import load_tensors, save_tensors
+from uttertune.tensorio import load_table, load_tensors, save_table, save_tensors
 
 
 def sample_tensors(seed=0):
@@ -110,3 +113,64 @@ def test_empty_container(tmp_path):
     save_tensors(p, {}, {})
     tensors, meta = load_tensors(p)
     assert tensors == {} and meta == {}
+
+
+# -- tables ---------------------------------------------------------------------
+
+
+def test_table_layout_and_round_trip(tmp_path):
+    p = tmp_path / "t.tsv"
+    save_table(p, "demo v1", {"n": 2, "rate": 0.25}, [(0, "ア", ""), (1, "-", 1.5)])
+    assert p.read_bytes() == (
+        "demo v1\nn\t2\nrate\t0.25\nrow\t0\tア\t\nrow\t1\t-\t1.5\n"
+    ).encode("utf-8")
+    assert load_table(p, "demo v1", ("n", "rate"), 3) == (
+        {"n": "2", "rate": "0.25"}, [["0", "ア", ""], ["1", "-", "1.5"]]
+    )
+
+
+def test_table_without_header_has_no_row_mark(tmp_path):
+    p = tmp_path / "t.tsv"
+    save_table(p, "step\tloss", {}, [(1, 0.5), (2, 0.25)])
+    assert p.read_text("utf-8") == "step\tloss\n1\t0.5\n2\t0.25\n"
+    assert load_table(p, "step\tloss", (), 2) == ({}, [["1", "0.5"], ["2", "0.25"]])
+
+
+@pytest.mark.parametrize("field", ["a\tb", "a\nb"], ids=["tab", "newline"])
+def test_table_rejects_field_that_breaks_framing(tmp_path, field):
+    with pytest.raises(ValueError):
+        save_table(tmp_path / "t.tsv", "demo v1", {}, [("x", field)])
+    with pytest.raises(ValueError):
+        save_table(tmp_path / "t.tsv", "demo v1", {"k": field}, [])
+
+
+_GOOD_TABLE = "demo v1\nn\t2\nrate\t0.5\nrow\ta\tb\nrow\tc\td\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("demo v2\nn\t2\nrate\t0.5\n", 1),
+    ("demo v1\nrate\t0.5\nrow\ta\tb\n", 2),
+    ("demo v1\nrate\t0.5\nn\t2\n", 2),
+    ("demo v1\nn\t2\n", 3),
+    ("demo v1\nn\t2\nrate\t0.5\textra\n", 3),
+    ("demo v1\nn\t2\nrate\t0.5\nrow\ta\tb\nrow\tc\n", 5),
+    ("demo v1\nn\t2\nrate\t0.5\nrow\ta\tb\tc\n", 4),
+    ("demo v1\nn\t2\nrate\t0.5\nraw\ta\tb\n", 4),
+    ("demo v1\nn\t2\nrate\t0.5\nrow\ta\tb\n\n", 5),
+], ids=["empty", "first-line", "missing-key", "key-order", "truncated-header",
+        "header-fields", "short-row", "long-row", "row-mark", "blank-line"])
+def test_table_framing_errors_name_path_and_line(tmp_path, text, line):
+    p = tmp_path / "t.tsv"
+    p.write_text(_GOOD_TABLE, encoding="utf-8")
+    assert load_table(p, "demo v1", ("n", "rate"), 2)[1] == [["a", "b"], ["c", "d"]]
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptFile, match="^" + re.escape(f"{p}:{line}: ")):
+        load_table(p, "demo v1", ("n", "rate"), 2)
+
+
+def test_table_rejects_binary_file(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(CorruptFile):
+        load_table(p, "demo v1", (), 2)
