@@ -99,6 +99,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """argparse type for a path flag: manifests record paths as table
+    fields, which hold no tab or newline."""
+    if "\t" in text or "\n" in text:
+        raise argparse.ArgumentTypeError(f"tab or newline in path {text!r}")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through exit code 1."""
 
@@ -431,6 +439,10 @@ def _cmd_eval(args) -> int:
     thresholds = {k: file_values[k] for k in THRESHOLD_KEYS if k in file_values}
     config = {**_resolve(args, "eval", file_values), **thresholds}
     _check_config(config)
+    if config["mode"] not in EVAL_MODES:
+        raise ValueError(
+            f"config mode must be one of {EVAL_MODES}, got {config['mode']!r}"
+        )
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
     model, adapter = _load_model_and_adapter(args)
@@ -594,28 +606,30 @@ def build_parser() -> _Parser:
     build.add_argument("--tag-fraction", type=float, dest="tag_fraction")
     build.add_argument("--kana-fraction", type=float, dest="kana_fraction")
     build.add_argument("--seed", type=int)
-    build.add_argument("--out", required=True, metavar="DIR")
+    build.add_argument("--out", required=True, type=_path, metavar="DIR")
     build.set_defaults(func=_cmd_corpus_build)
 
     vocab = sub.add_parser("vocab", help="subword vocabulary")
     vsub = vocab.add_subparsers(dest="action", required=True)
     vtrain = vsub.add_parser("train", help="learn BPE merges from a corpus")
     _add_config_flag(vtrain)
-    vtrain.add_argument("--corpus", required=True, metavar="FILE")
+    vtrain.add_argument("--corpus", required=True, type=_path,
+                        metavar="FILE")
     vtrain.add_argument("--vocab-size", type=int, dest="vocab_size")
     vtrain.add_argument("--seed", type=int)
-    vtrain.add_argument("--out", required=True, metavar="DIR")
+    vtrain.add_argument("--out", required=True, type=_path, metavar="DIR")
     vtrain.set_defaults(func=_cmd_vocab_train)
 
     train = sub.add_parser(
         "train", help="pretrain the base model, then train an adapter"
     )
     _add_config_flag(train)
-    train.add_argument("--corpus", required=True, metavar="FILE",
+    train.add_argument("--corpus", required=True, type=_path, metavar="FILE",
                        help="pretraining corpus")
-    train.add_argument("--adapter-corpus", required=True, metavar="FILE",
-                       dest="adapter_corpus", help="adapter training corpus")
-    train.add_argument("--vocab", required=True, metavar="FILE")
+    train.add_argument("--adapter-corpus", required=True, type=_path,
+                       metavar="FILE", dest="adapter_corpus",
+                       help="adapter training corpus")
+    train.add_argument("--vocab", required=True, type=_path, metavar="FILE")
     train.add_argument("--seed", type=int, help="adapter init/training seed")
     train.add_argument("--steps", type=_positive_int,
                        help="adapter training steps")
@@ -623,44 +637,47 @@ def build_parser() -> _Parser:
     train.add_argument("--alpha", type=float)
     train.add_argument("--dropout", type=float)
     train.add_argument("--scaling", choices=SCALING_MODES)
-    train.add_argument("--out", required=True, metavar="DIR")
+    train.add_argument("--out", required=True, type=_path, metavar="DIR")
     train.set_defaults(func=_cmd_train)
 
     gen = sub.add_parser("generate", help="text -> speech tokens")
     _add_config_flag(gen)
-    gen.add_argument("--model", required=True, metavar="FILE")
-    gen.add_argument("--vocab", required=True, metavar="FILE")
-    gen.add_argument("--adapter", metavar="FILE")
+    gen.add_argument("--model", required=True, type=_path, metavar="FILE")
+    gen.add_argument("--vocab", required=True, type=_path, metavar="FILE")
+    gen.add_argument("--adapter", type=_path, metavar="FILE")
     gen.add_argument("--text", help="input text; omit to read stdin")
     gen.add_argument("--decode", choices=("greedy", "sampled"))
     gen.add_argument("--max-new", type=_positive_int, dest="max_new")
     gen.add_argument("--temperature", type=float)
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--out", metavar="DIR")
+    gen.add_argument("--out", type=_path, metavar="DIR")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("eval", help="held-out evaluation")
     _add_config_flag(ev)
-    ev.add_argument("--model", required=True, metavar="FILE")
-    ev.add_argument("--vocab", required=True, metavar="FILE")
-    ev.add_argument("--adapter", metavar="FILE")
+    ev.add_argument("--model", required=True, type=_path, metavar="FILE")
+    ev.add_argument("--vocab", required=True, type=_path, metavar="FILE")
+    ev.add_argument("--adapter", type=_path, metavar="FILE")
     ev.add_argument("--mode", choices=EVAL_MODES)
     ev.add_argument("--seed", type=int)
     ev.add_argument("--max-new", type=_positive_int, dest="max_new")
     ev.add_argument("--leakage", action="store_true",
                     help="also run the untagged-word leakage test")
-    ev.add_argument("--out", required=True, metavar="DIR")
+    ev.add_argument("--out", required=True, type=_path, metavar="DIR")
     ev.set_defaults(func=_cmd_eval)
 
     adapter = sub.add_parser("adapter", help="adapter management")
     asub = adapter.add_subparsers(dest="action", required=True)
     amerge = asub.add_parser("merge", help="bake an adapter into base weights")
-    amerge.add_argument("--model", required=True, metavar="FILE")
-    amerge.add_argument("--adapter", required=True, metavar="FILE")
-    amerge.add_argument("--out", required=True, metavar="DIR")
+    amerge.add_argument("--model", required=True, type=_path,
+                        metavar="FILE")
+    amerge.add_argument("--adapter", required=True, type=_path,
+                        metavar="FILE")
+    amerge.add_argument("--out", required=True, type=_path, metavar="DIR")
     amerge.set_defaults(func=_cmd_adapter_merge)
     ainfo = asub.add_parser("info", help="print adapter hyperparameters")
-    ainfo.add_argument("--adapter", required=True, metavar="FILE")
+    ainfo.add_argument("--adapter", required=True, type=_path,
+                       metavar="FILE")
     ainfo.set_defaults(func=_cmd_adapter_info)
 
     return parser

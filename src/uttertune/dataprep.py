@@ -263,6 +263,17 @@ class CorpusRecord:
     converted_index: int | None
     converted_form: str | None
 
+    def __post_init__(self):
+        words, index = len(self.graphemes), self.converted_index
+        if (len(self.annotations) != words
+                or (index is None) != (self.converted_form is None)
+                or index is not None and not 0 <= index < words):
+            raise ValueError(
+                f"sentence {self.sentence_id} contradicts itself: {words} "
+                f"words, {len(self.annotations)} annotations, converted word "
+                f"{index} as {self.converted_form}"
+            )
+
     def target_relative_ids(self) -> tuple[int, ...]:
         """Codec ids relative to offset 0 (vocabulary-independent)."""
         return tuple(c.to_id(0) for c in self.codes)

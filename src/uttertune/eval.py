@@ -212,6 +212,8 @@ def save_report(report: EvalReport, path) -> None:
 
 def load_report(path) -> EvalReport:
     header, rows = load_table(path, _REPORT_MAGIC, _REPORT_KEYS, 7)
+    if header["mode"] not in EVAL_MODES:
+        raise CorruptFile(f"{path}: bad value mode {header['mode']!r}")
     try:
         report = EvalReport.from_samples(header["mode"], (
             SampleResult(int(item_id), float(cer_text), _ACCENT[judged],

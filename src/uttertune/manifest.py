@@ -4,10 +4,12 @@
 with their defaults, from which ``CONFIG_KEYS`` takes each key's type.
 
 Every artifact-producing command writes a ``manifest.txt`` next to its
-output: the resolved config snapshot, the input and output paths, the
-tool version, and wall-clock timings. The config section uses the same
-``key = value`` syntax as a config file, so a run can be reproduced by
-feeding the snapshot back through ``--config``.
+output, a ``tensorio`` table: the command and tool version as header
+keys, then one ``(section, name, value)`` row per entry, in the sections
+``config`` (the resolved config snapshot), ``input`` and ``output``
+(paths) and ``timing`` (wall-clock seconds). ``manifest_config_text``
+turns the config section back into ``key = value`` config-file syntax,
+so a run can be reproduced by feeding it through ``--config``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CorruptFile
+from .tensorio import load_table, save_table
 
-_MAGIC = "uttertune-manifest v1"
+_MAGIC = "uttertune-manifest v2"
+_SECTIONS = ("config", "input", "output", "timing")
 
 # Every key a config file may define, with its built-in default, under
 # the command (as a manifest records it) that consumes it. A key may serve
@@ -128,59 +132,34 @@ class RunManifest:
 
 
 def save_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_MAGIC + "\n")
-        fh.write(f"command {manifest.command}\n")
-        fh.write(f"version {manifest.version}\n")
-        for key, value in manifest.config.items():
-            fh.write(f"config.{key} {value}\n")
-        for name, p in manifest.inputs.items():
-            fh.write(f"input.{name} {p}\n")
-        for name, p in manifest.outputs.items():
-            fh.write(f"output.{name} {p}\n")
-        for name, seconds in manifest.timings.items():
-            fh.write(f"timing.{name} {seconds:.3f}\n")
+    entries = (manifest.config, manifest.inputs, manifest.outputs,
+               {name: f"{seconds:.3f}"
+                for name, seconds in manifest.timings.items()})
+    rows = [(section, name, value)
+            for section, values in zip(_SECTIONS, entries)
+            for name, value in values.items()]
+    save_table(path, _MAGIC,
+               {"command": manifest.command, "version": manifest.version}, rows)
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise CorruptFile(f"{path}: not a manifest file")
-    fields = {"command": "", "version": ""}
-    config: dict[str, int | float | str] = {}
-    inputs: dict[str, str] = {}
-    outputs: dict[str, str] = {}
-    timings: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        if key in fields:
-            fields[key] = value
-        elif key.startswith("config."):
-            name = key[len("config."):]
-            if name not in CONFIG_KEYS:
-                raise CorruptFile(f"{path}:{lineno}: unknown config key {name!r}")
-            config[name] = CONFIG_KEYS[name](value)
-        elif key.startswith("input."):
-            inputs[key[len("input."):]] = value
-        elif key.startswith("output."):
-            outputs[key[len("output."):]] = value
-        elif key.startswith("timing."):
-            timings[key[len("timing."):]] = float(value)
-        else:
-            raise CorruptFile(f"{path}:{lineno}: unrecognized line {line!r}")
-    if not fields["command"]:
-        raise CorruptFile(f"{path}: manifest has no command line")
-    return RunManifest(
-        command=fields["command"],
-        version=fields["version"],
-        config=config,
-        inputs=inputs,
-        outputs=outputs,
-        timings=timings,
-    )
+    header, rows = load_table(path, _MAGIC, ("command", "version"), 3)
+    sections: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
+    for section, name, value in rows:
+        if section not in sections:
+            raise CorruptFile(f"{path}: unknown manifest section {section!r}")
+        if section == "config" and name not in CONFIG_KEYS:
+            raise CorruptFile(f"{path}: unknown config key {name!r}")
+        sections[section][name] = value
+    if not header["command"]:
+        raise CorruptFile(f"{path}: manifest names no command")
+    try:
+        config = {k: CONFIG_KEYS[k](v) for k, v in sections["config"].items()}
+        timings = {k: float(v) for k, v in sections["timing"].items()}
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: bad value {exc}") from None
+    return RunManifest(header["command"], header["version"], config,
+                       sections["input"], sections["output"], timings)
 
 
 def manifest_config_text(manifest: RunManifest) -> str:

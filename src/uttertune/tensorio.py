@@ -6,12 +6,12 @@ row-major little-endian float32, and a trailing 32-byte SHA-256 digest of
 every preceding byte. Writing the same tensors and meta twice yields
 byte-identical files.
 
-Tables (corpus.tsv, report_<mode>.tsv, leakage.tsv, the *_curve.tsv files,
-generation.tsv): a fixed first line, one "key<TAB>value" line per header
-key in a fixed order, then one line of tab-separated fields per row, led by
-a "row" field when the table has a header. load_table checks that framing
-and names path:line where it breaks; each artifact's loader maps the
-string fields.
+Tables (corpus.tsv, vocab.txt, report_<mode>.tsv, leakage.tsv, the
+*_curve.tsv files, generation.tsv and every manifest.txt): a fixed first
+line, one "key<TAB>value" line per header key in a fixed order, then one
+line of tab-separated fields per row, led by a "row" field when the table
+has a header. load_table checks that framing and names path:line where it
+breaks; each artifact's loader maps the string fields.
 """
 
 from __future__ import annotations

@@ -28,16 +28,16 @@ from .errors import (
     UncoveredSymbol,
     UnknownTokenId,
     UtterTuneError,
-    VersionMismatch,
     VocabTooSmall,
 )
 from .notation import PhonemeAnnotation, parse_annotation, render_annotation
+from .tensorio import load_table, save_table
 
 PHON_START = "<PHON_START>"
 PHON_END = "<PHON_END>"
 
-VOCAB_FORMAT_VERSION = "v1"
-_VOCAB_MAGIC = "uttertune-vocab"
+_VOCAB_MAGIC = "uttertune-vocab v2"
+_VOCAB_KEYS = ("seed", "speech_tokens", "atoms", "merges")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ class Vocabulary:
     merges: tuple[tuple[str, str], ...]
     speech_token_count: int
     seed: int = 0
-    version: str = VOCAB_FORMAT_VERSION
 
     atom_to_id: dict = field(init=False, repr=False, compare=False)
     merge_ranks: dict = field(init=False, repr=False, compare=False)
@@ -88,6 +87,8 @@ class Vocabulary:
     string_to_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(len(a) != 1 for a in self.atoms):
+            raise CorruptFile("every atom must be one character")
         self.atom_to_id = {a: i for i, a in enumerate(self.atoms)}
         if len(self.atom_to_id) != len(self.atoms):
             raise CorruptFile("duplicate atoms in vocabulary")
@@ -144,11 +145,8 @@ def train_bpe(
     atoms = tuple(sorted({ch for line in corpus for ch in line}))
     if not atoms:
         raise VocabTooSmall("corpus contains no characters")
-    for forbidden in ("\n", "\t"):
-        if forbidden in atoms:
-            raise VocabTooSmall(
-                "corpus lines must not contain tabs or newlines"
-            )
+    if "\n" in atoms or "\t" in atoms:
+        raise VocabTooSmall("corpus lines must not contain tabs or newlines")
     if target_vocab_size < len(atoms):
         raise VocabTooSmall(
             f"target {target_vocab_size} below atom count {len(atoms)}"
@@ -339,84 +337,26 @@ def decode(ids, vocab: Vocabulary) -> str:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    lines = [
-        f"{_VOCAB_MAGIC} {vocab.version}",
-        f"seed {vocab.seed}",
-        f"atoms {len(vocab.atoms)}",
-        *vocab.atoms,
-        f"merges {len(vocab.merges)}",
-        *(f"{left}\t{right}" for left, right in vocab.merges),
-        f"specials {PHON_START} {vocab.phon_start_id} {PHON_END} {vocab.phon_end_id}",
-        f"speech {vocab.speech_token_offset} {vocab.speech_token_count}",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """A table: seed, speech-token count, the one-character atoms joined
+    into one string and the merge count, then one (left, right) row per
+    merge. Token ids follow from these, so the file states none."""
+    header = {"seed": vocab.seed, "speech_tokens": vocab.speech_token_count,
+              "atoms": "".join(vocab.atoms), "merges": len(vocab.merges)}
+    save_table(path, _VOCAB_MAGIC, header, vocab.merges)
 
 
 def load_vocab(path) -> Vocabulary:
+    header, rows = load_table(path, _VOCAB_MAGIC, _VOCAB_KEYS, 2)
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise CorruptFile(f"{path}: not a vocabulary file") from None
-    it = iter(lines)
-
-    def next_line() -> str:
-        try:
-            return next(it)
-        except StopIteration:
-            raise CorruptFile("vocabulary file truncated") from None
-
-    header = next_line().split(" ")
-    if len(header) != 2 or header[0] != _VOCAB_MAGIC:
-        raise CorruptFile("not a vocabulary file")
-    if header[1] != VOCAB_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"vocabulary version {header[1]} != {VOCAB_FORMAT_VERSION}"
+        seed, speech_tokens, n_merges = (
+            int(header[key]) for key in ("seed", "speech_tokens", "merges")
         )
-    seed_line = next_line().split(" ")
-    if len(seed_line) != 2 or seed_line[0] != "seed":
-        raise CorruptFile("missing seed line")
-    try:
-        seed = int(seed_line[1])
-        n_atoms = int(_expect(next_line(), "atoms"))
-        atoms = tuple(next_line() for _ in range(n_atoms))
-        n_merges = int(_expect(next_line(), "merges"))
-        merges = []
-        for _ in range(n_merges):
-            left, right = next_line().split("\t")
-            merges.append((left, right))
-        specials = next_line().split(" ")
-        speech = next_line().split(" ")
-        if len(specials) != 5 or specials[0] != "specials":
-            raise CorruptFile("malformed specials line")
-        if len(speech) != 3 or speech[0] != "speech":
-            raise CorruptFile("malformed speech line")
-        speech_offset = int(speech[1])
-        speech_count = int(speech[2])
+        vocab = Vocabulary(tuple(header["atoms"]), tuple(map(tuple, rows)),
+                           speech_tokens, seed)
     except (ValueError, CorruptFile) as exc:
-        if isinstance(exc, CorruptFile):
-            raise
-        raise CorruptFile(f"malformed vocabulary file: {exc}") from exc
-    vocab = Vocabulary(
-        atoms=atoms,
-        merges=tuple(merges),
-        speech_token_count=speech_count,
-        seed=seed,
-    )
-    if (
-        specials[1] != PHON_START
-        or int(specials[2]) != vocab.phon_start_id
-        or specials[3] != PHON_END
-        or int(specials[4]) != vocab.phon_end_id
-        or speech_offset != vocab.speech_token_offset
-    ):
-        raise CorruptFile("id layout in file disagrees with contents")
+        raise CorruptFile(f"{path}: bad value {exc}") from None
+    if n_merges != len(rows):
+        raise CorruptFile(
+            f"{path}: header states {n_merges} merges, file holds {len(rows)}"
+        )
     return vocab
-
-
-def _expect(line: str, keyword: str) -> str:
-    parts = line.split(" ")
-    if len(parts) != 2 or parts[0] != keyword:
-        raise CorruptFile(f"expected {keyword} line, got {line!r}")
-    return parts[1]

@@ -122,13 +122,6 @@ def test_bad_config_value_is_data_error(tmp_path):
     assert rc == 2
 
 
-def _config_lines(manifest_path):
-    return [
-        line for line in manifest_path.read_text(encoding="utf-8").splitlines()
-        if line.startswith("config.")
-    ]
-
-
 def test_global_config_matches_subcommand_config(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("sentences = 30\ntag_fraction = 0.5\nseed = 4\n",
@@ -141,10 +134,10 @@ def test_global_config_matches_subcommand_config(tmp_path):
     assert (before / "corpus.tsv").read_bytes() == (
         after / "corpus.tsv"
     ).read_bytes()
-    assert _config_lines(before / "manifest.txt") == _config_lines(
-        after / "manifest.txt"
-    )
-    assert load_manifest(before / "manifest.txt").config["sentences"] == 30
+    config = load_manifest(before / "manifest.txt").config
+    assert config
+    assert config == load_manifest(after / "manifest.txt").config
+    assert config["sentences"] == 30
 
 
 def test_subcommand_config_wins_over_global(tmp_path):
@@ -165,6 +158,19 @@ def test_missing_global_config_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "absent.cfg" in err
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb"], ids=["tab", "newline"])
+def test_path_flag_with_tab_or_newline_is_usage_error(tmp_path, capsys, name):
+    """Manifests record paths as table fields, so a path that would break
+    the table is refused before anything is written."""
+    rc = main(["corpus", "build", "--sentences", "3",
+               "--out", str(tmp_path / name)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "--out" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_impossible_fractions_are_data_errors(tmp_path):
@@ -196,6 +202,23 @@ def test_manifest_rejects_foreign_file(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("something else\n", encoding="utf-8")
     with pytest.raises(CorruptFile):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1.250", "fast"),
+    ("12345", "x"),
+    ("timing", "metric"),
+    ("sentences", "nonsense"),
+], ids=["timing-value", "config-value", "section", "config-key"])
+def test_manifest_load_rejects_bad_entry(tmp_path, old, new):
+    path = tmp_path / "manifest.txt"
+    save_manifest(RunManifest("corpus build", "0.1.0", {"sentences": 12345},
+                              timings={"total": 1.25}), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(CorruptFile, match=str(path)):
         load_manifest(path)
 
 
@@ -777,6 +800,7 @@ def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
                  id="vocab-vocab_size-60"),
     pytest.param("eval", "", ["--model", "missing-model.ut"],
                  "missing-model.ut", id="eval-missing-model"),
+    pytest.param("eval", "mode = loud", [], "mode", id="eval-mode-loud"),
 ] + [
     pytest.param(command, f"{key} = -1", [], f"config {key} must be >= 0",
                  id=f"{command}-{key}--1")

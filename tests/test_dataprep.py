@@ -346,9 +346,14 @@ def test_corpus_load_rejects_foreign_file(tmp_path):
 
 @pytest.mark.parametrize("column, value", [
     (0, "x"), (2, "0 x"), (2, "999"), (5, "first"), (6, "zzz"),
+    (5, "9"), (5, "-"), (6, "-"), (4, "ミチ"),
 ], ids=["sentence-id", "speech-id-word", "speech-id-range", "converted-index",
-        "converted-form"])
+        "converted-form", "index-past-last-word", "form-without-index",
+        "index-without-form", "one-annotation-for-four-words"])
 def test_corpus_load_rejects_bad_value(corpus, tmp_path, column, value):
+    """The edited row is sentence 1: four words, word 0 written as kana."""
+    assert (len(corpus[1].graphemes), corpus[1].converted_index,
+            corpus[1].converted_form) == (4, 0, KANA_FORM)
     path = tmp_path / "corpus.tsv"
     save_corpus(corpus[:3], path)
     lines = path.read_text(encoding="utf-8").split("\n")

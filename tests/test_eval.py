@@ -461,7 +461,8 @@ def test_report_load_rejects_missing_header_field(tmp_path, field):
     ("\tkept\t", "\tkpt\t"),
     ("row\t1\t", "row\tone\t"),
     ("n_items\t4", "n_items\tfour"),
-], ids=["accent-word", "exclusion-word", "item-id", "header-count"])
+    ("mode\tplain", "mode\tloud"),
+], ids=["accent-word", "exclusion-word", "item-id", "header-count", "mode"])
 def test_report_load_rejects_bad_value(tmp_path, old, new):
     path = tmp_path / "report.tsv"
     save_report(_sample_report(), path)

@@ -12,7 +12,6 @@ from uttertune.errors import (
     UnbalancedTags,
     UncoveredSymbol,
     UnknownTokenId,
-    VersionMismatch,
     VocabTooSmall,
 )
 from uttertune.notation import (
@@ -215,8 +214,34 @@ class TestVocabIo:
         body = p.read_text(encoding="utf-8").splitlines()
         body[0] = "uttertune-vocab v999"
         p.write_text("\n".join(body) + "\n", encoding="utf-8")
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CorruptFile, match=":1: "):
             load_vocab(p)
+
+    def test_carriage_return_atom_round_trip(self, tmp_path):
+        vocab = train_bpe(["アメ\rカミ", "アメ"], 8)
+        assert "\r" in vocab.atoms
+        p = tmp_path / "vocab.txt"
+        save_vocab(vocab, p)
+        assert load_vocab(p) == vocab
+
+    @pytest.mark.parametrize("edit", ["drop-last-merge", "raise-count"])
+    def test_merge_count_mismatch(self, tmp_path, edit):
+        p = tmp_path / "vocab.txt"
+        vocab = train_bpe(["アメアメ", "カミ'ハ/シ"], target_vocab_size=12)
+        save_vocab(vocab, p)
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        if edit == "drop-last-merge":
+            del lines[-1]
+        else:
+            stated = f"merges\t{len(vocab.merges)}\n"
+            lines[lines.index(stated)] = f"merges\t{len(vocab.merges) + 1}\n"
+        p.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptFile, match="merges"):
+            load_vocab(p)
+
+    def test_atoms_are_single_characters(self):
+        with pytest.raises(CorruptFile):
+            Vocabulary(atoms=("ア", "メカ"), merges=(), speech_token_count=1)
 
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "vocab.txt"
