@@ -6,8 +6,10 @@ This module replaces a real speech corpus and G2P frontend at desk scale:
   codec, so accent correctness is exactly decidable from generated ids;
 * a hand-written 40-word lexicon whose graphemes stand in for kanji
   words, 12 of them ambiguous nouns with two prior-weighted readings;
-* a sentence generator that concatenates lexicon words, renders gold
-  speech tokens through the oracle, and optionally rewrites one noun
+* a sentence generator that concatenates lexicon words, takes gold
+  speech tokens from each reading's oracle rendering (made once per
+  reading, not per word drawn), draws each reading from its word's
+  stored prior CDF with one uniform, and optionally rewrites one noun
   per sentence into the tagged phoneme form (or plain kana);
 * held-out evaluation sets: an unambiguous set, an ambiguous set with
   prescribed readings in plain/kana/tagged variants, and a leakage set
@@ -22,7 +24,9 @@ the eval builders only draw from the other.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -122,6 +126,8 @@ OTHER = "other"
 
 @dataclass(frozen=True)
 class Reading:
+    """One reading of a word; text, kana and codes are rendered once."""
+
     annotation: PhonemeAnnotation
     prior: float
 
@@ -129,13 +135,17 @@ class Reading:
         if self.prior <= 0:
             raise ValueError("reading prior must be positive")
 
-    @property
+    @cached_property
     def text(self) -> str:
         return render_annotation(self.annotation)
 
-    @property
+    @cached_property
     def kana(self) -> str:
         return self.annotation.surface()
+
+    @cached_property
+    def codes(self) -> tuple[SpeechTokenCode, ...]:
+        return render_oracle(self.annotation)
 
 
 @dataclass(frozen=True)
@@ -156,6 +166,14 @@ class LexiconEntry:
 
     def majority_reading(self) -> Reading:
         return max(self.readings, key=lambda r: r.prior)
+
+    @cached_property
+    def prior_cdf(self) -> list[float]:
+        """The readings' prior CDF, built as Generator.choice builds it
+        from p: normalise, cumsum, divide by the last element."""
+        priors = np.array([r.prior for r in self.readings], dtype=np.float64)
+        cdf = (priors / priors.sum()).cumsum()
+        return (cdf / cdf[-1]).tolist()
 
 
 # One line per word: grapheme, word class, then reading:prior pairs.
@@ -280,9 +298,9 @@ class CorpusRecord:
 
 
 def _sample_reading(entry: LexiconEntry, rng) -> Reading:
-    priors = np.array([r.prior for r in entry.readings], dtype=np.float64)
-    priors /= priors.sum()
-    return entry.readings[int(rng.choice(len(entry.readings), p=priors))]
+    """Draw a reading by prior with one rng.random(), as Generator.choice
+    with p does, so the index and the stream after it match choice's."""
+    return entry.readings[bisect_right(entry.prior_cdf, rng.random())]
 
 
 def _sample_sentence_words(lexicon, rng, held_out,
@@ -352,7 +370,7 @@ def build_corpus(
             converted_form = KANA_FORM
         codes = []
         for reading in readings:
-            codes.extend(render_oracle(reading.annotation))
+            codes.extend(reading.codes)
         records.append(
             CorpusRecord(
                 sentence_id=sentence_id,
@@ -475,7 +493,7 @@ def _make_item(item_id, words, readings, target_index, tagged_index=None):
     starts = []
     for reading in readings:
         starts.append(len(codes))
-        codes.extend(render_oracle(reading.annotation))
+        codes.extend(reading.codes)
     target_reading = readings[target_index]
     return EvalItem(
         item_id=item_id,

@@ -731,6 +731,10 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
                           dtype=np.float64)
     decay = np.concatenate([np.full(a.size, name.split(".")[-1] in _DECAYED)
                             for name, a in initial.items()])
+    # One slice of flat per run of decayed entries: its start and stop are
+    # consecutive change points of decay.
+    edges = np.flatnonzero(np.diff(decay, prepend=False, append=False))
+    decayed = [slice(start, stop) for start, stop in edges.reshape(-1, 2)]
     grad, scratch = np.empty_like(flat), np.empty_like(flat)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     trained, grads = _views(flat, initial), _views(grad, initial)
@@ -773,8 +777,9 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         np.divide(m, 1.0 - _BETA1**step, out=scratch)
         scratch /= grad
         if cfg.weight_decay > 0.0:
-            np.multiply(flat, cfg.weight_decay, out=grad, where=decay)
-            np.add(scratch, grad, out=scratch, where=decay)
+            for run in decayed:
+                np.multiply(flat[run], cfg.weight_decay, out=grad[run])
+                scratch[run] += grad[run]
         scratch *= lr_at_step(step, cfg)
         flat -= scratch
         if step % cfg.log_every == 0 or step == cfg.steps:

@@ -87,6 +87,8 @@ class Vocabulary:
     string_to_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.speech_token_count < 1:
+            raise CorruptFile(f"speech token count {self.speech_token_count} < 1")
         if any(len(a) != 1 for a in self.atoms):
             raise CorruptFile("every atom must be one character")
         self.atom_to_id = {a: i for i, a in enumerate(self.atoms)}

@@ -1,6 +1,7 @@
 """Tests for the synthetic corpus: codec bijection, oracle rendering,
 lexicon table, corpus construction, and eval-set properties."""
 
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ADAPTER_CORPUS_CFG, DESK_CFG
+from uttertune import dataprep
 from uttertune.dataprep import (
     END_OF_SPEECH_INDEX,
     KANA_FORM,
@@ -21,6 +24,7 @@ from uttertune.dataprep import (
     Reading,
     SpeechTokenCode,
     TAGGED_FORM,
+    _sample_reading,
     build_corpus,
     build_eval_sets,
     build_lexicon,
@@ -42,7 +46,8 @@ from uttertune.errors import (
     EmptyPhrase,
     UnknownMora,
 )
-from uttertune.notation import derive_pitch, parse_annotation
+from uttertune.manifest import parse_config_file
+from uttertune.notation import derive_pitch, parse_annotation, render_annotation
 from uttertune.tokenizer import PHON_END, PHON_START, train_bpe
 
 
@@ -597,3 +602,123 @@ def test_held_out_is_deterministic():
     assert is_held_out(("雨", "花")) == is_held_out(("雨", "花"))
     sides = {is_held_out((g,) * 2) for g in "雨花海港魎糸明金石竹門星駅音月手"}
     assert sides == {True, False}
+
+
+# -- sampling stream: stored CDF and once-rendered readings -----------------
+#
+# The reference path is the sampler and renderer these replaced: a fresh
+# priors array and Generator.choice(p=...) per word drawn, and an oracle
+# render of the reading each time a word is used.
+
+
+def _choice_reading(entry, rng):
+    priors = np.array([r.prior for r in entry.readings], dtype=np.float64)
+    priors /= priors.sum()
+    return entry.readings[int(rng.choice(len(entry.readings), p=priors))]
+
+
+def _use_reference_path(patch):
+    patch.setattr(dataprep, "_sample_reading", _choice_reading)
+    patch.setattr(Reading, "codes",
+                  property(lambda r: render_oracle(r.annotation)))
+    patch.setattr(Reading, "text",
+                  property(lambda r: render_annotation(r.annotation)))
+    patch.setattr(Reading, "kana", property(lambda r: r.annotation.surface()))
+
+
+def _desk_corpus(lexicon, cfg_path):
+    cfg = parse_config_file(cfg_path)
+    return build_corpus(lexicon, cfg["sentences"], cfg["tag_fraction"],
+                        seed=cfg["seed"], kana_fraction=cfg["kana_fraction"])
+
+
+@pytest.fixture(scope="module")
+def desk_corpora(lexicon):
+    return {path.name: _desk_corpus(lexicon, path)
+            for path in (DESK_CFG, ADAPTER_CORPUS_CFG)}
+
+
+def test_sample_reading_matches_choice_stream(lexicon):
+    """12,000 draws cycling over every entry: each index and the
+    generator state after each draw equal choice's, then the next draw."""
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    for draw in range(12_000):
+        entry = lexicon[draw % len(lexicon)]
+        assert _sample_reading(entry, rng) is _choice_reading(entry, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.random() == reference.random()
+
+
+def test_reading_renders_match_oracle(lexicon):
+    for entry in lexicon:
+        for reading in entry.readings:
+            assert reading.codes == render_oracle(reading.annotation)
+            assert reading.text == render_annotation(reading.annotation)
+            assert reading.kana == reading.annotation.surface()
+
+
+def test_cached_renders_leave_reading_identity_alone(lexicon):
+    reading = lexicon[0].readings[0]
+    fresh = Reading(reading.annotation, reading.prior)
+    assert reading.codes and fresh == reading
+    assert hash(fresh) == hash(reading) and repr(fresh) == repr(reading)
+
+
+def test_desk_corpora_match_reference_path(lexicon, desk_corpora,
+                                           monkeypatch):
+    with monkeypatch.context() as patch:
+        _use_reference_path(patch)
+        for path in (DESK_CFG, ADAPTER_CORPUS_CFG):
+            assert _desk_corpus(lexicon, path) == desk_corpora[path.name]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 23])
+def test_eval_sets_match_reference_path(lexicon, seed, monkeypatch):
+    stored = build_eval_sets(lexicon, seed=seed)
+    with monkeypatch.context() as patch:
+        _use_reference_path(patch)
+        assert build_eval_sets(lexicon, seed=seed) == stored
+
+
+def _eval_items_digest(items):
+    h = hashlib.sha256()
+    for it in items:
+        fields = (it.item_id, " ".join(it.graphemes), it.text_plain,
+                  it.text_kana, it.text_tagged, it.target_grapheme,
+                  it.target_annotation, it.target_mora_start,
+                  it.target_mora_count,
+                  " ".join(str(c.to_id(0)) for c in it.codes))
+        h.update(("\t".join(map(str, fields)) + "\n").encode("utf-8"))
+    return h.hexdigest()
+
+
+# SHA-256 of the desk corpora as saved and of the desk eval sets (seed 0),
+# recorded before the stored-CDF sampler: a change that shifts the
+# sampling stream changes these.
+_DESK_CORPUS_SHA256 = {
+    "desk.cfg":
+        "03c19e5ce5e1b2ac80702692e4a094e8b14ec31d6d93b0bd524577c09094fb9f",
+    "desk_adapter_corpus.cfg":
+        "7fb1e8280d05fa4773c67c27ba64ebe360322b2396b78db7fc6a52d27b0f6c0d",
+}
+_DESK_EVAL_SHA256 = {
+    "test_set_1":
+        "268a1cefe45d35e1301419a3581b4a683a2f34d4c416e398c515644301d37a10",
+    "test_set_2":
+        "92beaf805f889ff58d6a038251c0e21c46e98de7427e7139332cee6d92318e26",
+    "leakage_set":
+        "dee9de1cab8a8d888e066d9a77e1bf0383df42260de47add2e2af86cc59e86be",
+}
+
+
+def test_desk_sampling_stream_is_pinned(lexicon, desk_corpora, tmp_path):
+    for name, records in desk_corpora.items():
+        path = tmp_path / name
+        save_corpus(records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            _DESK_CORPUS_SHA256[name], name
+    cfg = parse_config_file(DESK_CFG)
+    sets = build_eval_sets(lexicon, seed=cfg["seed"], n_test_1=cfg["n_test_1"],
+                           n_test_2=cfg["n_test_2"], n_leakage=cfg["n_leakage"])
+    for name, items in sets._asdict().items():
+        assert _eval_items_digest(items) == _DESK_EVAL_SHA256[name], name

@@ -1,5 +1,7 @@
 """BPE training, tag parsing, atomic phoneme-span encoding, vocab io."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,6 +240,21 @@ class TestVocabIo:
         p.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(CorruptFile, match="merges"):
             load_vocab(p)
+
+    @pytest.mark.parametrize("count", [-5, 0])
+    def test_speech_token_count_below_one(self, tmp_path, count):
+        p = tmp_path / "vocab.txt"
+        save_vocab(train_bpe(["アメアメ", "カミ'ハ/シ"], target_vocab_size=12), p)
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        stated = [i for i, line in enumerate(lines)
+                  if line.startswith("speech_tokens\t")]
+        assert len(stated) == 1
+        lines[stated[0]] = f"speech_tokens\t{count}\n"
+        p.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptFile, match=re.escape(f"{p}: bad value speech token count {count} < 1")):
+            load_vocab(p)
+        with pytest.raises(CorruptFile):
+            Vocabulary(atoms=("ア",), merges=(), speech_token_count=count)
 
     def test_atoms_are_single_characters(self):
         with pytest.raises(CorruptFile):
