@@ -167,12 +167,22 @@ def _write_manifest(out: Path, command, config, inputs, outputs, timings) -> Non
 
 
 def _load_model_and_adapter(args):
+    """(model, adapter or None, vocabulary), checked against each other."""
     model = ToyLM.load(args.model)
     adapter = None
     if getattr(args, "adapter", None):
         adapter = load_adapter(args.adapter)
         _check_pairing(model, adapter)
-    return model, adapter
+    vocab = load_vocab(args.vocab)
+    cfg = model.config
+    ids = (vocab.total_size, vocab.speech_token_offset, vocab.speech_token_count)
+    if ids != (cfg.vocab_size, cfg.speech_offset, cfg.speech_count):
+        raise ShapeMismatch(
+            f"vocabulary {args.vocab} has {ids[0]} ids with {ids[2]} speech "
+            f"ids from {ids[1]}; the model has {cfg.vocab_size} with "
+            f"{cfg.speech_count} from {cfg.speech_offset}"
+        )
+    return model, adapter, vocab
 
 
 def _check_pairing(model: ToyLM, adapter) -> None:
@@ -390,8 +400,7 @@ def _cmd_train(args) -> int:
 def _cmd_generate(args) -> int:
     config = _resolve(args, "generate", _file_config(args))
     _check_config(config)
-    model, adapter = _load_model_and_adapter(args)
-    vocab = load_vocab(args.vocab)
+    model, adapter, vocab = _load_model_and_adapter(args)
     text = _read_text(args.text)
     started = time.perf_counter()
     prompt = encode_text(text, vocab)
@@ -399,15 +408,7 @@ def _cmd_generate(args) -> int:
         raise SequenceTooLong(
             f"prompt occupies {len(prompt)} of {model.config.max_seq} positions"
         )
-    ids = generate(
-        model,
-        [prompt],
-        config["max_new"],
-        mode=config["decode"],
-        seed=config["seed"],
-        temperature=config["temperature"],
-        adapter=adapter,
-    )[0]
+    ids = generate(model, [prompt], config["max_new"], adapter=adapter)[0]
     elapsed = time.perf_counter() - started
     codes = decode_speech_ids(ids, vocab.speech_token_offset)
     kana = codes_to_kana(codes)
@@ -445,8 +446,7 @@ def _cmd_eval(args) -> int:
         )
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
-    model, adapter = _load_model_and_adapter(args)
-    vocab = load_vocab(args.vocab)
+    model, adapter, vocab = _load_model_and_adapter(args)
     out = _out_dir(args)
 
     started = time.perf_counter()
@@ -640,16 +640,13 @@ def build_parser() -> _Parser:
     train.add_argument("--out", required=True, type=_path, metavar="DIR")
     train.set_defaults(func=_cmd_train)
 
-    gen = sub.add_parser("generate", help="text -> speech tokens")
+    gen = sub.add_parser("generate", help="text -> speech tokens, greedy")
     _add_config_flag(gen)
     gen.add_argument("--model", required=True, type=_path, metavar="FILE")
     gen.add_argument("--vocab", required=True, type=_path, metavar="FILE")
     gen.add_argument("--adapter", type=_path, metavar="FILE")
     gen.add_argument("--text", help="input text; omit to read stdin")
-    gen.add_argument("--decode", choices=("greedy", "sampled"))
     gen.add_argument("--max-new", type=_positive_int, dest="max_new")
-    gen.add_argument("--temperature", type=float)
-    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", type=_path, metavar="DIR")
     gen.set_defaults(func=_cmd_generate)
 

@@ -83,6 +83,13 @@ class LoraAdapter:
         ]
         if [layer.target for layer in self.layers] != expected:
             raise ShapeMismatch("adapter must cover every Q/K/V/O projection in order")
+        d, r = self.base_spec.width, self.rank
+        for layer in self.layers:
+            if layer.B.shape != (d, r) or layer.C.shape != (r, d):
+                raise ShapeMismatch(
+                    f"{layer.target}: factors B {layer.B.shape} and C "
+                    f"{layer.C.shape}, expected ({d}, {r}) and ({r}, {d})"
+                )
 
     def scale(self) -> float:
         return self.alpha / self.rank if self.scaling == "normalized" else self.alpha

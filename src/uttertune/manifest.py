@@ -57,7 +57,7 @@ COMMAND_DEFAULTS: dict[str, dict[str, int | float | str]] = {
         "scaling": "literal",
         "seed": 0,
     },
-    "generate": {"max_new": 40, "temperature": 1.0, "seed": 0, "decode": "greedy"},
+    "generate": {"max_new": 40},
     "eval": {
         "mode": "plain",
         "seed": 0,

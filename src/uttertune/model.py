@@ -24,13 +24,19 @@ norms, attention, the Q/K/V/O projections (and their dropout draws) and
 the head keep the padded layout. GELU is the tanh form; the backward pass
 reuses the forward tanh.
 
-Generation is constrained to the speech-token range: the model's job
-after a text prompt is to emit speech codes, and the end-of-speech id
-(last id of the range) terminates it. generate decodes a list of prompts
-through the same forward: prompts of equal length share a batch, which
-runs the prompts once and then one token per row and step against the
-keys and values cached from earlier steps (the layer cache's kh/vh passed
-back as past); rows that emit end-of-speech drop out.
+Generation is greedy and constrained to the speech-token range: the
+model's job after a text prompt is to emit speech codes, each step takes
+the argmax over that range, and the end-of-speech id (last id of the
+range) terminates it. generate is the one decoder, used by eval and by the
+generate command alike. It decodes a list of prompts through the same
+forward: prompts of equal length share a batch, which runs the prompts once
+and then one token per row and step against the keys and values cached
+from earlier steps (the layer cache's kh/vh passed back as past); rows that
+emit end-of-speech drop out.
+
+The weight table (_weight_shapes) names every tensor with its shape; the
+constructor checks a loaded model against it, and init and fingerprint
+walk it in order.
 """
 
 from __future__ import annotations
@@ -117,15 +123,18 @@ class TrainingExample:
             raise ValueError("input_ids must be non-empty")
 
 
-def _weight_names(cfg: ToyLMConfig) -> list[str]:
-    names = ["embed", "pos"]
+def _weight_shapes(cfg: ToyLMConfig) -> dict[str, tuple[int, ...]]:
+    """Every weight's shape, by name, in the order init draws them."""
+    d, ff = cfg.width, cfg.ff_width
+    shapes = {"embed": (cfg.vocab_size, d), "pos": (cfg.max_seq, d)}
     for i in range(cfg.layers):
-        names += [f"L{i}.ln1.g", f"L{i}.ln1.b"]
-        names += [f"L{i}.{p}" for p in PROJECTIONS]
-        names += [f"L{i}.ln2.g", f"L{i}.ln2.b"]
-        names += [f"L{i}.ff1", f"L{i}.ff1b", f"L{i}.ff2", f"L{i}.ff2b"]
-    names += ["lnf.g", "lnf.b", "head"]
-    return names
+        shapes.update({f"L{i}.ln1.g": (d,), f"L{i}.ln1.b": (d,)})
+        shapes.update({f"L{i}.{p}": (d, d) for p in PROJECTIONS})
+        shapes.update({f"L{i}.ln2.g": (d,), f"L{i}.ln2.b": (d,),
+                       f"L{i}.ff1": (d, ff), f"L{i}.ff1b": (ff,),
+                       f"L{i}.ff2": (ff, d), f"L{i}.ff2b": (d,)})
+    shapes.update({"lnf.g": (d,), "lnf.b": (d,), "head": (d, cfg.vocab_size)})
+    return shapes
 
 
 # Matmul weights and the adapter's factors get weight decay; embeddings,
@@ -136,9 +145,13 @@ _DECAYED = frozenset(PROJECTIONS + ("ff1", "ff2", "head", "B", "C"))
 class ToyLM:
     def __init__(self, config: ToyLMConfig, weights: dict[str, np.ndarray]):
         self.config = config
-        expected = _weight_names(config)
-        if list(weights) != expected:
+        shapes = _weight_shapes(config)
+        if list(weights) != list(shapes):
             raise ShapeMismatch("weight table does not match the architecture")
+        for name, shape in shapes.items():
+            if weights[name].shape != shape:
+                raise ShapeMismatch(f"weight {name}: expected shape {shape}, "
+                                    f"found {weights[name].shape}")
         self.weights = weights
         self._params64: dict[str, np.ndarray] | None = None
 
@@ -146,30 +159,15 @@ class ToyLM:
 
     @classmethod
     def init(cls, config: ToyLMConfig) -> "ToyLM":
+        """Matrices from N(0, 0.02^2), in table order; norm gains one,
+        norm and feed-forward biases zero."""
         rng = np.random.default_rng(config.seed)
-        d, ff, V = config.width, config.ff_width, config.vocab_size
-
-        def normal(shape):
-            return rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-
-        weights: dict[str, np.ndarray] = {
-            "embed": normal((V, d)),
-            "pos": normal((config.max_seq, d)),
-        }
-        for i in range(config.layers):
-            weights[f"L{i}.ln1.g"] = np.ones(d, dtype=np.float32)
-            weights[f"L{i}.ln1.b"] = np.zeros(d, dtype=np.float32)
-            for p in PROJECTIONS:
-                weights[f"L{i}.{p}"] = normal((d, d))
-            weights[f"L{i}.ln2.g"] = np.ones(d, dtype=np.float32)
-            weights[f"L{i}.ln2.b"] = np.zeros(d, dtype=np.float32)
-            weights[f"L{i}.ff1"] = normal((d, ff))
-            weights[f"L{i}.ff1b"] = np.zeros(ff, dtype=np.float32)
-            weights[f"L{i}.ff2"] = normal((ff, d))
-            weights[f"L{i}.ff2b"] = np.zeros(d, dtype=np.float32)
-        weights["lnf.g"] = np.ones(d, dtype=np.float32)
-        weights["lnf.b"] = np.zeros(d, dtype=np.float32)
-        weights["head"] = normal((d, V))
+        weights = {}
+        for name, shape in _weight_shapes(config).items():
+            if len(shape) == 2:
+                weights[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+            else:
+                weights[name] = np.full(shape, name.endswith(".g"), np.float32)
         return cls(config, weights)
 
     def param_count(self) -> int:
@@ -185,7 +183,7 @@ class ToyLM:
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        for name in _weight_names(self.config):
+        for name in _weight_shapes(self.config):
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(self.weights[name]).tobytes())
         return h.hexdigest()[:16]
@@ -820,26 +818,19 @@ def generate(
     model: ToyLM,
     prompts,
     max_new: int,
-    mode: str = "greedy",
-    seed: int | None = None,
-    temperature: float = 1.0,
     adapter: LoraAdapter | None = None,
 ) -> list[list[int]]:
-    """For each prompt, up to max_new speech-token ids (end-of-speech excluded).
+    """For each prompt, up to max_new greedy speech-token ids (end-of-speech
+    excluded): at each step the argmax of the speech-range logits.
 
     A prompt of length L gets at most max_seq - L ids, so one longer than
     max_seq raises SequenceTooLong and one that fills the context gets none.
     Prompts of equal length decode together, up to _DECODE_BATCH per
     forward: one forward over the whole prompts, then one new token per row
     and step against the cached keys and values; a row that emits
-    end-of-speech leaves the batch. Sampled mode draws once per live row
-    and step, in prompt order within a batch, so a single prompt consumes
-    the generator exactly as a one-at-a-time decode does.
+    end-of-speech leaves the batch. Each prompt gets the ids it would get
+    decoded on its own.
     """
-    if mode not in ("greedy", "sampled"):
-        raise ValueError(f"mode must be greedy or sampled, got {mode!r}")
-    if mode == "sampled" and not 0.0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     cfg = model.config
     prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
     for index, prompt in enumerate(prompts):
@@ -855,7 +846,7 @@ def generate(
             )
     params = model.params64()
     adapter64 = _adapter64(adapter)
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
+    lo, hi = cfg.speech_offset, cfg.speech_offset + cfg.speech_count
     by_length: dict[int, list[int]] = {}
     for index, prompt in enumerate(prompts):
         by_length.setdefault(prompt.size, []).append(index)
@@ -872,7 +863,7 @@ def generate(
                     params, cfg, ids, np.arange(ids.size), adapter64, None,
                     past,
                 )
-                nxt = _next_tokens(logits[:, -1], cfg, rng, temperature)
+                nxt = lo + np.argmax(logits[:, -1, lo:hi], axis=1)
                 going = nxt != cfg.eos_id
                 live = [index for index, g in zip(live, going) if g]
                 if not live:
@@ -885,20 +876,3 @@ def generate(
                 del cache  # free this step's activations before the next
                 ids = nxt[:, None]
     return outs
-
-
-def _next_tokens(logits, cfg: ToyLMConfig, rng, temperature: float):
-    """Next id per row from last-position logits (N, V): the argmax over the
-    speech range, or with an rng a draw from its tempered softmax."""
-    lo = cfg.speech_offset
-    speech = logits[:, lo : lo + cfg.speech_count]
-    if rng is None:
-        return lo + np.argmax(speech, axis=1)
-    picks = []
-    for row in speech:
-        z = row / temperature
-        z = z - z.max()
-        p = np.exp(z)
-        p /= p.sum()
-        picks.append(lo + int(rng.choice(cfg.speech_count, p=p)))
-    return np.array(picks, dtype=np.int64)

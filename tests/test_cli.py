@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and run manifests."""
 
+import dataclasses
 import io
 import os
 import subprocess
@@ -27,7 +28,8 @@ from uttertune.manifest import (
     save_manifest,
 )
 from uttertune.model import ToyLM
-from uttertune.tensorio import save_tensors
+from uttertune.tensorio import load_tensors, save_tensors
+from uttertune.tokenizer import load_vocab, save_vocab
 
 # -- notation subcommands ---------------------------------------------------
 
@@ -270,8 +272,6 @@ _REFERENCE_CONFIG_KEYS = {
     "scaling": str,
     # generation
     "max_new": int,
-    "temperature": float,
-    "decode": str,
     # evaluation
     "mode": str,
     "n_test_1": int,
@@ -473,18 +473,8 @@ def test_generate_writes_artifact_and_manifest(pipeline, tmp_path, capsys):
     assert (out / "generation.tsv").exists()
     manifest = load_manifest(out / "manifest.txt")
     assert manifest.command == "generate"
-    assert manifest.config["decode"] == "greedy"
+    assert set(manifest.config) == {"max_new"}
     assert "adapter" in manifest.inputs
-
-
-def test_generate_sampling_is_seeded(pipeline, capsys):
-    args = ["generate", "--model", pipeline["model"],
-            "--vocab", pipeline["vocab"], "--text", "駅",
-            "--decode", "sampled", "--seed", "13"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    assert capsys.readouterr().out == first
 
 
 def test_eval_threshold_gate(pipeline, tmp_path, capsys):
@@ -515,16 +505,32 @@ def test_kana_threshold_unmet_when_every_item_excluded(pipeline, tmp_path,
     assert report.mean_cer == 0.0
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "inf"])
-def test_generate_rejects_bad_sampled_temperature(pipeline, capsys, value):
-    rc = main(["generate", "--model", pipeline["model"],
-               "--vocab", pipeline["vocab"], "--text", "駅",
-               "--decode", "sampled", "--temperature", value])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+@pytest.mark.parametrize("source, setting, code", [
+    pytest.param("flag", "--decode sampled", 1, id="flag-decode"),
+    pytest.param("flag", "--temperature 0.5", 1, id="flag-temperature"),
+    pytest.param("flag", "--seed 3", 1, id="flag-seed"),
+    pytest.param("config", "temperature = 0.5", 2, id="config-temperature"),
+    pytest.param("config", "decode = greedy", 2, id="config-decode"),
+])
+def test_generate_refuses_removed_sampling_surface(pipeline, tmp_path, capsys,
+                                                   source, setting, code):
+    """generate decodes greedily only: the sampling flags are unknown
+    arguments and the sampling keys unknown config keys."""
+    out = tmp_path / "g"
+    argv = ["generate", "--model", pipeline["model"],
+            "--vocab", pipeline["vocab"], "--text", "駅", "--out", str(out)]
+    if source == "flag":
+        argv += setting.split()
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
     assert len(err.splitlines()) == 1
-    assert "temperature" in err
+    assert setting.split()[0] in err
+    assert not out.exists()
 
 
 def test_eval_leakage_artifact(pipeline, tmp_path, capsys):
@@ -629,6 +635,69 @@ def test_eval_rejects_mismatched_adapter(pipeline, default_hyperparameter_run,
                "--adapter", pipeline["adapter"], "--mode", "plain",
                "--out", str(tmp_path / "e")])
     assert rc == 2
+
+
+def _model_argv(command, pipeline, out, **given):
+    """generate or eval on the tiny pipeline's model and vocabulary, with
+    the files given in place of them or as the adapter."""
+    files = {"model": pipeline["model"], "vocab": pipeline["vocab"], **given}
+    argv = [command] + [x for slot, path in files.items()
+                        for x in (f"--{slot}", str(path))]
+    extra = ["--text", "駅"] if command == "generate" else ["--mode", "plain"]
+    return argv + extra + ["--out", str(out)]
+
+
+def _assert_one_line_shape_error(capsys, out, *named):
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("ShapeMismatch: "), err
+    assert all(name in err for name in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+@pytest.mark.parametrize("name, cut", [
+    pytest.param("embed", np.s_[:10], id="embed-10-rows"),
+    pytest.param("L0.ff1", np.s_[:, :5], id="ff1-5-columns"),
+])
+def test_model_tensor_of_wrong_shape_is_one_line_data_error(
+        pipeline, tmp_path, capsys, command, name, cut):
+    tensors, meta = load_tensors(pipeline["model"])
+    expected = tensors[name].shape
+    tensors[name] = tensors[name][cut]
+    model = tmp_path / "cut_model.ut"
+    save_tensors(model, tensors, meta)
+    out = tmp_path / "o"
+    assert main(_model_argv(command, pipeline, out, model=model)) == 2
+    _assert_one_line_shape_error(
+        capsys, out, name, f"expected shape {expected}",
+        f"found {tensors[name].shape}",
+    )
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_adapter_factor_of_wrong_shape_is_one_line_data_error(
+        pipeline, tmp_path, capsys, command):
+    tensors, meta = load_tensors(pipeline["adapter"])
+    tensors["L0.q.B"] = tensors["L0.q.B"][:8]
+    adapter = tmp_path / "cut_adapter.ut"
+    save_tensors(adapter, tensors, meta)
+    out = tmp_path / "o"
+    assert main(_model_argv(command, pipeline, out, adapter=adapter)) == 2
+    _assert_one_line_shape_error(capsys, out, "L0.q", "(8, 2)")
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_vocabulary_of_another_size_is_one_line_data_error(
+        pipeline, tmp_path, capsys, command):
+    vocab = load_vocab(pipeline["vocab"])
+    assert len(vocab.merges) >= 3
+    other = tmp_path / "vocab.txt"
+    save_vocab(dataclasses.replace(vocab, merges=vocab.merges[:-3]), other)
+    out = tmp_path / "o"
+    assert main(_model_argv(command, pipeline, out, vocab=other)) == 2
+    _assert_one_line_shape_error(capsys, out, str(other))
 
 
 def test_wrong_artifact_kind_is_one_line_data_error(pipeline, tmp_path,
@@ -806,8 +875,7 @@ def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
                  id=f"{command}-{key}--1")
     for command, key in (("corpus", "seed"), ("vocab", "seed"),
                          ("train", "seed"), ("train", "model_seed"),
-                         ("train", "pretrain_seed"), ("generate", "seed"),
-                         ("eval", "seed"))
+                         ("train", "pretrain_seed"), ("eval", "seed"))
 ])
 def test_rejected_run_makes_no_out_dir(pipeline, tmp_path, capsys,
                                        no_pretrain, command, line, extra,

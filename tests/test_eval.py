@@ -223,8 +223,7 @@ def tiny_model(vocab):
 def _fake_generate(mapping):
     """A stand-in for model.generate keyed on the prompt ids."""
 
-    def fake(model, prompts, max_new, mode="greedy", seed=None,
-             temperature=1.0, adapter=None):
+    def fake(model, prompts, max_new, adapter=None):
         return [list(mapping[tuple(int(i) for i in p)])[:max_new]
                 for p in prompts]
 

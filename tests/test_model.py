@@ -573,13 +573,6 @@ def test_greedy_generation_is_deterministic_and_in_range(tiny_model):
     assert all(lo <= t < hi - 1 for t in a)
 
 
-def test_sampled_generation_is_seeded(tiny_model):
-    prompt = [5, 6, 7]
-    a = generate(tiny_model, [prompt], max_new=10, mode="sampled", seed=99)[0]
-    b = generate(tiny_model, [prompt], max_new=10, mode="sampled", seed=99)[0]
-    assert a == b
-
-
 def test_generation_stops_at_end_of_speech():
     model = ToyLM.init(TINY)
     for name in model.weights:
@@ -602,11 +595,6 @@ def test_generation_rejects_overflow(tiny_model):
     assert got[1] == []
 
 
-def test_generation_rejects_unknown_mode(tiny_model):
-    with pytest.raises(ValueError):
-        generate(tiny_model, [[1]], max_new=3, mode="beam")
-
-
 @pytest.mark.parametrize(
     "bad", [[], [1, TINY.vocab_size, 2], [3, -1]],
     ids=["empty", "id-over-vocab", "negative-id"],
@@ -616,8 +604,7 @@ def test_generation_rejects_bad_prompt_by_index(tiny_model, bad):
         generate(tiny_model, [[1, 2], bad, [3]], max_new=3)
 
 
-def _uncached_decode(model, prompt, max_new, adapter=None, rng=None,
-                     temperature=1.0):
+def _uncached_decode(model, prompt, max_new, adapter=None):
     """Reference decode: the full forward over the growing prefix per token."""
     lo = model.config.speech_offset
     hi = lo + model.config.speech_count
@@ -625,12 +612,7 @@ def _uncached_decode(model, prompt, max_new, adapter=None, rng=None,
     out = []
     for _ in range(max_new):
         speech = model.forward(ids, adapter=adapter)[-1, lo:hi]
-        if rng is None:
-            nxt = lo + int(np.argmax(speech))
-        else:
-            z = speech / temperature
-            p = np.exp(z - z.max())
-            nxt = lo + int(rng.choice(hi - lo, p=p / p.sum()))
+        nxt = lo + int(np.argmax(speech))
         if nxt == model.config.eos_id:
             break
         out.append(nxt)
@@ -714,18 +696,6 @@ def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
         assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
         past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
         assert past[0][0].shape[2] == hi
-
-
-def test_sampled_decode_of_one_prompt_matches_uncached(tiny_model,
-                                                       trained_adapter):
-    prompt = [4, TAG_START, 8, TAG_END, 2]
-    for seed, temperature in [(3, 1.0), (17, 0.5), (40, 2.0)]:
-        got = generate(tiny_model, [prompt], max_new=15, mode="sampled",
-                       seed=seed, temperature=temperature,
-                       adapter=trained_adapter)[0]
-        want = _uncached_decode(tiny_model, prompt, 15, trained_adapter,
-                                np.random.default_rng(seed), temperature)
-        assert got == want
 
 
 def test_gelu_matches_closed_tanh_form():

@@ -1,0 +1,93 @@
+"""The library keeps no public code that only tests call.
+
+A top-level public function or class of ``src/uttertune``, or a public
+method of a public class, must be referenced somewhere in ``src/`` outside
+its own definition. A reference is a name (``generate``) or an attribute
+(``model.fingerprint``) spelled like the definition; methods count
+attributes only. Matching is by spelling, so a reference proves nothing
+about the target, but a definition with none is certainly unused.
+"""
+
+import ast
+import collections
+from pathlib import Path
+
+import uttertune
+
+SRC = Path(uttertune.__file__).resolve().parent
+
+# Entry points kept without a caller in src/, each with the reason.
+ALLOWED = {
+    "model.gradient_check": "acceptance check 4 calls it",
+    "manifest.load_manifest": "check 9 and the README read manifests with it",
+    "manifest.manifest_config_text": "check 9 and the README replay with it",
+    "eval.load_report": "check 5 and perfbench read reports with it",
+    "eval.load_leakage": "check 6 and perfbench read leakage.tsv with it",
+    "model.ToyLM.forward": "the oracle of check 1 and of the decode tests",
+    "tokenizer.decode": "the inverse of encode_text, the round-trip oracle",
+    "model.ToyLM.loss": "perfbench measures the loss through it",
+    "model.loss_and_grads": "perfbench measures gradients through it",
+    "kernels.active_backend": "perfbench and check 7's verdict print it",
+    "kernels.enumerate_strings": "check 7's route, also perfbench distance",
+    "kernels.edit_move_graph": "check 7's route, also perfbench distance",
+    "kernels.edit_distance_matrix": "check 7's route, also perfbench distance",
+    "kernels.bfs_distance_matrix": "check 7's route, also perfbench distance",
+}
+
+
+def _spellings(node):
+    names, attrs = collections.Counter(), collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attrs[sub.attr] += 1
+    return names, attrs
+
+
+def _public_definitions(module: str, tree):
+    """(qualified name, node, is_top_level) per public definition."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield f"{module}.{node.name}", node, True
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        yield f"{module}.{node.name}.{member.name}", member, False
+
+
+def _unreferenced() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    names, attrs = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        n, a = _spellings(tree)
+        names += n
+        attrs += a
+    found = set()
+    for module, tree in trees.items():
+        for qualified, node, top_level in _public_definitions(module, tree):
+            spelling = qualified.rsplit(".", 1)[1]
+            own_names, own_attrs = _spellings(node)
+            count = attrs[spelling] - own_attrs[spelling]
+            if top_level:
+                count += names[spelling] - own_names[spelling]
+            if count == 0:
+                found.add(qualified)
+    return found
+
+
+def test_public_code_has_a_caller_in_src():
+    assert _unreferenced() - set(ALLOWED) == set()
+
+
+def test_allowlist_names_existing_definitions():
+    defined = {
+        qualified
+        for path in SRC.glob("*.py")
+        for qualified, _node, _top in _public_definitions(
+            path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(ALLOWED) <= defined
