@@ -12,9 +12,11 @@ Kernels:
                            cross-check the DP route; keep the two
                            implementations independent)
 
-edit_distance_matrix keeps its own recurrence over uint8 layers: batching
+edit_distance_matrix keeps its own recurrence over uint8 layers, on dense
+symbol codes laid out one contiguous row per string position: batching
 edit_distance_table's running minimum (np.minimum.accumulate along axis 0
-of a 3-D array) took ~9 s on check 7's (4, 6) universe against ~2 s.
+of a 3-D array) took ~9 s on check 7's (4, 6) universe, against ~2 s for
+this recurrence on strided int64 symbols and ~0.6 s on the codes.
 
 Both matrix kernels return uint8 and reject inputs whose values would not
 fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
@@ -90,28 +92,41 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
 
     padded is (n, width) int8/int64 with rows padded past their length;
     lengths is (n,). Returns a (n, n) uint8 matrix (distances <= max
-    length). Raises ValueError if a string is longer than MAX_MATRIX_LEN.
+    length). Raises ValueError if lengths does not hold one value in
+    [0, width] per row, or if a string is longer than MAX_MATRIX_LEN.
     """
-    padded = np.ascontiguousarray(padded, dtype=np.int64)
+    padded = np.asarray(padded, dtype=np.int64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    n_str = padded.shape[0]
-    out = np.empty((n_str, n_str), dtype=np.uint8)
+    n_str, width = padded.shape
+    if lengths.shape != (n_str,):
+        raise ValueError(f"edit_distance_matrix needs one length per row: "
+                         f"{n_str} rows, lengths of shape {lengths.shape}")
+    if n_str and (lengths.min() < 0 or lengths.max() > width):
+        raise ValueError(f"edit_distance_matrix takes lengths in [0, {width}], "
+                         f"got {lengths.min()}..{lengths.max()}")
     max_len = int(lengths.max()) if n_str else 0
     if max_len > MAX_MATRIX_LEN:
         raise ValueError(
             f"edit_distance_matrix takes strings up to {MAX_MATRIX_LEN} long, "
             f"got one of length {max_len}"
         )
+    # The DP only tests symbols for equality, so it runs on dense codes in
+    # the smallest unsigned dtype, one contiguous row per string position.
+    symbols, codes = np.unique(padded, return_inverse=True)
+    codes = codes.reshape(padded.shape).astype(
+        np.min_scalar_type(max(symbols.size - 1, 0)))
     by_len = [np.nonzero(lengths == L)[0] for L in range(max_len + 1)]
+    by_pos = [np.ascontiguousarray(codes[ids, :L].T)
+              for L, ids in enumerate(by_len)]
+    out = np.empty((n_str, n_str), dtype=np.uint8)
     for la in range(max_len + 1):
         rows_la = by_len[la]
         if rows_la.size == 0:
             continue
         for lb in range(max_len + 1):
-            cols = by_len[lb]
+            cols, B = by_len[lb], by_pos[lb]
             if cols.size == 0:
                 continue
-            B = padded[cols, :lb]
             # DP layers: one (block, len(cols)) matrix per table cell, two
             # rows of them, swapped after each row of the table. Rows go in
             # blocks so that the layers stay in cache.
@@ -122,16 +137,16 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
             step_buf = np.empty((block, cols.size), dtype=np.uint8)
             for start in range(0, rows_la.size, block):
                 rows = rows_la[start : start + block]
-                A = padded[rows, :la]
+                A = by_pos[la][:, start : start + block]
                 prev, cur = prev_buf[:, : rows.size], cur_buf[:, : rows.size]
                 neq, step = neq_buf[: rows.size], step_buf[: rows.size]
                 prev[...] = np.arange(lb + 1, dtype=np.uint8)[:, None, None]
                 for i in range(la):
                     cur[0] = i + 1
-                    ai = A[:, i][:, None]
+                    ai = A[i][:, None]
                     for j in range(lb):
                         c = cur[j + 1]
-                        np.not_equal(ai, B[:, j], out=neq)
+                        np.not_equal(ai, B[j], out=neq)
                         np.add(prev[j], neq, out=c)
                         # Deletion and insertion both cost 1: +1 on their min.
                         np.minimum(prev[j + 1], cur[j], out=step)
@@ -150,40 +165,47 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
 
     (indptr, indices) is a CSR adjacency, directed or not; out[src, v] is
     the number of edges on a shortest path from src to v, UNREACHABLE (255)
-    if there is none. Raises ValueError if some shortest path has 255
-    edges or more. Independent of the DP kernels by construction.
+    if there is none. Raises ValueError if the CSR is malformed or if some
+    shortest path has 255 edges or more. Independent of the DP kernels by
+    construction.
 
-    All sources advance together, one level per step, on bit sets: row v
-    of the frontier holds one bit per source that first reached v at the
-    previous level (the multi-source BFS of Then et al., PVLDB 8(4), 2014).
+    All targets advance together, one level per step, on bit sets (the
+    multi-source BFS of Then et al., PVLDB 8(4), 2014). Row src of the
+    frontier holds one bit per target that src first reached at the
+    previous level, and a level pulls those bits along src's out-neighbours,
+    so the result is laid out as [source, target] from the start.
     """
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     n = int(n_nodes)
-    # In-neighbour lists (the CSR transposed), padded to a rectangle with
-    # self loops, so a node's next frontier row is an OR over one column.
-    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    targets = indices[order]
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n), out=in_ptr[1:])
-    max_deg = int(np.diff(in_ptr).max()) if n else 0
-    in_adj = np.repeat(np.arange(n, dtype=np.int64)[:, None], max_deg, axis=1)
-    in_adj[targets, np.arange(targets.size) - in_ptr[targets]] = heads[order]
+    if n < 0 or indptr.shape != (n + 1,):
+        raise ValueError(f"bfs_distance_matrix needs indptr of length "
+                         f"n_nodes + 1 = {n + 1}, got shape {indptr.shape}")
+    degree = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != indices.size or (degree < 0).any():
+        raise ValueError(f"bfs_distance_matrix needs indptr non-decreasing "
+                         f"from 0 to len(indices) = {indices.size}, got "
+                         f"{indptr[0]}..{indptr[-1]}")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"bfs_distance_matrix takes node ids in [0, {n}), "
+                         f"got {indices.min()}..{indices.max()}")
+    # Out-neighbour lists padded to a rectangle with self loops, one row
+    # per slot, so a node's next frontier row is an OR over its slots.
+    max_deg = int(degree.max()) if n else 0
+    out_adj = np.repeat(np.arange(n, dtype=np.int64)[None, :], max_deg, axis=0)
+    out_adj.T[np.arange(max_deg) < degree[:, None]] = indices
 
-    # dist[v, src] while searching; transposed on return.
-    dist = np.full((n, n), UNREACHABLE, dtype=np.uint8)
-    np.fill_diagonal(dist, 0)
+    # Each level adds 1 to every pair still unseen; unreached pairs are set
+    # to UNREACHABLE at the end.
+    dist = np.zeros((n, n), dtype=np.uint8)
     frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
     unseen = ~frontier
     reached = np.empty_like(frontier)
     gathered = np.empty_like(frontier)
-    level = 0
-    while True:
-        level += 1
+    for level in itertools.count(1):
         reached.fill(0)
-        for k in range(max_deg):
-            np.take(frontier, in_adj[:, k], axis=0, out=gathered)
+        for slot in out_adj:
+            np.take(frontier, slot, axis=0, out=gathered)
             np.bitwise_or(reached, gathered, out=reached)
         np.bitwise_and(reached, unseen, out=reached)
         if not reached.any():
@@ -193,11 +215,12 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
                 f"bfs_distance_matrix stores path lengths up to "
                 f"{UNREACHABLE - 1} edges; this graph has longer ones"
             )
+        np.add(dist, np.unpackbits(unseen, axis=1, count=n), out=dist)
         np.bitwise_xor(unseen, reached, out=unseen)
-        new = np.unpackbits(reached, axis=1, count=n).view(bool)
-        np.copyto(dist, level, where=new)
         frontier, reached = reached, frontier
-    return np.ascontiguousarray(dist.T)
+    np.copyto(dist, UNREACHABLE,
+              where=np.unpackbits(unseen, axis=1, count=n).view(bool))
+    return dist
 
 
 # -- exhaustive string universe --------------------------------------------

@@ -1,5 +1,6 @@
 """Edit-distance kernels and the BFS edit-move oracle."""
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -43,6 +44,44 @@ def ref_bfs_matrix(indptr, indices, n):
         for v, d in dist.items():
             out[src, v] = d
     return out
+
+
+def in_adjacency_bfs_matrix(indptr, indices, n):
+    """The bit-set BFS as it ran before it pulled along out-neighbours.
+
+    Sources advance together; row v of the frontier holds one bit per
+    source that first reached v at the previous level, gathered along v's
+    in-neighbours (the CSR transposed), and the result is transposed at
+    the end. Kept as the reference for bfs_distance_matrix.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    order = np.argsort(indices, kind="stable")
+    targets = indices[order]
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=in_ptr[1:])
+    max_deg = int(np.diff(in_ptr).max()) if n else 0
+    in_adj = np.repeat(np.arange(n, dtype=np.int64)[:, None], max_deg, axis=1)
+    in_adj[targets, np.arange(targets.size) - in_ptr[targets]] = heads[order]
+    dist = np.full((n, n), 255, dtype=np.uint8)
+    np.fill_diagonal(dist, 0)
+    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    unseen = ~frontier
+    level = 0
+    while True:
+        level += 1
+        reached = np.zeros_like(frontier)
+        for k in range(max_deg):
+            reached |= frontier[in_adj[:, k]]
+        reached &= unseen
+        if not reached.any():
+            break
+        unseen ^= reached
+        new = np.unpackbits(reached, axis=1, count=n).view(bool)
+        dist[new] = level
+        frontier = reached
+    return np.ascontiguousarray(dist.T)
 
 
 def csr(n, edges):
@@ -152,6 +191,48 @@ class TestEditDistanceMatrix:
         with pytest.raises(ValueError, match="254"):
             kernels.edit_distance_matrix(padded, np.array([300, 0]))
 
+    def test_symbols_beyond_uint8_codes(self):
+        # 400 distinct symbols, negative ones and ones >= 2**40 among them,
+        # so the dense codes need uint16; pads take a value of their own.
+        rng = np.random.default_rng(5)
+        pool = np.concatenate([np.arange(-150, 150),
+                               2**40 + np.arange(100) * 2**20])
+        n, width = 80, 9
+        lengths = rng.integers(0, width + 1, size=n)
+        lengths[:40] = width
+        padded = np.full((n, width), -7, dtype=np.int64)
+        # The first 40 rows share no symbol; the rest draw with repeats.
+        padded[:40] = rng.permutation(pool)[: 40 * width].reshape(40, width)
+        for i in range(40, n):
+            padded[i, : lengths[i]] = rng.choice(pool, size=lengths[i])
+        # Two rows whose symbols all have low byte 0: a uint8 cast of the
+        # raw values would make them equal.
+        padded[1, :4], lengths[1] = [0, 256, 2**40, -256], 4
+        padded[2, :4], lengths[2] = [256, 0, -256, 2**40 + 2**20], 4
+        assert np.unique(padded).size > 256
+        mat = kernels.edit_distance_matrix(padded, lengths)
+        rows = [list(padded[i, : lengths[i]]) for i in range(n)]
+        want = [[ref_edit_distance(a, b) for b in rows] for a in rows]
+        assert np.array_equal(mat, np.array(want))
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([2], "one length per row"),
+        ([2, 1, 0], "one length per row"),
+        ([[2, 1]], "one length per row"),
+        ([-1, 2], r"lengths in \[0, 3\], got -1\.\.2"),
+        ([5, 2], r"lengths in \[0, 3\], got 2\.\.5"),
+        ([2, 4], r"lengths in \[0, 3\], got 2\.\.4"),
+    ])
+    def test_bad_lengths_rejected(self, lengths, match):
+        padded = np.array([[0, 1, 2], [1, 2, -1]])
+        with pytest.raises(ValueError, match=match):
+            kernels.edit_distance_matrix(padded, lengths)
+
+    def test_empty_table(self):
+        mat = kernels.edit_distance_matrix(np.zeros((0, 3), dtype=np.int64),
+                                           [])
+        assert mat.dtype == np.uint8 and mat.shape == (0, 0)
+
 
 class TestBfsOracle:
     def test_oracle_equals_dp_on_small_universe(self):
@@ -214,6 +295,42 @@ class TestBfsOracle:
         d = kernels.bfs_distance_matrix(indptr, indices, n)
         assert d[0, n - 1] == 254 and d[n - 1, 0] == 255
 
+    @pytest.mark.parametrize("n", [1, 8, 13, 40, 97])
+    def test_matches_in_adjacency_form(self, n):
+        # Random directed graphs; some nodes lose every out-edge (sinks) and
+        # some lose every edge (isolated).
+        rng = np.random.default_rng(100 + n)
+        for p in (0.03, 0.1, 0.3):
+            adj = rng.random((n, n)) < p
+            np.fill_diagonal(adj, False)
+            adj[rng.random(n) < 0.2] = False
+            isolated = rng.random(n) < 0.1
+            adj[isolated] = False
+            adj[:, isolated] = False
+            indptr, indices = csr(n, zip(*np.nonzero(adj)))
+            got = kernels.bfs_distance_matrix(indptr, indices, n)
+            assert np.array_equal(
+                got, in_adjacency_bfs_matrix(indptr, indices, n))
+
+    @pytest.mark.parametrize("indptr, indices, n, match", [
+        ([0, 1], [1], 2, "indptr of length n_nodes"),
+        ([0, 1, 1, 1], [1], 2, "indptr of length n_nodes"),
+        ([[0, 1, 1]], [1], 2, "indptr of length n_nodes"),
+        ([0, 1, 1], [1], -1, "indptr of length n_nodes"),
+        ([0, 2, 1], [1, 0], 2, "non-decreasing"),
+        ([0, 1, 1], [1, 0], 2, "non-decreasing"),
+        ([0, 1, 3], [1, 0], 2, "non-decreasing"),
+        ([1, 1, 2], [1, 0], 2, "non-decreasing"),
+    ])
+    def test_malformed_indptr_rejected(self, indptr, indices, n, match):
+        with pytest.raises(ValueError, match=match):
+            kernels.bfs_distance_matrix(indptr, indices, n)
+
+    @pytest.mark.parametrize("indices", [[1, 2], [-1, 0]])
+    def test_node_id_out_of_range_rejected(self, indices):
+        with pytest.raises(ValueError, match=r"node ids in \[0, 2\)"):
+            kernels.bfs_distance_matrix([0, 1, 2], indices, 2)
+
     def test_path_too_long_for_uint8_rejected(self):
         n = 300
         edges = [(u, u + 1) for u in range(n - 1)]
@@ -221,6 +338,23 @@ class TestBfsOracle:
         indptr, indices = csr(n, edges)
         with pytest.raises(ValueError, match="254"):
             kernels.bfs_distance_matrix(indptr, indices, n)
+
+
+class TestCheck7Matrices:
+    # Both matrices over check 7's (4, 6) universe, recorded from the DP on
+    # raw int64 symbols and the in-adjacency BFS that these kernels replace.
+    SHA256 = "8c5729740a5925a3d59cb9a4c9410a56015a1f762319f5da2d1733d27aa896b8"
+
+    def test_dp_matrix_bytes_pinned(self):
+        padded, lengths = kernels.enumerate_strings(4, 6)
+        mat = kernels.edit_distance_matrix(padded, lengths)
+        assert mat.dtype == np.uint8 and mat.flags.c_contiguous
+        assert hashlib.sha256(mat.tobytes()).hexdigest() == self.SHA256
+
+    def test_bfs_matrix_bytes_pinned(self):
+        mat = kernels.bfs_distance_matrix(*kernels.edit_move_graph(4, 6))
+        assert mat.dtype == np.uint8 and mat.flags.c_contiguous
+        assert hashlib.sha256(mat.tobytes()).hexdigest() == self.SHA256
 
 
 class TestUniverse:
