@@ -8,7 +8,6 @@ from .notation import (  # noqa: F401
     AccentPhrase,
     Mora,
     PhonemeAnnotation,
-    PitchPattern,
     derive_pitch,
     normalize_kana,
     parse_annotation,

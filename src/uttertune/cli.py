@@ -192,7 +192,7 @@ def _check_pairing(model: ToyLM, adapter) -> None:
             f"adapter was built for a {spec.n_layers}-layer width-{spec.width} "
             f"model, got {model.config.layers} layers at width {model.config.width}"
         )
-    if spec.fingerprint and spec.fingerprint != model.fingerprint():
+    if spec.fingerprint != model.fingerprint():
         raise ShapeMismatch(
             f"adapter base fingerprint {spec.fingerprint} does not match "
             f"model fingerprint {model.fingerprint()}"

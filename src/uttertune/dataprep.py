@@ -109,7 +109,7 @@ def render_oracle(annotation) -> tuple[SpeechTokenCode, ...]:
         annotation = parse_annotation(annotation)
     if not isinstance(annotation, PhonemeAnnotation):
         raise TypeError("annotation must be a string or PhonemeAnnotation")
-    pitch = derive_pitch(annotation).levels
+    pitch = derive_pitch(annotation)
     codes = []
     for mora, level in zip(annotation.morae(), pitch):
         if mora.surface not in MORA_TO_ID:

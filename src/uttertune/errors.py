@@ -68,10 +68,6 @@ class UncoveredSymbol(UtterTuneError):
     """A character has no atomic token in the vocabulary."""
 
 
-class TagLiteralInPlainText(UtterTuneError):
-    """A reserved tag literal appeared as ordinary text."""
-
-
 class UnknownTokenId(UtterTuneError):
     """Token id is outside every vocabulary range."""
 

@@ -92,11 +92,15 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
 
     padded is (n, width) int8/int64 with rows padded past their length;
     lengths is (n,). Returns a (n, n) uint8 matrix (distances <= max
-    length). Raises ValueError if lengths does not hold one value in
-    [0, width] per row, or if a string is longer than MAX_MATRIX_LEN.
+    length). Raises ValueError if padded is not 2-D, if lengths does not
+    hold one value in [0, width] per row, or if a string is longer than
+    MAX_MATRIX_LEN.
     """
     padded = np.asarray(padded, dtype=np.int64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    if padded.ndim != 2:
+        raise ValueError(f"edit_distance_matrix needs a (n, width) table, "
+                         f"got shape {padded.shape}")
     n_str, width = padded.shape
     if lengths.shape != (n_str,):
         raise ValueError(f"edit_distance_matrix needs one length per row: "

@@ -209,7 +209,7 @@ def load_adapter(path) -> LoraAdapter:
             n_layers=int(meta["base_layers"]),
             width=int(meta["base_width"]),
             base_param_count=int(meta["base_params"]),
-            fingerprint=meta.get("base_fingerprint", ""),
+            fingerprint=meta["base_fingerprint"],
         )
         rank = int(meta["rank"])
         alpha = float(meta["alpha"])

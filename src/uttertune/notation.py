@@ -12,7 +12,7 @@ L; a nucleus on mora n > 1 gives L, H up to mora n, then L after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DanglingSmallKana,
@@ -107,18 +107,6 @@ class PhonemeAnnotation:
 
     def surface(self) -> str:
         return "".join(p.surface() for p in self.phrases)
-
-
-@dataclass(frozen=True)
-class PitchPattern:
-    """Binary pitch level per mora, concatenated across phrases."""
-
-    levels: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        for lv in self.levels:
-            if lv not in (HIGH, LOW):
-                raise ValueError(f"pitch level must be H or L, got {lv!r}")
 
 
 def segment_morae(katakana: str, offset: int = 0) -> list[Mora]:
@@ -225,12 +213,10 @@ def phrase_pitch(phrase: AccentPhrase) -> list[str]:
     return [LOW] + [HIGH] * (n - 1)
 
 
-def derive_pitch(annotation: PhonemeAnnotation) -> PitchPattern:
-    """Per-mora H/L pattern, phrases concatenated in order."""
-    levels: list[str] = []
-    for phrase in annotation.phrases:
-        levels.extend(phrase_pitch(phrase))
-    return PitchPattern(levels=tuple(levels))
+def derive_pitch(annotation: PhonemeAnnotation) -> tuple[str, ...]:
+    """Per-mora H/L levels, phrases concatenated in order."""
+    return tuple(lv for phrase in annotation.phrases
+                 for lv in phrase_pitch(phrase))
 
 
 _HIRAGANA_TO_KATAKANA = {

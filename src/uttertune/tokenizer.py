@@ -5,9 +5,12 @@ then merge products in merge order), the two tag tokens <PHON_START> and
 <PHON_END>, and finally the speech-token range used by the codec. Tags are
 atomic: they are never produced by a merge and always map to one id.
 
-Phoneme spans (text between the tags) are encoded per character with atom
-ids only, no merges, so one notation symbol is one id. Plain spans go
-through the merge table greedily.
+encode_text is the one encoder. It splits the text into plain strings and
+parsed annotations, checking the whole tag structure before any span is
+encoded, then encodes the pieces in one pass. Phoneme spans (text between
+the tags) are encoded per character with atom ids only, no merges, so one
+notation symbol is one id. Plain text goes through the merge table
+greedily.
 
 Training is string-keyed: a candidate merge whose product string already
 exists as a token (or equals a tag literal) is skipped, keeping the
@@ -23,14 +26,13 @@ from .errors import (
     CorruptFile,
     InvalidAnnotation,
     NestedTags,
-    TagLiteralInPlainText,
     UnbalancedTags,
     UncoveredSymbol,
     UnknownTokenId,
     UtterTuneError,
     VocabTooSmall,
 )
-from .notation import PhonemeAnnotation, parse_annotation, render_annotation
+from .notation import parse_annotation, render_annotation
 from .tensorio import load_table, save_table
 
 PHON_START = "<PHON_START>"
@@ -38,38 +40,6 @@ PHON_END = "<PHON_END>"
 
 _VOCAB_MAGIC = "uttertune-vocab v2"
 _VOCAB_KEYS = ("seed", "speech_tokens", "atoms", "merges")
-
-
-@dataclass(frozen=True)
-class PlainSpan:
-    text: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("plain span must be non-empty")
-
-    def surface(self) -> str:
-        return self.text
-
-
-@dataclass(frozen=True)
-class PhonemeSpan:
-    annotation: PhonemeAnnotation
-
-    def surface(self) -> str:
-        return PHON_START + render_annotation(self.annotation) + PHON_END
-
-
-@dataclass(frozen=True)
-class TaggedText:
-    spans: tuple
-
-    def __post_init__(self):
-        if not self.spans:
-            raise ValueError("tagged text must contain at least one span")
-
-    def surface(self) -> str:
-        return "".join(s.surface() for s in self.spans)
 
 
 @dataclass
@@ -81,7 +51,6 @@ class Vocabulary:
     speech_token_count: int
     seed: int = 0
 
-    atom_to_id: dict = field(init=False, repr=False, compare=False)
     merge_ranks: dict = field(init=False, repr=False, compare=False)
     token_strings: list = field(init=False, repr=False, compare=False)
     string_to_id: dict = field(init=False, repr=False, compare=False)
@@ -91,13 +60,15 @@ class Vocabulary:
             raise CorruptFile(f"speech token count {self.speech_token_count} < 1")
         if any(len(a) != 1 for a in self.atoms):
             raise CorruptFile("every atom must be one character")
-        self.atom_to_id = {a: i for i, a in enumerate(self.atoms)}
-        if len(self.atom_to_id) != len(self.atoms):
-            raise CorruptFile("duplicate atoms in vocabulary")
-        self.merge_ranks = {pair: r for r, pair in enumerate(self.merges)}
         strings = list(self.atoms)
         seen = set(strings)
+        if len(seen) != len(strings):
+            raise CorruptFile("duplicate atoms in vocabulary")
+        self.merge_ranks = {pair: r for r, pair in enumerate(self.merges)}
         for left, right in self.merges:
+            if left not in seen or right not in seen:
+                raise CorruptFile(f"merge {left!r} + {right!r} joins a "
+                                  f"string that is no earlier token")
             product = left + right
             if product in seen:
                 raise CorruptFile(f"duplicate token string {product!r}")
@@ -215,32 +186,32 @@ def _merge_once(seq: list[str], pair: tuple[str, str], product: str) -> list[str
     return out
 
 
-def parse_tagged(text: str) -> TaggedText:
-    """Split tag-bearing text into plain and phoneme spans.
+def encode_text(text: str, vocab: Vocabulary) -> list[int]:
+    """Token ids for tag-bearing text.
 
-    Tags must be balanced and non-nested; the text between a tag pair must
-    parse as an annotation (errors come back as InvalidAnnotation carrying
-    the span's position in the original text).
+    Plain text uses the merge table; a phoneme span becomes the start tag
+    id, one atom id per rendered character, then the end tag id. Tags must
+    be balanced and non-nested, and the text between a tag pair must parse
+    as an annotation (errors come back as InvalidAnnotation carrying the
+    span's position in the original text); all of that is checked before
+    any piece is encoded.
     """
-    spans: list = []
+    if not text:
+        raise UnbalancedTags("empty input has no spans")
+    pieces: list = []  # plain strings and parsed annotations, in order
     pos = 0
-    n = len(text)
-    while pos < n:
+    while pos < len(text):
         start = text.find(PHON_START, pos)
         stray_end = text.find(PHON_END, pos)
-        if start == -1:
-            if stray_end != -1:
-                raise UnbalancedTags(
-                    f"{PHON_END} at position {stray_end} has no opening tag"
-                )
-            spans.append(PlainSpan(text[pos:]))
-            break
-        if stray_end != -1 and stray_end < start:
+        if stray_end != -1 and (start == -1 or stray_end < start):
             raise UnbalancedTags(
                 f"{PHON_END} at position {stray_end} has no opening tag"
             )
+        if start == -1:
+            pieces.append(text[pos:])
+            break
         if start > pos:
-            spans.append(PlainSpan(text[pos:start]))
+            pieces.append(text[pos:start])
         body_at = start + len(PHON_START)
         end = text.find(PHON_END, body_at)
         if end == -1:
@@ -251,24 +222,33 @@ def parse_tagged(text: str) -> TaggedText:
                 f"{PHON_START} reopened inside the span at position {start}"
             )
         try:
-            annotation = parse_annotation(body)
+            pieces.append(parse_annotation(body))
         except UtterTuneError as exc:
             raise InvalidAnnotation(body_at, exc) from exc
-        spans.append(PhonemeSpan(annotation))
         pos = end + len(PHON_END)
-    if not spans:
-        raise UnbalancedTags("empty input has no spans")
-    return TaggedText(spans=tuple(spans))
+
+    ids: list[int] = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            ids.extend(_encode_plain(piece, vocab))
+            continue
+        ids.append(vocab.phon_start_id)
+        for ch in render_annotation(piece):
+            atom = vocab.string_to_id.get(ch)
+            if atom is None:
+                raise UncoveredSymbol(
+                    f"annotation character {ch!r} not covered by vocabulary"
+                )
+            ids.append(atom)
+        ids.append(vocab.phon_end_id)
+    return ids
 
 
 def _encode_plain(text: str, vocab: Vocabulary) -> list[int]:
-    for tag in (PHON_START, PHON_END):
-        if tag in text:
-            raise TagLiteralInPlainText(
-                f"literal {tag} inside plain text is reserved"
-            )
+    # Merge products are two characters or more, so one character is a
+    # token exactly when it is an atom.
     for ch in text:
-        if ch not in vocab.atom_to_id:
+        if ch not in vocab.string_to_id:
             raise UncoveredSymbol(f"character {ch!r} not covered by vocabulary")
     symbols = list(text)
     ranks = vocab.merge_ranks
@@ -284,34 +264,6 @@ def _encode_plain(text: str, vocab: Vocabulary) -> list[int]:
             break
         symbols = _merge_once(symbols, best_pair, best_pair[0] + best_pair[1])
     return [vocab.string_to_id[sym] for sym in symbols]
-
-
-def encode(tagged: TaggedText, vocab: Vocabulary) -> list[int]:
-    """Token ids for tagged text.
-
-    Plain spans use the merge table; phoneme spans become the start tag
-    id, one atom id per rendered character, then the end tag id.
-    """
-    ids: list[int] = []
-    for span in tagged.spans:
-        if isinstance(span, PlainSpan):
-            ids.extend(_encode_plain(span.text, vocab))
-        else:
-            ids.append(vocab.phon_start_id)
-            for ch in render_annotation(span.annotation):
-                atom = vocab.atom_to_id.get(ch)
-                if atom is None:
-                    raise UncoveredSymbol(
-                        f"annotation character {ch!r} not covered by vocabulary"
-                    )
-                ids.append(atom)
-            ids.append(vocab.phon_end_id)
-    return ids
-
-
-def encode_text(text: str, vocab: Vocabulary) -> list[int]:
-    """Convenience: parse_tagged then encode."""
-    return encode(parse_tagged(text), vocab)
 
 
 def decode(ids, vocab: Vocabulary) -> str:

@@ -29,7 +29,7 @@ from uttertune.manifest import (
 )
 from uttertune.model import ToyLM
 from uttertune.tensorio import load_tensors, save_tensors
-from uttertune.tokenizer import load_vocab, save_vocab
+from uttertune.tokenizer import PHON_END, PHON_START, load_vocab, save_vocab
 
 # -- notation subcommands ---------------------------------------------------
 
@@ -747,6 +747,56 @@ def test_container_without_its_fields_is_one_line_data_error(pipeline,
         assert len(err.splitlines()) == 1
         assert "missing" in err
 
+
+
+@pytest.mark.parametrize("command", ["generate", "eval", "adapter merge"])
+@pytest.mark.parametrize("fingerprint, error", [
+    pytest.param(None, "CorruptFile", id="missing"),
+    pytest.param("", "ShapeMismatch", id="empty"),
+])
+def test_adapter_without_base_fingerprint_is_one_line_data_error(
+        pipeline, tmp_path, capsys, command, fingerprint, error):
+    """Without the base fingerprint an adapter would pair with any model of
+    its shape, so the field is required and always compared."""
+    tensors, meta = load_tensors(pipeline["adapter"])
+    del meta["base_fingerprint"]
+    if fingerprint is not None:
+        meta["base_fingerprint"] = fingerprint
+    adapter = tmp_path / "adapter.ut"
+    save_tensors(adapter, tensors, meta)
+    out = tmp_path / "o"
+    if command == "adapter merge":
+        argv = ["adapter", "merge", "--model", pipeline["model"],
+                "--adapter", str(adapter), "--out", str(out)]
+    else:
+        argv = _model_argv(command, pipeline, out, adapter=adapter)
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"{error}: ") and "fingerprint" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param(f"駅{PHON_START}エ'キ", "UnbalancedTags", id="unclosed-tag"),
+    pytest.param(f"駅{PHON_START}eki{PHON_END}", "InvalidAnnotation",
+                 id="unparsable-span"),
+    pytest.param("駅\u2603", "UncoveredSymbol", id="uncovered-character"),
+    pytest.param("", "UnbalancedTags", id="empty"),
+])
+def test_generate_rejects_malformed_tagged_text(pipeline, tmp_path, capsys,
+                                                text, error):
+    out = tmp_path / "g"
+    assert main(["generate", "--model", pipeline["model"],
+                 "--vocab", pipeline["vocab"],
+                 "--adapter", pipeline["adapter"],
+                 "--text", text, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"{error}: "), err
+    assert not out.exists()
 
 _MAX_NEW_CASES = [("flag", "-5", 1), ("flag", "0", 1), ("config", "-5", 2),
                   ("config", "0", 2)]

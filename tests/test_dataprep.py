@@ -174,7 +174,7 @@ def test_oracle_matches_pitch_and_morae(phrase_specs):
     codes = render_oracle(render_annotation(ann))
     assert len(codes) == ann.mora_count()
     assert codes_to_kana(codes) == ann.surface()
-    assert codes_to_pitch(codes) == "".join(derive_pitch(ann).levels)
+    assert codes_to_pitch(codes) == "".join(derive_pitch(ann))
 
 
 # -- lexicon --------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_lexicon_contrast_types(lexicon):
     # not merely on a following particle.
     for entry in same_kana:
         pitches = {
-            "".join(derive_pitch(r.annotation).levels) for r in entry.readings
+            "".join(derive_pitch(r.annotation)) for r in entry.readings
         }
         assert len(pitches) == 2
 
@@ -557,7 +557,7 @@ def test_eval_target_span_matches_oracle(eval_sets):
             + item.target_mora_count
         ]
         assert span == render_oracle(ann)
-        assert item.target_pitch() == "".join(derive_pitch(ann).levels)
+        assert item.target_pitch() == "".join(derive_pitch(ann))
         assert item.reference_kana().count(ann.surface()) >= 1
 
 

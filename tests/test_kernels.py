@@ -1,6 +1,7 @@
 """Edit-distance kernels and the BFS edit-move oracle."""
 
 import hashlib
+import re
 from collections import deque
 
 import numpy as np
@@ -227,6 +228,13 @@ class TestEditDistanceMatrix:
         padded = np.array([[0, 1, 2], [1, 2, -1]])
         with pytest.raises(ValueError, match=match):
             kernels.edit_distance_matrix(padded, lengths)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_table_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edit_distance_matrix needs a (n, width) table, "
+                f"got shape {shape}")):
+            kernels.edit_distance_matrix(np.zeros(shape), [0, 0])
 
     def test_empty_table(self):
         mat = kernels.edit_distance_matrix(np.zeros((0, 3), dtype=np.int64),

@@ -154,11 +154,11 @@ class TestRenderAnnotation:
 class TestDerivePitch:
     def test_initial_nucleus(self):
         ann = parse_annotation("チ'ミ")
-        assert list(derive_pitch(ann).levels) == ["H", "L"]
+        assert list(derive_pitch(ann)) == ["H", "L"]
 
     def test_unaccented_phrase(self):
         ann = parse_annotation("モーリョー")
-        assert list(derive_pitch(ann).levels) == ["L", "H", "H", "H"]
+        assert list(derive_pitch(ann)) == ["L", "H", "H", "H"]
 
     def test_medial_nucleus(self):
         phrase = AccentPhrase(
@@ -168,19 +168,19 @@ class TestDerivePitch:
 
     def test_final_nucleus(self):
         ann = parse_annotation("ハシ'")
-        assert list(derive_pitch(ann).levels) == ["L", "H"]
+        assert list(derive_pitch(ann)) == ["L", "H"]
 
     def test_single_mora_unaccented_is_low(self):
         ann = parse_annotation("ハ")
-        assert list(derive_pitch(ann).levels) == ["L"]
+        assert list(derive_pitch(ann)) == ["L"]
 
     def test_single_mora_accented_is_high(self):
         ann = parse_annotation("ハ'")
-        assert list(derive_pitch(ann).levels) == ["H"]
+        assert list(derive_pitch(ann)) == ["H"]
 
     def test_phrases_concatenate(self):
         ann = parse_annotation("チ'ミ/モーリョー")
-        assert list(derive_pitch(ann).levels) == ["H", "L", "L", "H", "H", "H"]
+        assert list(derive_pitch(ann)) == ["H", "L", "L", "H", "H", "H"]
 
 
 class TestNormalizeKana:
@@ -273,7 +273,7 @@ def test_segmentation_matches_phrase_morae(ann):
 @given(annotations())
 @settings(max_examples=200)
 def test_pitch_length_equals_mora_count(ann):
-    assert len(derive_pitch(ann).levels) == ann.mora_count()
+    assert len(derive_pitch(ann)) == ann.mora_count()
 
 
 @given(accent_phrases())

@@ -1,39 +1,46 @@
 """BPE training, tag parsing, atomic phoneme-span encoding, vocab io."""
 
+import hashlib
 import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ADAPTER_CORPUS_CFG, DESK_CFG
+from uttertune.dataprep import (
+    build_corpus,
+    build_eval_sets,
+    build_lexicon,
+    vocab_training_text,
+)
 from uttertune.errors import (
     CorruptFile,
     InvalidAnnotation,
     NestedTags,
-    TagLiteralInPlainText,
     UnbalancedTags,
     UncoveredSymbol,
     UnknownTokenId,
+    UtterTuneError,
     VocabTooSmall,
 )
+from uttertune.manifest import parse_config_file
 from uttertune.notation import (
     BASE_KANA,
     SMALL_KANA,
     STANDALONE_KANA,
+    PhonemeAnnotation,
     parse_annotation,
+    render_annotation,
 )
 from uttertune.tokenizer import (
     PHON_END,
     PHON_START,
-    PhonemeSpan,
-    PlainSpan,
-    TaggedText,
     Vocabulary,
     decode,
-    encode,
     encode_text,
     load_vocab,
-    parse_tagged,
     save_vocab,
     train_bpe,
 )
@@ -48,6 +55,14 @@ def wide_vocab():
     return train_bpe(corpus, target_vocab_size=len(set(corpus[0])), seed=0)
 
 
+@pytest.fixture(scope="module")
+def merge_vocab():
+    """Vocabulary with merges between kana and marks, over the same
+    alphabet as wide_vocab."""
+    corpus = [ALL_KANA + "'/" + "abcXY ", "アメアメ'/カミカミ'ハシハシ/アメ'カミ"]
+    return train_bpe(corpus, target_vocab_size=len(set(corpus[0])) + 12)
+
+
 class TestTrainBpe:
     def test_first_merge_is_most_frequent_pair(self):
         vocab = train_bpe(["aaab", "aaab"], target_vocab_size=4, seed=0)
@@ -57,7 +72,7 @@ class TestTrainBpe:
     def test_zero_merges_at_atom_count(self):
         vocab = train_bpe(["aaab", "aaab"], target_vocab_size=2, seed=0)
         assert vocab.merges == ()
-        assert encode(TaggedText((PlainSpan("aaab"),)), vocab) == [0, 0, 0, 1]
+        assert encode_text("aaab", vocab) == [0, 0, 0, 1]
 
     def test_deterministic(self):
         a = train_bpe(["アメアメ", "カミ"], target_vocab_size=8, seed=1)
@@ -100,48 +115,68 @@ class TestTrainBpe:
         assert vocab.total_size == vocab.speech_token_offset + vocab.speech_token_count
 
 
+def _atom_ids(text, vocab):
+    return [vocab.string_to_id[ch] for ch in text]
+
+
 class TestParseTagged:
-    def test_plain_phoneme_plain(self):
-        t = parse_tagged(f"X{PHON_START}チ'ミ/モーリョー{PHON_END}Y")
-        assert len(t.spans) == 3
-        assert isinstance(t.spans[0], PlainSpan) and t.spans[0].text == "X"
-        assert isinstance(t.spans[1], PhonemeSpan)
-        assert t.spans[1].annotation == parse_annotation("チ'ミ/モーリョー")
-        assert isinstance(t.spans[2], PlainSpan) and t.spans[2].text == "Y"
+    def test_plain_phoneme_plain(self, wide_vocab):
+        ids = encode_text(f"X{PHON_START}チ'ミ/モーリョー{PHON_END}Y", wide_vocab)
+        assert ids == (_atom_ids("X", wide_vocab) + [wide_vocab.phon_start_id]
+                       + _atom_ids("チ'ミ/モーリョー", wide_vocab)
+                       + [wide_vocab.phon_end_id] + _atom_ids("Y", wide_vocab))
 
     def test_no_tags(self):
-        t = parse_tagged("no tags")
-        assert t.spans == (PlainSpan("no tags"),)
+        vocab = train_bpe(["no tags"], target_vocab_size=7, seed=0)
+        assert encode_text("no tags", vocab) == _atom_ids("no tags", vocab)
 
-    def test_unclosed_start(self):
+    def test_unclosed_start(self, wide_vocab):
+        with pytest.raises(UnbalancedTags, match="position 0 is never closed"):
+            encode_text(f"{PHON_START}ア", wide_vocab)
+
+    def test_stray_end(self, wide_vocab):
+        with pytest.raises(UnbalancedTags, match="position 1 has no opening"):
+            encode_text(f"ア{PHON_END}", wide_vocab)
+
+    def test_end_after_balanced_span(self, wide_vocab):
         with pytest.raises(UnbalancedTags):
-            parse_tagged(f"{PHON_START}ア")
+            encode_text(f"{PHON_START}ア{PHON_END}{PHON_END}", wide_vocab)
 
-    def test_stray_end(self):
-        with pytest.raises(UnbalancedTags):
-            parse_tagged(f"ア{PHON_END}")
-
-    def test_end_after_balanced_span(self):
-        with pytest.raises(UnbalancedTags):
-            parse_tagged(f"{PHON_START}ア{PHON_END}{PHON_END}")
-
-    def test_nested_start(self):
+    def test_nested_start(self, wide_vocab):
         with pytest.raises(NestedTags):
-            parse_tagged(f"{PHON_START}ア{PHON_START}イ{PHON_END}{PHON_END}")
+            encode_text(f"{PHON_START}ア{PHON_START}イ{PHON_END}{PHON_END}",
+                        wide_vocab)
 
-    def test_bad_annotation_wrapped(self):
+    def test_bad_annotation_wrapped(self, wide_vocab):
         with pytest.raises(InvalidAnnotation) as exc:
-            parse_tagged(f"X{PHON_START}ka{PHON_END}")
+            encode_text(f"X{PHON_START}ka{PHON_END}", wide_vocab)
         assert exc.value.position == 1 + len(PHON_START)
 
-    def test_empty_span_wrapped(self):
+    def test_empty_span_wrapped(self, wide_vocab):
         with pytest.raises(InvalidAnnotation):
-            parse_tagged(f"{PHON_START}{PHON_END}")
+            encode_text(f"{PHON_START}{PHON_END}", wide_vocab)
 
-    def test_adjacent_spans(self):
-        t = parse_tagged(f"{PHON_START}ア{PHON_END}{PHON_START}イ{PHON_END}")
-        assert len(t.spans) == 2
-        assert all(isinstance(s, PhonemeSpan) for s in t.spans)
+    def test_adjacent_spans(self, wide_vocab):
+        ids = encode_text(f"{PHON_START}ア{PHON_END}{PHON_START}イ{PHON_END}",
+                          wide_vocab)
+        start, end = wide_vocab.phon_start_id, wide_vocab.phon_end_id
+        assert ids == [start, *_atom_ids("ア", wide_vocab), end,
+                       start, *_atom_ids("イ", wide_vocab), end]
+
+    def test_empty_text(self, wide_vocab):
+        with pytest.raises(UnbalancedTags, match="empty input has no spans"):
+            encode_text("", wide_vocab)
+
+    @pytest.mark.parametrize("text, error", [
+        (f"Z{PHON_START}ア", UnbalancedTags),
+        (f"Z{PHON_START}ka{PHON_END}", InvalidAnnotation),
+        (f"Z{PHON_START}ア{PHON_START}イ{PHON_END}", NestedTags),
+    ])
+    def test_structure_checked_before_any_span_is_encoded(self, wide_vocab,
+                                                          text, error):
+        """Z is uncovered, but the tag structure after it is reported."""
+        with pytest.raises(error):
+            encode_text(text, wide_vocab)
 
 
 class TestEncodeDecode:
@@ -153,33 +188,26 @@ class TestEncodeDecode:
     def test_phoneme_span_is_atomic_per_character(self):
         vocab = train_bpe(["チ'チ'チ'ミ"], target_vocab_size=4, seed=0)
         assert vocab.merges == (("チ", "'"),)
-        t = TaggedText((PhonemeSpan(parse_annotation("チ'ミ")),))
-        ids = encode(t, vocab)
-        apo = vocab.atom_to_id["'"]
-        chi = vocab.atom_to_id["チ"]
-        mi = vocab.atom_to_id["ミ"]
+        ids = encode_text(f"{PHON_START}チ'ミ{PHON_END}", vocab)
+        apo = vocab.string_to_id["'"]
+        chi = vocab.string_to_id["チ"]
+        mi = vocab.string_to_id["ミ"]
         assert ids == [vocab.phon_start_id, chi, apo, mi, vocab.phon_end_id]
 
     def test_plain_span_uses_merges(self):
         vocab = train_bpe(["チ'チ'チ'ミ"], target_vocab_size=4, seed=0)
-        ids = encode(TaggedText((PlainSpan("チ'ミ"),)), vocab)
+        ids = encode_text("チ'ミ", vocab)
         merged_id = vocab.string_to_id["チ'"]
-        assert ids == [merged_id, vocab.atom_to_id["ミ"]]
-
-    def test_tag_literal_in_plain_text_rejected(self, wide_vocab):
-        t = TaggedText((PlainSpan(f"a{PHON_START}b"),))
-        with pytest.raises(TagLiteralInPlainText):
-            encode(t, wide_vocab)
+        assert ids == [merged_id, vocab.string_to_id["ミ"]]
 
     def test_uncovered_symbol_plain(self, wide_vocab):
         with pytest.raises(UncoveredSymbol):
-            encode(TaggedText((PlainSpan("Z"),)), wide_vocab)
+            encode_text("Z", wide_vocab)
 
     def test_uncovered_symbol_in_annotation(self):
         vocab = train_bpe(["ab"], target_vocab_size=2, seed=0)
-        t = TaggedText((PhonemeSpan(parse_annotation("ア")),))
         with pytest.raises(UncoveredSymbol):
-            encode(t, vocab)
+            encode_text(f"{PHON_START}ア{PHON_END}", vocab)
 
     def test_decode_rejects_speech_ids(self, wide_vocab):
         with pytest.raises(UnknownTokenId):
@@ -190,10 +218,6 @@ class TestEncodeDecode:
             decode([wide_vocab.total_size], wide_vocab)
         with pytest.raises(UnknownTokenId):
             decode([-1], wide_vocab)
-
-    def test_empty_plain_span_rejected(self):
-        with pytest.raises(ValueError):
-            PlainSpan("")
 
 
 class TestVocabIo:
@@ -260,6 +284,12 @@ class TestVocabIo:
         with pytest.raises(CorruptFile):
             Vocabulary(atoms=("ア", "メカ"), merges=(), speech_token_count=1)
 
+    @pytest.mark.parametrize("merge", [("", "Z"), ("ア", "カ"), ("メア", "ア")])
+    def test_merge_joins_earlier_tokens_only(self, merge):
+        with pytest.raises(CorruptFile, match="no earlier token"):
+            Vocabulary(atoms=("ア", "メ"), merges=(merge,),
+                       speech_token_count=1)
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "vocab.txt"
         save_vocab(train_bpe(["アメカミ"], 6, seed=0), p)
@@ -285,25 +315,208 @@ plain_text = st.text(
 
 
 @st.composite
-def tagged_texts(draw):
+def tagged_spans(draw):
+    """Canonical tag-bearing text as its pieces: plain strings, never two
+    in a row, and tagged rendered annotations."""
     spans = []
     if draw(st.booleans()):
-        spans.append(PlainSpan(draw(plain_text)))
+        spans.append(draw(plain_text))
     for _ in range(draw(st.integers(1, 3))):
-        spans.append(PhonemeSpan(draw(annotations())))
+        rendered = render_annotation(draw(annotations()))
+        spans.append(PHON_START + rendered + PHON_END)
         if draw(st.booleans()):
-            spans.append(PlainSpan(draw(plain_text)))
-    return TaggedText(tuple(spans))
+            spans.append(draw(plain_text))
+    return spans
 
 
-@given(tagged_texts())
+@given(tagged_spans())
 @settings(max_examples=150, deadline=None)
-def test_encode_decode_round_trip(wide_vocab, t):
-    ids = encode(t, wide_vocab)
-    assert decode(ids, wide_vocab) == t.surface()
+def test_encode_decode_round_trip(wide_vocab, spans):
+    text = "".join(spans)
+    assert decode(encode_text(text, wide_vocab), wide_vocab) == text
 
 
-@given(tagged_texts())
+@given(tagged_spans())
 @settings(max_examples=100, deadline=None)
-def test_surface_reparses_to_same_value(wide_vocab, t):
-    assert parse_tagged(t.surface()) == t
+def test_surface_reparses_to_same_value(merge_vocab, spans):
+    """The text splits back into the spans it was built from: its ids are
+    those of each span encoded alone, so no merge crosses a tag."""
+    ids = [i for span in spans for i in encode_text(span, merge_vocab)]
+    assert encode_text("".join(spans), merge_vocab) == ids
+
+
+# -- equivalence with the span-tree encoder -------------------------------
+#
+# encode_text once built a tree of plain and phoneme spans and encoded it in
+# a second walk. That encoder is kept here as the reference: the one-pass
+# encoder must give the same ids, or raise the same type with the same
+# message, on any text.
+
+
+@dataclass(frozen=True)
+class _PlainSpan:
+    text: str
+
+
+@dataclass(frozen=True)
+class _PhonemeSpan:
+    annotation: PhonemeAnnotation
+
+
+def _reference_parse_tagged(text: str) -> tuple:
+    spans: list = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        start = text.find(PHON_START, pos)
+        stray_end = text.find(PHON_END, pos)
+        if start == -1:
+            if stray_end != -1:
+                raise UnbalancedTags(
+                    f"{PHON_END} at position {stray_end} has no opening tag"
+                )
+            spans.append(_PlainSpan(text[pos:]))
+            break
+        if stray_end != -1 and stray_end < start:
+            raise UnbalancedTags(
+                f"{PHON_END} at position {stray_end} has no opening tag"
+            )
+        if start > pos:
+            spans.append(_PlainSpan(text[pos:start]))
+        body_at = start + len(PHON_START)
+        end = text.find(PHON_END, body_at)
+        if end == -1:
+            raise UnbalancedTags(f"{PHON_START} at position {start} is never closed")
+        body = text[body_at:end]
+        if PHON_START in body:
+            raise NestedTags(
+                f"{PHON_START} reopened inside the span at position {start}"
+            )
+        try:
+            annotation = parse_annotation(body)
+        except UtterTuneError as exc:
+            raise InvalidAnnotation(body_at, exc) from exc
+        spans.append(_PhonemeSpan(annotation))
+        pos = end + len(PHON_END)
+    if not spans:
+        raise UnbalancedTags("empty input has no spans")
+    return tuple(spans)
+
+
+def _reference_merge_once(seq, pair, product):
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and (seq[i], seq[i + 1]) == pair:
+            out.append(product)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def _reference_encode_plain(text: str, vocab: Vocabulary) -> list[int]:
+    # The span-tree encoder raised a tag-literal error here; a plain span
+    # never holds a tag, so the reference asserts that instead.
+    assert PHON_START not in text and PHON_END not in text, text
+    atom_to_id = {a: i for i, a in enumerate(vocab.atoms)}
+    for ch in text:
+        if ch not in atom_to_id:
+            raise UncoveredSymbol(f"character {ch!r} not covered by vocabulary")
+    symbols = list(text)
+    ranks = vocab.merge_ranks
+    while len(symbols) > 1:
+        best_rank = None
+        best_pair = None
+        for pair in zip(symbols, symbols[1:]):
+            r = ranks.get(pair)
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank = r
+                best_pair = pair
+        if best_pair is None:
+            break
+        symbols = _reference_merge_once(symbols, best_pair,
+                                        best_pair[0] + best_pair[1])
+    return [vocab.string_to_id[sym] for sym in symbols]
+
+
+def _reference_encode(text: str, vocab: Vocabulary) -> list[int]:
+    atom_to_id = {a: i for i, a in enumerate(vocab.atoms)}
+    ids: list[int] = []
+    for span in _reference_parse_tagged(text):
+        if isinstance(span, _PlainSpan):
+            ids.extend(_reference_encode_plain(span.text, vocab))
+        else:
+            ids.append(vocab.phon_start_id)
+            for ch in render_annotation(span.annotation):
+                atom = atom_to_id.get(ch)
+                if atom is None:
+                    raise UncoveredSymbol(
+                        f"annotation character {ch!r} not covered by vocabulary"
+                    )
+                ids.append(atom)
+            ids.append(vocab.phon_end_id)
+    return ids
+
+
+def _outcome(encoder, text, vocab):
+    try:
+        return encoder(text, vocab)
+    except UtterTuneError as exc:
+        return type(exc), str(exc)
+
+
+# Kana (merge_vocab merges some of them), both nucleus marks, the phrase
+# mark and characters no vocabulary here covers, in runs; both tag
+# literals alone; and runs or valid annotations between tags.
+_random_run = st.lists(
+    st.sampled_from([*"アメカミハシッョーン'’/Zé", "アメ", "カミ", "ハシ", "'/"]),
+    max_size=6,
+).map("".join)
+_random_piece = st.one_of(
+    _random_run,
+    st.sampled_from([PHON_START, PHON_END]),
+    _random_run.map(lambda run: PHON_START + run + PHON_END),
+    annotations().map(lambda a: PHON_START + render_annotation(a) + PHON_END),
+)
+
+
+@given(st.lists(_random_piece, max_size=8).map("".join))
+@settings(max_examples=600, deadline=None)
+def test_encode_text_matches_span_tree_encoder(wide_vocab, merge_vocab, text):
+    for vocab in (wide_vocab, merge_vocab):
+        assert _outcome(encode_text, text, vocab) == \
+            _outcome(_reference_encode, text, vocab)
+
+
+# SHA-256 of the ids of every desk text (both desk corpora, then the plain,
+# kana and tagged text of each seed-0 eval item), one line per text, under
+# the desk vocabulary (72, no merges) and a 160-token one with merges.
+# Recorded with the span-tree encoder.
+_DESK_IDS_SHA256 = {
+    72: "39bf49466ea3ab14847fb2dbc44478a17509cdaed75a2f7609b90fcbe72e956b",
+    160: "f9bddefe2f44dd47dcae9f6582b6e582eefd20c4ae1b0f98e4c3baa1ba745cc6",
+}
+
+
+def test_desk_text_ids_are_pinned():
+    lexicon = build_lexicon()
+    corpora = []
+    for path in (DESK_CFG, ADAPTER_CORPUS_CFG):
+        cfg = parse_config_file(path)
+        corpora.append(build_corpus(lexicon, cfg["sentences"],
+                                    cfg["tag_fraction"], seed=cfg["seed"],
+                                    kana_fraction=cfg["kana_fraction"]))
+    texts = [r.input_text for records in corpora for r in records]
+    for items in build_eval_sets(lexicon, seed=0):
+        for it in items:
+            texts += [it.text_plain, it.text_kana, it.text_tagged]
+    assert len(texts) == 19_224
+    for size, want in _DESK_IDS_SHA256.items():
+        vocab = train_bpe(vocab_training_text(corpora[0], lexicon), size)
+        h = hashlib.sha256()
+        for text in texts:
+            ids = encode_text(text, vocab)
+            h.update((" ".join(map(str, ids)) + "\n").encode("utf-8"))
+        assert h.hexdigest() == want, size
