@@ -264,6 +264,12 @@ class LeakageResult:
     outcomes: tuple[LeakageOutcome, ...]
 
 
+# Resamples averaged per step of bootstrap_diff_ci: two float64 gathers of
+# this many rows stay near 4 MB at the desk's 240 items, where gathering all
+# 10,000 at once took 38 MB.
+_BOOTSTRAP_CHUNK = 1024
+
+
 def bootstrap_diff_ci(
     adapted, baseline, resamples: int = 10_000, seed: int = 0,
     level: float = 0.99,
@@ -274,8 +280,14 @@ def bootstrap_diff_ci(
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("need two equal-length non-empty vectors")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, a.size, size=(resamples, a.size))
-    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
+    # The int32 draw gives the int64 draw's values (the tests check it) in
+    # half the memory, and a row's mean does not depend on its chunk.
+    idx = rng.integers(0, a.size, size=(resamples, a.size), dtype=np.int32)
+    diffs = np.empty(resamples)
+    for start in range(0, resamples, _BOOTSTRAP_CHUNK):
+        rows = idx[start : start + _BOOTSTRAP_CHUNK]
+        diffs[start : start + len(rows)] = (a[rows].mean(axis=1)
+                                            - b[rows].mean(axis=1))
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(diffs, [tail, 1.0 - tail])
     return float(lo), float(hi)

@@ -254,34 +254,38 @@ def edit_move_graph(alphabet_size: int, max_len: int):
 
     Undirected by construction (every edit has an inverse edit inside the
     universe). Returns CSR (indptr, indices) plus the node count.
+
+    A string of length L is node offset[L] + j, where j is the string read
+    as a base-k number (k = alphabet_size, first symbol most significant),
+    so each edit is arithmetic on j: with w = k**(L-1-p) the weight of
+    position p, a substitution adds (c - s[p]) * w, a deletion joins the
+    digits before p to the w-range after it, and an insertion splices c in
+    at p. Edges are deduplicated and sorted as src * n + dst.
     """
-    ids: dict[tuple, int] = {}
-    strings: list[tuple] = []
-    strings.append(())
-    ids[()] = 0
-    for L in range(1, max_len + 1):
-        for combo in itertools.product(range(alphabet_size), repeat=L):
-            ids[combo] = len(strings)
-            strings.append(combo)
-    n = len(strings)
-    neighbor_lists: list[list[int]] = [[] for _ in range(n)]
-    for u, s in enumerate(strings):
-        L = len(s)
-        nbrs = set()
+    k = alphabet_size
+    sizes = [k**L for L in range(max_len + 1)]
+    offset = np.cumsum([0] + sizes)
+    n = int(offset[-1])
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for L in range(max_len + 1):
+        j = np.arange(sizes[L], dtype=np.int64)
+        node = offset[L] + j
         for p in range(L):
-            for c in range(alphabet_size):
-                if c != s[p]:
-                    nbrs.add(ids[s[:p] + (c,) + s[p + 1 :]])
-            nbrs.add(ids[s[:p] + s[p + 1 :]])
+            w = k ** (L - 1 - p)
+            head, digit, tail = j // (w * k), j // w % k, j % w
+            for c in range(1, k):
+                src.append(node)
+                dst.append(node + ((digit + c) % k - digit) * w)
+            src.append(node)
+            dst.append(offset[L - 1] + head * w + tail)
         if L < max_len:
             for p in range(L + 1):
-                for c in range(alphabet_size):
-                    nbrs.add(ids[s[:p] + (c,) + s[p:]])
-        neighbor_lists[u] = sorted(nbrs)
+                w = k ** (L - p)
+                head, tail = j // w, j % w
+                for c in range(k):
+                    src.append(node)
+                    dst.append(offset[L + 1] + (head * k + c) * w + tail)
+    edges = np.unique(np.concatenate(src) * n + np.concatenate(dst))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for u in range(n):
-        indptr[u + 1] = indptr[u] + len(neighbor_lists[u])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for u in range(n):
-        indices[indptr[u] : indptr[u + 1]] = neighbor_lists[u]
-    return indptr, indices, n
+    np.cumsum(np.bincount(edges // n, minlength=n), out=indptr[1:])
+    return indptr, edges % n, n

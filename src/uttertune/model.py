@@ -29,10 +29,14 @@ model's job after a text prompt is to emit speech codes, each step takes
 the argmax over that range, and the end-of-speech id (last id of the
 range) terminates it. generate is the one decoder, used by eval and by the
 generate command alike. It decodes a list of prompts through the same
-forward: prompts of equal length share a batch, which runs the prompts once
-and then one token per row and step against the keys and values cached
-from earlier steps (the layer cache's kh/vh passed back as past); rows that
-emit end-of-speech drop out.
+forward, called without rows: every position is then real, and the forward
+computes only what the next token needs. It keeps each layer's keys and
+values and nothing else, and runs the last layer past its keys and values,
+the final norm and the head at the last position only. Prompts of equal
+length share a batch, which runs the prompts once and then one token per
+row and step against the keys and values cached from earlier steps (the
+layer cache's kh/vh passed back as past); rows that emit end-of-speech drop
+out.
 
 The weight table (_weight_shapes) names every tensor with its shape; the
 constructor checks a loaded model against it, and init and fingerprint
@@ -291,11 +295,15 @@ def _gelu_backward(dy, x, t):
     return s
 
 
+def _mean_last(x):
+    """x.mean(axis=-1, keepdims=True), bitwise: the sum numpy's mean takes,
+    divided by the count, without mean's Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xc = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + _LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv)
 
@@ -305,9 +313,7 @@ def _layer_norm_backward(dy, g, cache):
     dg = (dy * xhat).sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
     return dx, dg, db
 
 
@@ -359,6 +365,13 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
     pad rows is zero. Returns (logits (N,T,V), cache for backward). dropout_rng
     draws the adapter-path masks; None disables dropout.
 
+    rows=None is the decode call: every position is real, and only what the
+    next token needs is computed and kept. Keys and values run at every
+    position, but the last layer's query, attention, output projection and
+    feed-forward block, the final norm and the head run at the last
+    position only, so the logits are (N, 1, V); the cache holds only each
+    layer's kh and vh.
+
     past continues a decode: one (kh, vh) pair per layer, each (N, H, P, dh),
     as a previous call's cache["layers"][i]["kh"/"vh"] holds them. ids then
     sit at positions P..P+T-1 and attend to the P cached keys and values as
@@ -382,7 +395,8 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         for row, hits in enumerate(tag_hits):
             if hits.any():
                 x = x + hits[:, :, None] * deltas[row]
-    causal = np.triu(np.full((T, P + T), _NEG_INF), k=P + 1)
+    # A single query position sees every key: its mask would be all zero.
+    causal = np.triu(np.full((T, P + T), _NEG_INF), k=P + 1) if T > 1 else None
     layers_cache = []
     for i in range(cfg.layers):
         ln1_out, ln1_cache = _layer_norm(
@@ -399,20 +413,26 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
                     ).astype(np.float64) / keep
                     for p in PROJECTIONS
                 }
-        q, q_cache = _project(ln1_out, params[f"L{i}.q"], adapter, f"L{i}.q", masks)
         k, k_cache = _project(ln1_out, params[f"L{i}.k"], adapter, f"L{i}.k", masks)
         v, v_cache = _project(ln1_out, params[f"L{i}.v"], adapter, f"L{i}.v", masks)
-        qh = q.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
+        if rows is None and i == cfg.layers - 1:
+            # Past this point only the last position reaches the logits.
+            x, ln1_out, causal = x[:, -1:], ln1_out[:, -1:], None
+        Tq = x.shape[1]
+        q, q_cache = _project(ln1_out, params[f"L{i}.q"], adapter, f"L{i}.q", masks)
+        qh = q.reshape(N, Tq, H, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
         if past is not None:
             kh = np.concatenate((past[i][0], kh), axis=2)
             vh = np.concatenate((past[i][1], vh), axis=2)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh) + causal
+        scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)
+        if causal is not None:
+            scores += causal
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, T, cfg.width)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, Tq, cfg.width)
         attn_out, o_cache = _project(
             ctx, params[f"L{i}.o"], adapter, f"L{i}.o", masks
         )
@@ -420,14 +440,20 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         ln2_out, ln2_cache = _layer_norm(
             x_attn, params[f"L{i}.ln2.g"], params[f"L{i}.ln2.b"]
         )
-        ln2_rows = ln2_out.reshape(-1, cfg.width)[rows]
+        ln2_rows = ln2_out.reshape(-1, cfg.width)
+        if rows is not None:
+            ln2_rows = ln2_rows[rows]
         pre_act = ln2_rows @ params[f"L{i}.ff1"]
         pre_act += params[f"L{i}.ff1b"]
         act, tanh_u = _gelu(pre_act)
         ff_rows = act @ params[f"L{i}.ff2"]
         ff_rows += params[f"L{i}.ff2b"]
-        x_new = x_attn.copy()
-        x_new.reshape(-1, cfg.width)[rows] += ff_rows
+        if rows is None:
+            x = x_attn + ff_rows.reshape(x_attn.shape)
+            layers_cache.append({"kh": kh, "vh": vh})
+            continue
+        x = x_attn.copy()
+        x.reshape(-1, cfg.width)[rows] += ff_rows
         layers_cache.append(
             {
                 "ln1_out": ln1_out,
@@ -449,9 +475,10 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
                 "act": act,
             }
         )
-        x = x_new
     final_out, lnf_cache = _layer_norm(x, params["lnf.g"], params["lnf.b"])
     logits = final_out @ params["head"]
+    if rows is None:
+        return logits, {"layers": layers_cache}
     cache = {
         "ids": ids,
         "rows": rows,
@@ -807,11 +834,13 @@ def train_adapter(model: ToyLM, adapter: LoraAdapter, examples, cfg: TrainConfig
 # -- generation --------------------------------------------------------------
 
 
-# Prompts per decode forward. Each forward keeps its activations (the FF
-# block's among them) until the next step, so a wider batch costs memory:
-# on the desk eval (one run each), 64 per forward peaked at 110 MB RSS
-# against 106 MB for 16, as much as decoding one prompt at a time.
-_DECODE_BATCH = 16
+# Prompts per decode forward. A decode step keeps only its keys and values,
+# so a wider batch costs little memory. On perfbench's desk eval (2-vCPU
+# Xeon, seeds 22, 5 and 23, one 15 s run each), 16/32/64/128 per forward
+# gave 646-684/726-865/792-914/781-909 items/s at a peak RSS of 68-70/
+# 71-73/72-75/72-75 MB. At 64 one desk eval round takes 396 forwards
+# (808 at 16); 128 saves 7 more.
+_DECODE_BATCH = 64
 
 
 def generate(
@@ -824,13 +853,16 @@ def generate(
     excluded): at each step the argmax of the speech-range logits.
 
     A prompt of length L gets at most max_seq - L ids, so one longer than
-    max_seq raises SequenceTooLong and one that fills the context gets none.
+    max_seq raises SequenceTooLong and one that fills the context gets none;
+    a max_new below 0 raises ValueError.
     Prompts of equal length decode together, up to _DECODE_BATCH per
     forward: one forward over the whole prompts, then one new token per row
     and step against the cached keys and values; a row that emits
     end-of-speech leaves the batch. Each prompt gets the ids it would get
     decoded on its own.
     """
+    if max_new < 0:
+        raise ValueError(f"max_new must be >= 0, got {max_new}")
     cfg = model.config
     prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
     for index, prompt in enumerate(prompts):
@@ -860,8 +892,7 @@ def generate(
             past = None
             for _ in range(budget):
                 logits, cache = _forward_batch(
-                    params, cfg, ids, np.arange(ids.size), adapter64, None,
-                    past,
+                    params, cfg, ids, None, adapter64, None, past
                 )
                 nxt = lo + np.argmax(logits[:, -1, lo:hi], axis=1)
                 going = nxt != cfg.eos_id
@@ -873,6 +904,6 @@ def generate(
                     outs[index].append(int(token))
                 past = [(lc["kh"][going], lc["vh"][going])
                         for lc in cache["layers"]]
-                del cache  # free this step's activations before the next
+                del cache  # free the ungathered keys and values
                 ids = nxt[:, None]
     return outs

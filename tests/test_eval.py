@@ -517,6 +517,39 @@ def test_bootstrap_is_seeded():
     assert first[0] <= first[1]
 
 
+def _one_shot_diff_ci(adapted, baseline, resamples, seed, level=0.99):
+    """bootstrap_diff_ci as it was before it averaged in row chunks: one
+    int64 index, gathered and averaged at once. Kept as its reference."""
+    a = np.asarray(adapted, dtype=np.float64)
+    b = np.asarray(baseline, dtype=np.float64)
+    idx = np.random.default_rng(seed).integers(0, a.size,
+                                               size=(resamples, a.size))
+    diffs = a[idx].mean(axis=1) - b[idx].mean(axis=1)
+    tail = (1.0 - level) / 2.0
+    lo, hi = np.quantile(diffs, [tail, 1.0 - tail])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("n, resamples", [(240, 10_000), (60, 2_500),
+                                          (7, eval_mod._BOOTSTRAP_CHUNK + 13),
+                                          (1, 300)])
+@pytest.mark.parametrize("kind", ["bool", "float"])
+def test_bootstrap_matches_one_shot_form(n, resamples, kind):
+    for seed in (0, 5, 9):
+        rng = np.random.default_rng(100 + seed)
+        if kind == "bool":
+            a, b = rng.random(n) < 0.7, rng.random(n) < 0.5
+        else:
+            a, b = rng.normal(size=n), rng.normal(size=n)
+        assert (bootstrap_diff_ci(a, b, resamples=resamples, seed=seed)
+                == _one_shot_diff_ci(a, b, resamples, seed))
+        # The int32 index bootstrap_diff_ci draws holds the int64 values.
+        draw = [np.random.default_rng(seed).integers(0, n, size=(resamples, n),
+                                                      dtype=dtype)
+                for dtype in (np.int64, np.int32)]
+        assert np.array_equal(*draw)
+
+
 def test_bootstrap_validates_input():
     with pytest.raises(ValueError):
         bootstrap_diff_ci([1.0], [1.0, 0.0])

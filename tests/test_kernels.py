@@ -1,6 +1,7 @@
 """Edit-distance kernels and the BFS edit-move oracle."""
 
 import hashlib
+import itertools
 import re
 from collections import deque
 
@@ -83,6 +84,37 @@ def in_adjacency_bfs_matrix(indptr, indices, n):
         dist[new] = level
         frontier = reached
     return np.ascontiguousarray(dist.T)
+
+
+def ref_edit_move_graph(alphabet_size, max_len):
+    """The edit-move graph built string by string through a dict of node
+    ids, as edit_move_graph did before it worked on base-k indices. Kept
+    as its reference."""
+    ids = {(): 0}
+    strings = [()]
+    for L in range(1, max_len + 1):
+        for combo in itertools.product(range(alphabet_size), repeat=L):
+            ids[combo] = len(strings)
+            strings.append(combo)
+    n = len(strings)
+    neighbor_lists = []
+    for s in strings:
+        L = len(s)
+        nbrs = set()
+        for p in range(L):
+            for c in range(alphabet_size):
+                if c != s[p]:
+                    nbrs.add(ids[s[:p] + (c,) + s[p + 1 :]])
+            nbrs.add(ids[s[:p] + s[p + 1 :]])
+        if L < max_len:
+            for p in range(L + 1):
+                for c in range(alphabet_size):
+                    nbrs.add(ids[s[:p] + (c,) + s[p:]])
+        neighbor_lists.append(sorted(nbrs))
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in neighbor_lists])
+    indices = np.array([v for nbrs in neighbor_lists for v in nbrs],
+                       dtype=np.int64)
+    return indptr, indices, n
 
 
 def csr(n, edges):
@@ -384,6 +416,18 @@ class TestUniverse:
             for v in indices[indptr[u] : indptr[u + 1]]:
                 edges.add((u, int(v)))
         assert all((v, u) in edges for (u, v) in edges)
+
+    @pytest.mark.parametrize("alphabet_size, max_len",
+                             [(4, 6), (2, 3), (3, 4), (1, 3), (5, 3), (4, 1),
+                              (3, 0), (1, 0)])
+    def test_graph_matches_dict_builder(self, alphabet_size, max_len):
+        indptr, indices, n = kernels.edit_move_graph(alphabet_size, max_len)
+        want_ptr, want_indices, want_n = ref_edit_move_graph(alphabet_size,
+                                                             max_len)
+        assert n == want_n
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(indptr, want_ptr)
+        assert np.array_equal(indices, want_indices)
 
     def test_insertions_capped_at_max_len(self):
         indptr, indices, n = kernels.edit_move_graph(2, 2)

@@ -18,6 +18,8 @@ from uttertune.model import (
     _forward_batch,
     _gelu,
     _gelu_backward,
+    _layer_norm,
+    _layer_norm_backward,
     _loss_backward,
     _loss_forward,
     _train,
@@ -604,6 +606,12 @@ def test_generation_rejects_bad_prompt_by_index(tiny_model, bad):
         generate(tiny_model, [[1, 2], bad, [3]], max_new=3)
 
 
+def test_generation_rejects_negative_max_new(tiny_model):
+    with pytest.raises(ValueError, match=r"^max_new must be >= 0, got -1$"):
+        generate(tiny_model, [[1, 2]], max_new=-1)
+    assert generate(tiny_model, [[1, 2]], max_new=0) == [[]]
+
+
 def _uncached_decode(model, prompt, max_new, adapter=None):
     """Reference decode: the full forward over the growing prefix per token."""
     lo = model.config.speech_offset
@@ -696,6 +704,65 @@ def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
         assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
         past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
         assert past[0][0].shape[2] == hi
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_decode_call_matches_full_forward_at_last_position(
+        tiny_model, trained_adapter, with_adapter):
+    """rows=None: logits at the last position only, within rounding of the
+    full forward, and a cache of keys and values alone."""
+    adapter64 = _adapter64(trained_adapter if with_adapter else None)
+    params = tiny_model.params64()
+    rng = np.random.default_rng(9)
+    ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
+    ids[:, 2], ids[:, 6] = TAG_START, TAG_END
+    full, _ = _forward_batch(params, TINY, ids, np.arange(ids.size),
+                             adapter64, None)
+    # Prefill 4 positions, then a chunk of 3, then one position at a time.
+    past = None
+    for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
+        logits, cache = _forward_batch(params, TINY, ids[:, lo:hi], None,
+                                       adapter64, None, past)
+        want = full[:, hi - 1 : hi]
+        assert logits.shape == want.shape
+        assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
+        assert list(cache) == ["layers"] and len(cache["layers"]) == TINY.layers
+        assert all(list(lc) == ["kh", "vh"] for lc in cache["layers"])
+        past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
+        assert past[0][0].shape[2] == hi
+
+
+def _mean_form_layer_norm(x, g, b):
+    """_layer_norm with numpy's mean, as it was written before."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def _mean_form_layer_norm_backward(dy, g, cache):
+    xhat, inv = cache
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2)
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 16), (5, 1, 64), (2, 9, 17)])
+def test_layer_norm_is_bitwise_the_mean_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape) * 3.0 + 0.5
+    g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    dy = rng.normal(size=shape)
+    y, cache = _layer_norm(x, g, b)
+    want_y, want_cache = _mean_form_layer_norm(x, g, b)
+    assert np.array_equal(y, want_y)
+    assert all(np.array_equal(a, w) for a, w in zip(cache, want_cache))
+    dx, _dg, _db = _layer_norm_backward(dy, g, cache)
+    assert np.array_equal(dx, _mean_form_layer_norm_backward(dy, g, cache))
 
 
 def test_gelu_matches_closed_tanh_form():
