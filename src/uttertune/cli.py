@@ -455,7 +455,7 @@ def _cmd_eval(args) -> int:
         seed=config["seed"],
         n_test_1=config["n_test_1"],
         n_test_2=config["n_test_2"],
-        n_leakage=config["n_leakage"],
+        n_leakage=config["n_leakage"] if args.leakage else 0,
     )
     report = evaluate_set(
         model,

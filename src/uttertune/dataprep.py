@@ -527,6 +527,14 @@ def build_eval_sets(
     leakage_set: one unambiguous noun is tagged while an ambiguous noun
     stays plain; its gold reading is the majority one. text_plain is the
     fully untagged variant for baseline-model comparison.
+
+    The sets are drawn in that order from one generator, so a set's items
+    depend on the sizes of the sets before it and not on those after it:
+    n_leakage=0 gives the same test sets without the leakage draws.
+    `uttertune eval` scores test set 2 and, with --leakage, the leakage
+    set; it passes n_leakage=0 without --leakage. It still draws test
+    set 1, which it never scores, because skipping those draws would
+    change test set 2.
     """
     lexicon = tuple(lexicon)
     ambiguous = [e for e in lexicon if e.pos == NOUN and e.is_ambiguous]

@@ -144,6 +144,7 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
                 A = by_pos[la][:, start : start + block]
                 prev, cur = prev_buf[:, : rows.size], cur_buf[:, : rows.size]
                 neq, step = neq_buf[: rows.size], step_buf[: rows.size]
+                neq8 = neq.view(np.uint8)  # a uint8 + uint8 add, no casting
                 prev[...] = np.arange(lb + 1, dtype=np.uint8)[:, None, None]
                 for i in range(la):
                     cur[0] = i + 1
@@ -151,7 +152,7 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
                     for j in range(lb):
                         c = cur[j + 1]
                         np.not_equal(ai, B[j], out=neq)
-                        np.add(prev[j], neq, out=c)
+                        np.add(prev[j], neq8, out=c)
                         # Deletion and insertion both cost 1: +1 on their min.
                         np.minimum(prev[j + 1], cur[j], out=step)
                         np.add(step, 1, out=step)

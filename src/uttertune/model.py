@@ -899,11 +899,12 @@ def generate(
                 live = [index for index, g in zip(live, going) if g]
                 if not live:
                     break
-                nxt = nxt[going]
+                past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
+                del cache  # so that a gather frees the ungathered rows
+                if len(live) < going.size:  # a row ended: drop its K/V rows
+                    nxt = nxt[going]
+                    past = [(kh[going], vh[going]) for kh, vh in past]
                 for index, token in zip(live, nxt):
                     outs[index].append(int(token))
-                past = [(lc["kh"][going], lc["vh"][going])
-                        for lc in cache["layers"]]
-                del cache  # free the ungathered keys and values
                 ids = nxt[:, None]
     return outs

@@ -58,29 +58,30 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> 
 
 
 def load_tensors(path):
-    """Read a container; returns (tensors dict, meta dict) in file order."""
+    """Read a container; returns (tensors dict, meta dict) in file order.
+    Raises CorruptFile or VersionMismatch naming path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _DIGEST_SIZE:
-        raise CorruptFile("file shorter than its checksum")
+        raise CorruptFile(f"{path}: file shorter than its checksum")
     blob, digest = raw[:-_DIGEST_SIZE], raw[-_DIGEST_SIZE:]
     if hashlib.sha256(blob).digest() != digest:
-        raise CorruptFile("checksum mismatch")
+        raise CorruptFile(f"{path}: checksum mismatch")
     header_end = blob.find(b"\nend\n")
     if header_end == -1:
-        raise CorruptFile("missing header terminator")
+        raise CorruptFile(f"{path}: missing header terminator")
     try:
         header = blob[: header_end + 4].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorruptFile("header is not UTF-8") from exc
+        raise CorruptFile(f"{path}: header is not UTF-8") from exc
     payload = blob[header_end + 5 :]
     lines = header.split("\n")
     first = lines[0].split(" ")
     if len(first) != 2 or first[0] != _MAGIC:
-        raise CorruptFile("not a tensor container")
+        raise CorruptFile(f"{path}: not a tensor container")
     if first[1] != TENSOR_FORMAT_VERSION:
         raise VersionMismatch(
-            f"container version {first[1]} != {TENSOR_FORMAT_VERSION}"
+            f"{path}: container version {first[1]} != {TENSOR_FORMAT_VERSION}"
         )
     meta: dict[str, str] = {}
     specs: list[tuple[str, tuple[int, ...]]] = []
@@ -90,7 +91,7 @@ def load_tensors(path):
         if line.startswith("meta "):
             body = line[5:]
             if "\t" not in body:
-                raise CorruptFile(f"malformed meta line {line!r}")
+                raise CorruptFile(f"{path}: malformed meta line {line!r}")
             key, value = body.split("\t", 1)
             meta[key] = value
         elif line.startswith("tensor "):
@@ -99,12 +100,13 @@ def load_tensors(path):
                 ndim = int(parts[2])
                 shape = tuple(int(d) for d in parts[3 : 3 + ndim])
             except (IndexError, ValueError) as exc:
-                raise CorruptFile(f"malformed tensor line {line!r}") from exc
+                raise CorruptFile(
+                    f"{path}: malformed tensor line {line!r}") from exc
             if len(parts) != 3 + ndim or len(shape) != ndim:
-                raise CorruptFile(f"malformed tensor line {line!r}")
+                raise CorruptFile(f"{path}: malformed tensor line {line!r}")
             specs.append((parts[1], shape))
         else:
-            raise CorruptFile(f"unrecognized header line {line!r}")
+            raise CorruptFile(f"{path}: unrecognized header line {line!r}")
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in specs:
@@ -112,13 +114,13 @@ def load_tensors(path):
         nbytes = count * 4
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise CorruptFile(f"payload truncated at tensor {name!r}")
+            raise CorruptFile(f"{path}: payload truncated at tensor {name!r}")
         tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(
             np.float32
         )
         offset += nbytes
     if offset != len(payload):
-        raise CorruptFile("trailing bytes after last tensor")
+        raise CorruptFile(f"{path}: trailing bytes after last tensor")
     return tensors, meta
 
 

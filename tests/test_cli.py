@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and run manifests."""
 
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -15,7 +16,8 @@ import uttertune.cli
 import uttertune.eval
 from uttertune.cli import main
 from uttertune.errors import CorruptFile
-from uttertune.eval import load_report
+from uttertune.dataprep import build_eval_sets, build_lexicon
+from uttertune.eval import evaluate_set, load_report, save_report
 from uttertune.lora import load_adapter
 from uttertune.manifest import (
     COMMAND_DEFAULTS,
@@ -545,6 +547,38 @@ def test_eval_leakage_artifact(pipeline, tmp_path, capsys):
     assert sum(1 for line in text.splitlines() if line.startswith("row\t")) == 8
 
 
+def test_eval_draws_leakage_set_only_with_leakage(pipeline, tmp_path,
+                                                 monkeypatch):
+    """Without --leakage eval draws no leakage set; the scored test set 2,
+    and so the report, is the one the full draw gives."""
+    seen = []
+
+    def spy(lexicon, **kwargs):
+        seen.append(kwargs)
+        return build_eval_sets(lexicon, **kwargs)
+
+    monkeypatch.setattr(uttertune.cli, "build_eval_sets", spy)
+    common = ["eval", "--config", str(pipeline["cfg"]),
+              "--model", pipeline["model"], "--vocab", pipeline["vocab"]]
+    assert main(common + ["--mode", "kana", "--out", str(tmp_path / "k")]) == 0
+    assert main(common + ["--adapter", pipeline["adapter"], "--mode", "plain",
+                          "--leakage", "--out", str(tmp_path / "l")]) == 0
+    assert [kwargs["n_leakage"] for kwargs in seen] == [0, 8]
+    config = load_manifest(tmp_path / "k" / "manifest.txt").config
+    assert config["n_leakage"] == 8
+
+    full = build_eval_sets(build_lexicon(), seed=config["seed"],
+                           n_test_1=config["n_test_1"],
+                           n_test_2=config["n_test_2"],
+                           n_leakage=config["n_leakage"])
+    report = evaluate_set(ToyLM.load(pipeline["model"]),
+                          load_vocab(pipeline["vocab"]), full.test_set_2,
+                          "kana", max_new=config["max_new"])
+    save_report(report, tmp_path / "report_kana.tsv")
+    assert ((tmp_path / "report_kana.tsv").read_bytes()
+            == (tmp_path / "k" / "report_kana.tsv").read_bytes())
+
+
 def test_eval_leakage_requires_adapter(pipeline, tmp_path):
     rc = main(["eval", "--model", pipeline["model"],
                "--vocab", pipeline["vocab"], "--leakage",
@@ -747,6 +781,38 @@ def test_container_without_its_fields_is_one_line_data_error(pipeline,
         assert len(err.splitlines()) == 1
         assert "missing" in err
 
+
+
+def _flip_last_byte(raw):
+    return raw[:-1] + bytes([raw[-1] ^ 1])
+
+
+def _version_v9(raw):
+    blob = raw[:-32].replace(b"uttertune-tensors v1", b"uttertune-tensors v9")
+    return blob + hashlib.sha256(blob).digest()
+
+
+@pytest.mark.parametrize("slot", ["model", "adapter"])
+@pytest.mark.parametrize("damage, error", [
+    pytest.param(_flip_last_byte, "CorruptFile", id="checksum"),
+    pytest.param(_version_v9, "VersionMismatch", id="version"),
+    pytest.param(None, "CorruptFile", id="vocabulary-file"),
+])
+def test_bad_tensor_file_is_one_line_data_error_naming_it(
+        pipeline, tmp_path, capsys, slot, damage, error):
+    """With both --model and --adapter given, the error says which is bad."""
+    bad = tmp_path / f"bad_{slot}.ut"
+    source = pipeline["vocab"] if damage is None else pipeline[slot]
+    raw = Path(source).read_bytes()
+    bad.write_bytes(raw if damage is None else damage(raw))
+    files = {"adapter": pipeline["adapter"], slot: bad}
+    out = tmp_path / "o"
+    assert main(_model_argv("eval", pipeline, out, **files)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"{error}: {bad}: "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "eval", "adapter merge"])

@@ -680,6 +680,17 @@ def test_eval_sets_match_reference_path(lexicon, seed, monkeypatch):
         assert build_eval_sets(lexicon, seed=seed) == stored
 
 
+@pytest.mark.parametrize("seed", [0, 3, 23])
+def test_eval_sets_without_leakage_keep_test_sets(lexicon, seed):
+    """The leakage set is drawn last, so eval can skip it without --leakage."""
+    full = build_eval_sets(lexicon, seed=seed)
+    lean = build_eval_sets(lexicon, seed=seed, n_leakage=0)
+    assert lean.test_set_1 == full.test_set_1
+    assert lean.test_set_2 == full.test_set_2
+    assert lean.leakage_set == ()
+    assert len(full.leakage_set) == 240
+
+
 def _eval_items_digest(items):
     h = hashlib.sha256()
     for it in items:
