@@ -12,11 +12,11 @@ Kernels:
                            cross-check the DP route; keep the two
                            implementations independent)
 
-edit_distance_matrix keeps its own recurrence over uint8 layers, on dense
-symbol codes laid out one contiguous row per string position: batching
-edit_distance_table's running minimum (np.minimum.accumulate along axis 0
-of a 3-D array) took ~9 s on check 7's (4, 6) universe, against ~2 s for
-this recurrence on strided int64 symbols and ~0.6 s on the codes.
+edit_distance_matrix keeps its own recurrence, over the prefix trie of its
+rows: one uint8 cell per pair of distinct prefixes, where a DP per pair of
+rows repeats the cells of every shared prefix. On check 7's (4, 6) universe
+that is 29.8 M cells in place of 958 M, and ~0.1 s in place of ~0.6 s on a
+2-vCPU Xeon.
 
 Both matrix kernels return uint8 and reject inputs whose values would not
 fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
@@ -40,9 +40,12 @@ UNREACHABLE = 255
 # Every DP value is <= max(la, lb), and a cell adds 1 before taking the
 # minimum, so strings up to 254 long keep every uint8 step below overflow.
 MAX_MATRIX_LEN = UNREACHABLE - 1
-# Cells per DP layer in edit_distance_matrix. At length 6 the two rows of
-# layers of one row block then take about 2 MB, the size of an L2 cache.
+# Cells per row chunk of a (depth, depth) block in edit_distance_matrix:
+# the chunk's few uint8 temporaries then take well under an L2 cache.
 _DP_BLOCK_CELLS = 1 << 17
+# Rows per block when bfs_distance_matrix unpacks its bit sets: about
+# 1.4 MB at check 7's 5,461 nodes, against the 30 MB of one n x n unpack.
+_BFS_BLOCK_ROWS = 256
 
 
 def active_backend() -> str:
@@ -59,9 +62,10 @@ def edit_distance_table(a, b) -> np.ndarray:
     Returns the (len(a)+1, len(b)+1) int64 matrix whose cell [i, j] is the
     distance between a[:i] and b[:j] (Wagner & Fischer, JACM 21(1), 1974).
     Each row is filled by a few vectorised passes over the row above.
+    Raises ValueError unless a and b are 1-D integer sequences.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    a = _id_sequence("edit_distance_table", a)
+    b = _id_sequence("edit_distance_table", b)
     m, n = a.shape[0], b.shape[0]
     # The DP runs on e[i, j] = d[i, j] - i - j. There a deletion or an
     # insertion costs 0 and a diagonal step -2 or -1, so that
@@ -80,8 +84,32 @@ def edit_distance_table(a, b) -> np.ndarray:
 
 
 def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance between two integer sequences."""
+    """Unit-cost Levenshtein distance between two integer sequences.
+
+    Raises ValueError unless a and b are 1-D integer sequences.
+    """
+    a, b = _id_sequence("edit_distance", a), _id_sequence("edit_distance", b)
     return int(edit_distance_table(a, b)[-1, -1])
+
+
+def _require_integers(kernel: str, what: str, values: np.ndarray) -> None:
+    """Raise ValueError unless values holds integers or nothing: a float
+    table would be truncated silently. An empty list is float64 in numpy,
+    and stays valid."""
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{kernel} takes integer {what}, "
+                         f"got dtype {values.dtype}")
+
+
+def _id_sequence(kernel: str, seq) -> np.ndarray:
+    """seq as a contiguous int64 array, or ValueError unless it is a 1-D
+    integer sequence."""
+    seq = np.asarray(seq)
+    if seq.ndim != 1:
+        raise ValueError(f"{kernel} takes 1-D id sequences, "
+                         f"got shape {seq.shape}")
+    _require_integers(kernel, "ids", seq)
+    return np.ascontiguousarray(seq, dtype=np.int64)
 
 
 # -- all-pairs edit distance over a padded table ---------------------------
@@ -90,17 +118,29 @@ def edit_distance(a, b) -> int:
 def edit_distance_matrix(padded, lengths) -> np.ndarray:
     """Levenshtein distance for every ordered pair of table rows.
 
-    padded is (n, width) int8/int64 with rows padded past their length;
+    padded is (n, width) with integer ids, rows padded past their length;
     lengths is (n,). Returns a (n, n) uint8 matrix (distances <= max
-    length). Raises ValueError if padded is not 2-D, if lengths does not
-    hold one value in [0, width] per row, or if a string is longer than
-    MAX_MATRIX_LEN.
+    length). Raises ValueError if padded is not a 2-D integer table, if
+    lengths does not hold one integer in [0, width] per row, or if a string
+    is longer than MAX_MATRIX_LEN.
+
+    The DP runs over the prefix trie of the rows (Shang & Merrett, IEEE
+    TKDE 8(4), 1996): d[u, v] is the distance between trie nodes u and v,
+    and each (node, node) cell is computed once from the cells of the
+    nodes' parents, however many rows share those prefixes. The cost is
+    one cell per pair of trie nodes, and n_nodes**2 bytes; a table that is
+    not closed under prefixes (or not in trie order) takes a second, n*n
+    matrix for the rows' cells.
     """
-    padded = np.asarray(padded, dtype=np.int64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    padded = np.asarray(padded)
+    lengths = np.asarray(lengths)
     if padded.ndim != 2:
         raise ValueError(f"edit_distance_matrix needs a (n, width) table, "
                          f"got shape {padded.shape}")
+    _require_integers("edit_distance_matrix", "table values", padded)
+    _require_integers("edit_distance_matrix", "lengths", lengths)
+    padded = padded.astype(np.int64, copy=False)
+    lengths = lengths.astype(np.int64, copy=False)
     n_str, width = padded.shape
     if lengths.shape != (n_str,):
         raise ValueError(f"edit_distance_matrix needs one length per row: "
@@ -114,52 +154,50 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
             f"edit_distance_matrix takes strings up to {MAX_MATRIX_LEN} long, "
             f"got one of length {max_len}"
         )
-    # The DP only tests symbols for equality, so it runs on dense codes in
-    # the smallest unsigned dtype, one contiguous row per string position.
+    # The trie, level by level. Node ids run in depth order from the root,
+    # 0; a depth-(i+1) node is a distinct (parent, symbol) key among the
+    # rows longer than i, numbered in key order, so each parent's children
+    # are contiguous. bounds[i]:bounds[i+1] are the depth-i nodes.
     symbols, codes = np.unique(padded, return_inverse=True)
-    codes = codes.reshape(padded.shape).astype(
-        np.min_scalar_type(max(symbols.size - 1, 0)))
-    by_len = [np.nonzero(lengths == L)[0] for L in range(max_len + 1)]
-    by_pos = [np.ascontiguousarray(codes[ids, :L].T)
-              for L, ids in enumerate(by_len)]
-    out = np.empty((n_str, n_str), dtype=np.uint8)
-    for la in range(max_len + 1):
-        rows_la = by_len[la]
-        if rows_la.size == 0:
-            continue
-        for lb in range(max_len + 1):
-            cols, B = by_len[lb], by_pos[lb]
-            if cols.size == 0:
-                continue
-            # DP layers: one (block, len(cols)) matrix per table cell, two
-            # rows of them, swapped after each row of the table. Rows go in
-            # blocks so that the layers stay in cache.
-            block = min(rows_la.size, max(1, _DP_BLOCK_CELLS // cols.size))
-            prev_buf = np.empty((lb + 1, block, cols.size), dtype=np.uint8)
-            cur_buf = np.empty_like(prev_buf)
-            neq_buf = np.empty((block, cols.size), dtype=bool)
-            step_buf = np.empty((block, cols.size), dtype=np.uint8)
-            for start in range(0, rows_la.size, block):
-                rows = rows_la[start : start + block]
-                A = by_pos[la][:, start : start + block]
-                prev, cur = prev_buf[:, : rows.size], cur_buf[:, : rows.size]
-                neq, step = neq_buf[: rows.size], step_buf[: rows.size]
-                neq8 = neq.view(np.uint8)  # a uint8 + uint8 add, no casting
-                prev[...] = np.arange(lb + 1, dtype=np.uint8)[:, None, None]
-                for i in range(la):
-                    cur[0] = i + 1
-                    ai = A[i][:, None]
-                    for j in range(lb):
-                        c = cur[j + 1]
-                        np.not_equal(ai, B[j], out=neq)
-                        np.add(prev[j], neq8, out=c)
-                        # Deletion and insertion both cost 1: +1 on their min.
-                        np.minimum(prev[j + 1], cur[j], out=step)
-                        np.add(step, 1, out=step)
-                        np.minimum(c, step, out=c)
-                    prev, cur = cur, prev
-                out[np.ix_(rows, cols)] = prev[lb]
-    return out
+    codes = codes.reshape(padded.shape)
+    row_node = np.zeros(n_str, dtype=np.int64)
+    bounds = [0, 1]
+    parent, symbol = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    for i in range(max_len):
+        rows = np.nonzero(lengths > i)[0]
+        keys, child = np.unique(row_node[rows] * symbols.size + codes[rows, i],
+                                return_inverse=True)
+        row_node[rows] = bounds[-1] + child
+        parent.append(keys // symbols.size)
+        symbol.append(keys % symbols.size)
+        bounds.append(bounds[-1] + keys.size)
+    parent, symbol = np.concatenate(parent), np.concatenate(symbol)
+    n_nodes = bounds[-1]
+
+    # d[u, v] = min(d[pu, v] + 1, d[u, pv] + 1, d[pu, pv] + (sym u != sym v))
+    # for u of depth i and v of depth j, one (i, j) block after another,
+    # each after (i - 1, j) and (i, j - 1), in chunks of rows u.
+    d = np.empty((n_nodes, n_nodes), dtype=np.uint8)
+    d[0] = d[:, 0] = np.repeat(np.arange(max_len + 1, dtype=np.uint8),
+                               np.diff(bounds))
+    for j in range(1, max_len + 1):
+        plo, lo, hi = bounds[j - 1 : j + 2]
+        # np.repeat(..., fan_out, axis=1) takes column pv to its children v.
+        fan_out = np.bincount(parent[lo:hi] - plo, minlength=lo - plo)
+        block = max(1, _DP_BLOCK_CELLS // (hi - lo))
+        for i in range(1, max_len + 1):
+            for start in range(bounds[i], bounds[i + 1], block):
+                u = slice(start, min(start + block, bounds[i + 1]))
+                pu = parent[u]
+                best = np.minimum(d[pu, lo:hi],
+                                  np.repeat(d[u, plo:lo], fan_out, axis=1))
+                best += 1
+                diag = np.repeat(d[pu, plo:lo], fan_out, axis=1)
+                diag += (symbol[u, None] != symbol[lo:hi]).view(np.uint8)
+                np.minimum(best, diag, out=d[u, lo:hi])
+    if n_nodes == n_str and np.array_equal(row_node, np.arange(n_str)):
+        return d
+    return d[np.ix_(row_node, row_node)]
 
 
 # -- BFS oracle over the edit-move graph -----------------------------------
@@ -201,9 +239,14 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
     out_adj.T[np.arange(max_deg) < degree[:, None]] = indices
 
     # Each level adds 1 to every pair still unseen; unreached pairs are set
-    # to UNREACHABLE at the end.
+    # to UNREACHABLE at the end. Bits are unpacked in row blocks, so that
+    # no n x n array is made besides dist.
     dist = np.zeros((n, n), dtype=np.uint8)
-    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    blocks = [slice(s, s + _BFS_BLOCK_ROWS)
+              for s in range(0, n, _BFS_BLOCK_ROWS)]
+    frontier = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    node = np.arange(n)
+    frontier[node, node >> 3] = 0x80 >> (node & 7)  # np.packbits bit order
     unseen = ~frontier
     reached = np.empty_like(frontier)
     gathered = np.empty_like(frontier)
@@ -220,11 +263,13 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
                 f"bfs_distance_matrix stores path lengths up to "
                 f"{UNREACHABLE - 1} edges; this graph has longer ones"
             )
-        np.add(dist, np.unpackbits(unseen, axis=1, count=n), out=dist)
+        for rows in blocks:
+            dist[rows] += np.unpackbits(unseen[rows], axis=1, count=n)
         np.bitwise_xor(unseen, reached, out=unseen)
         frontier, reached = reached, frontier
-    np.copyto(dist, UNREACHABLE,
-              where=np.unpackbits(unseen, axis=1, count=n).view(bool))
+    for rows in blocks:
+        unreached = np.unpackbits(unseen[rows], axis=1, count=n).view(bool)
+        np.copyto(dist[rows], UNREACHABLE, where=unreached)
     return dist
 
 
@@ -236,18 +281,29 @@ def enumerate_strings(alphabet_size: int, max_len: int):
 
     Returns (padded, lengths): padded is (n, max_len_eff) int64 padded with
     -1, lengths is (n,) int64. Row order defines the node ids used by
-    edit_move_graph.
+    edit_move_graph: the j-th string of length L is j written in base
+    alphabet_size, first symbol most significant. Raises ValueError unless
+    both arguments are non-negative integers.
     """
-    width = max(max_len, 1)
-    rows = [(-np.ones(width, dtype=np.int64), 0)]
+    _check_universe("enumerate_strings", alphabet_size, max_len)
+    k = alphabet_size
+    sizes = [k**L for L in range(max_len + 1)]
+    lengths = np.repeat(np.arange(max_len + 1, dtype=np.int64), sizes)
+    padded = np.full((lengths.size, max(max_len, 1)), -1, dtype=np.int64)
     for L in range(1, max_len + 1):
-        for combo in itertools.product(range(alphabet_size), repeat=L):
-            row = -np.ones(width, dtype=np.int64)
-            row[:L] = combo
-            rows.append((row, L))
-    padded = np.stack([r for r, _ in rows])
-    lengths = np.array([L for _, L in rows], dtype=np.int64)
+        j = np.arange(sizes[L], dtype=np.int64)[:, None]
+        start = sum(sizes[:L])
+        padded[start : start + sizes[L], :L] = j // k ** np.arange(L)[::-1] % k
     return padded, lengths
+
+
+def _check_universe(kernel: str, alphabet_size, max_len) -> None:
+    """Raise ValueError unless both sizes are non-negative integers."""
+    for name, value in (("alphabet_size", alphabet_size),
+                        ("max_len", max_len)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{kernel} takes a non-negative integer "
+                             f"{name}, got {value!r}")
 
 
 def edit_move_graph(alphabet_size: int, max_len: int):
@@ -261,8 +317,10 @@ def edit_move_graph(alphabet_size: int, max_len: int):
     so each edit is arithmetic on j: with w = k**(L-1-p) the weight of
     position p, a substitution adds (c - s[p]) * w, a deletion joins the
     digits before p to the w-range after it, and an insertion splices c in
-    at p. Edges are deduplicated and sorted as src * n + dst.
+    at p. Edges are deduplicated and sorted as src * n + dst. Raises
+    ValueError unless both arguments are non-negative integers.
     """
+    _check_universe("edit_move_graph", alphabet_size, max_len)
     k = alphabet_size
     sizes = [k**L for L in range(max_len + 1)]
     offset = np.cumsum([0] + sizes)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -84,6 +85,22 @@ def in_adjacency_bfs_matrix(indptr, indices, n):
         dist[new] = level
         frontier = reached
     return np.ascontiguousarray(dist.T)
+
+
+def ref_enumerate_strings(alphabet_size, max_len):
+    """The string universe built one row per itertools.product tuple, as
+    enumerate_strings did before it worked on base-k indices. Kept as its
+    reference."""
+    width = max(max_len, 1)
+    rows = [(-np.ones(width, dtype=np.int64), 0)]
+    for L in range(1, max_len + 1):
+        for combo in itertools.product(range(alphabet_size), repeat=L):
+            row = -np.ones(width, dtype=np.int64)
+            row[:L] = combo
+            rows.append((row, L))
+    padded = np.stack([r for r, _ in rows])
+    lengths = np.array([L for _, L in rows], dtype=np.int64)
+    return padded, lengths
 
 
 def ref_edit_move_graph(alphabet_size, max_len):
@@ -171,6 +188,25 @@ class TestEditDistance:
                 assert table[i, j] == ref_edit_distance(a[:i], b[:j])
         assert table[-1, -1] == kernels.edit_distance(a, b)
 
+    @pytest.mark.parametrize("kernel", [kernels.edit_distance,
+                                        kernels.edit_distance_table])
+    @pytest.mark.parametrize("a, match", [
+        ([1.5], "takes integer ids, got dtype float64"),
+        (5, r"takes 1-D id sequences, got shape \(\)"),
+        ([[1, 2]], r"takes 1-D id sequences, got shape \(1, 2\)"),
+    ])
+    def test_malformed_sequence_rejected(self, kernel, a, match):
+        for args in ((a, [1]), ([1], a)):
+            with pytest.raises(ValueError,
+                               match=rf"^{kernel.__name__} {match}$"):
+                kernel(*args)
+
+    def test_empty_sequences_accepted(self):
+        # np.asarray([]) is float64; CER passes [] for an empty hypothesis.
+        assert kernels.edit_distance([], []) == 0
+        assert kernels.edit_distance([], [3, 4]) == 2
+        assert kernels.edit_distance_table([7], []).tolist() == [[0], [1]]
+
 
 class TestEditDistanceMatrix:
     def test_matches_single_pair_kernel(self):
@@ -193,7 +229,8 @@ class TestEditDistanceMatrix:
                                                 monkeypatch):
         # Lengths 0..12 in one table, with repeated rows: unlike the
         # enumerated universe, the table is not closed under prefixes.
-        # Small row blocks split each length class, the last block short.
+        # Small row chunks split each block of trie depths, the last chunk
+        # short.
         if block_cells is not None:
             monkeypatch.setattr(kernels, "_DP_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(11)
@@ -209,6 +246,32 @@ class TestEditDistanceMatrix:
         rows = [list(padded[i, : lengths[i]]) for i in range(n)]
         want = [[ref_edit_distance(a, b) for b in rows] for a in rows]
         assert np.array_equal(mat, np.array(want))
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 64])
+    @pytest.mark.parametrize("rows, pad", [
+        # No two rows share a first symbol.
+        (["a", "bc", "dea", "fgab", ""], "-"),
+        # Neither row is a prefix of the other, nor is any of their
+        # prefixes a row: the trie has nodes no output row reads.
+        (["abc", "abd"], "-"),
+        (["abd", "abc", "abd"], "-"),
+        ([""], "-"),
+        # Pads equal real symbols: only positions below a row's length
+        # may enter the trie.
+        (["ab", "a", "aab", "ba", "", "b"], "a"),
+        (["ab", "a", "aab", "ba", "", "b"], "b"),
+    ])
+    def test_trie_shapes_match_reference(self, rows, pad, block_cells,
+                                         monkeypatch):
+        monkeypatch.setattr(kernels, "_DP_BLOCK_CELLS", block_cells)
+        width = max(len(r) for r in rows) + 1
+        padded = np.array([[ord(c) for c in r.ljust(width, pad)]
+                           for r in rows])
+        lengths = [len(r) for r in rows]
+        mat = kernels.edit_distance_matrix(padded, lengths)
+        want = [[ref_edit_distance(a, b) for b in rows] for a in rows]
+        assert mat.dtype == np.uint8 and mat.flags.c_contiguous
+        assert mat.tolist() == want
 
     def test_longest_allowed_strings(self):
         L = kernels.MAX_MATRIX_LEN
@@ -267,6 +330,19 @@ class TestEditDistanceMatrix:
                 f"edit_distance_matrix needs a (n, width) table, "
                 f"got shape {shape}")):
             kernels.edit_distance_matrix(np.zeros(shape), [0, 0])
+
+    @pytest.mark.parametrize("padded, lengths, match", [
+        ([[2.0, 1.0], [1.0, 0.0]], [2, 1],
+         "takes integer table values, got dtype float64"),
+        ([[2, 1], [1, 0]], [2.7, 1],
+         "takes integer lengths, got dtype float64"),
+        ([[2, 1], [1, 0]], [2.0, 1.0],
+         "takes integer lengths, got dtype float64"),
+    ])
+    def test_float_input_rejected(self, padded, lengths, match):
+        with pytest.raises(ValueError,
+                           match=rf"^edit_distance_matrix {match}$"):
+            kernels.edit_distance_matrix(padded, lengths)
 
     def test_empty_table(self):
         mat = kernels.edit_distance_matrix(np.zeros((0, 3), dtype=np.int64),
@@ -397,6 +473,29 @@ class TestCheck7Matrices:
         assert hashlib.sha256(mat.tobytes()).hexdigest() == self.SHA256
 
 
+class TestCheck7Memory:
+    # Bytes traced by tracemalloc while each kernel runs, over the n**2
+    # bytes of its output. The DP's trie is its rows, so it needs no
+    # second matrix; the BFS keeps four n x n / 8 bit sets beside dist.
+    @staticmethod
+    def traced_peak(kernel, *args):
+        tracemalloc.start()
+        try:
+            out = kernel(*args)
+            return tracemalloc.get_traced_memory()[1] / out.size
+        finally:
+            tracemalloc.stop()
+
+    def test_dp_peak(self):
+        padded, lengths = kernels.enumerate_strings(4, 6)
+        assert self.traced_peak(kernels.edit_distance_matrix,
+                                padded, lengths) < 1.1
+
+    def test_bfs_peak(self):
+        graph = kernels.edit_move_graph(4, 6)
+        assert self.traced_peak(kernels.bfs_distance_matrix, *graph) < 2.0
+
+
 class TestUniverse:
     def test_string_count(self):
         padded, lengths = kernels.enumerate_strings(4, 6)
@@ -416,6 +515,29 @@ class TestUniverse:
             for v in indices[indptr[u] : indptr[u + 1]]:
                 edges.add((u, int(v)))
         assert all((v, u) in edges for (u, v) in edges)
+
+    @pytest.mark.parametrize("alphabet_size, max_len",
+                             [(4, 6), (2, 3), (3, 4), (1, 3), (5, 3), (4, 1),
+                              (3, 0), (1, 0), (0, 2)])
+    def test_strings_match_product_builder(self, alphabet_size, max_len):
+        got = kernels.enumerate_strings(alphabet_size, max_len)
+        want = ref_enumerate_strings(alphabet_size, max_len)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kernel", [kernels.enumerate_strings,
+                                        kernels.edit_move_graph])
+    @pytest.mark.parametrize("alphabet_size, max_len, name, value", [
+        (-1, 2, "alphabet_size", "-1"),
+        (2, -1, "max_len", "-1"),
+        (2.0, 1, "alphabet_size", "2.0"),
+    ])
+    def test_bad_sizes_rejected(self, kernel, alphabet_size, max_len, name,
+                                value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kernel.__name__} takes a non-negative integer {name}, "
+                f"got {value}")):
+            kernel(alphabet_size, max_len)
 
     @pytest.mark.parametrize("alphabet_size, max_len",
                              [(4, 6), (2, 3), (3, 4), (1, 3), (5, 3), (4, 1),
