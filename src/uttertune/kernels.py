@@ -208,8 +208,9 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
 
     (indptr, indices) is a CSR adjacency, directed or not; out[src, v] is
     the number of edges on a shortest path from src to v, UNREACHABLE (255)
-    if there is none. Raises ValueError if the CSR is malformed or if some
-    shortest path has 255 edges or more. Independent of the DP kernels by
+    if there is none. Raises ValueError if the CSR is malformed (float
+    arrays and a non-integer n_nodes included) or if some shortest path
+    has 255 edges or more. Independent of the DP kernels by
     construction.
 
     All targets advance together, one level per step, on bit sets (the
@@ -218,6 +219,12 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
     previous level, and a level pulls those bits along src's out-neighbours,
     so the result is laid out as [source, target] from the start.
     """
+    if not isinstance(n_nodes, (int, np.integer)):
+        raise ValueError(f"bfs_distance_matrix takes an integer n_nodes, "
+                         f"got {n_nodes!r}")
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    _require_integers("bfs_distance_matrix", "indptr", indptr)
+    _require_integers("bfs_distance_matrix", "indices", indices)
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     n = int(n_nodes)

@@ -9,20 +9,31 @@ pretrain and train_adapter share one AdamW loop; only what trains differs
 (every base weight, or the adapter's factors and tag deltas). The trainable
 values, their gradient and both moments are each one flat float64 vector
 with a view per name: the backward pass adds into the gradient's views,
-and clipping and the update work in place on whole vectors.
+the clip norm sums each view whole, and the update works in place on
+cache-sized blocks of the vectors, cut where weight decay starts or stops.
 
 The adapter path is computed separately from the frozen path
 (x @ W + scale * ((dropout(x)) @ B) @ C) so adapter-input dropout has a
 well-defined place and zero-initialized C keeps step-0 logits bitwise
 equal to the base model's.
 
-Batches are right-padded to (N, T). The position-wise feed-forward block
-runs on the real rows only, gathered to (R, width) and scattered back with
-zeros at the pad rows; pad rows sit after every real position, so causal
-attention gives them zero weight and they cannot affect a real row. Layer
-norms, attention, the Q/K/V/O projections (and their dropout draws) and
-the head keep the padded layout. GELU is the tanh form; the backward pass
-reuses the forward tanh.
+Batches are right-padded to (N, T); pad rows sit after every real
+position, so causal attention gives them zero weight and they cannot
+affect a real row. Where each op runs in a training step:
+- padded rows (N*T): the embedding, the layer norms before attention, the
+  Q/K/V/O projections (and their dropout draws) and attention, in every
+  layer, and the second layer norm of every layer but the last;
+- real rows (R, gathered and scattered back with zeros at the pad rows):
+  the feed-forward block of every layer but the last;
+- loss rows (the R_loss speech-target positions the loss reads): the last
+  layer's second norm and feed-forward block, the final norm, the head
+  and the loss, as (R_loss, width) and (R_loss, V). The backward pass
+  scatters their gradient back to the padded layout at the last layer's
+  attention output.
+ToyLM.forward passes no loss rows, so its last layer, final norm and head
+run at every position, as the other layers do. GELU is the tanh form, in
+row blocks that stay in cache through its chain of elementwise ops; the
+backward pass reuses the forward tanh.
 
 Generation is greedy and constrained to the speech-token range: the
 model's job after a text prompt is to emit speech codes, each step takes
@@ -65,6 +76,9 @@ _LN_EPS = 1e-5
 _NEG_INF = -1e30
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# Values per block of the elementwise GELU chain: 64 rows at ff 1,024, so
+# that a block's operands stay in the L2 cache from one op to the next.
+_GELU_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -259,39 +273,62 @@ def _adapter64(adapter: LoraAdapter | None):
     return params, float(adapter.scale()), float(adapter.dropout_rate)
 
 
+def _block_rows(x):
+    """Rows of x (along its first axis) per block of about _GELU_BLOCK
+    values."""
+    return max(1, _GELU_BLOCK * len(x) // max(x.size, 1))
+
+
 def _gelu(x):
-    """(GELU(x), t) with t = tanh(u), which _gelu_backward reuses."""
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = t + 1.0
-    y *= x
-    y *= 0.5
+    """(GELU(x), t) with t = tanh(u), which _gelu_backward reuses.
+
+    Runs in row blocks of about _GELU_BLOCK values, so that a block's x, t
+    and output stay in cache through the chain of ops; every op is
+    elementwise, so the bits are those of the whole-array form.
+    """
+    y, t = np.empty_like(x), np.empty_like(x)
+    step = _block_rows(x)
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        xb, tb, yb = x[rows], t[rows], y[rows]
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_A
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=yb)
+        yb *= xb
+        yb *= 0.5
     return y, t
 
 
 def _gelu_backward(dy, x, t):
-    """dy * GELU'(x), given the forward pass's t = tanh(u).
+    """dy * GELU'(x), given the forward pass's t = tanh(u), in the row
+    blocks of _gelu.
 
     GELU'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2). The factor
     0.5 is applied once at the end; scaling by a power of two is exact, so
     the result carries the same bits as the term-by-term form.
     """
-    g = x * (3.0 * _GELU_A)
-    g *= x
-    g += 1.0
-    s = t * t
-    np.subtract(1.0, s, out=s)
-    s *= x
-    s *= _GELU_C
-    s *= g
-    np.add(t, 1.0, out=g)
-    s += g
-    s *= 0.5
-    s *= dy
+    step = _block_rows(x)
+    s, g = np.empty_like(x), np.empty_like(x[:step])
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        xb, tb, sb = x[rows], t[rows], s[rows]
+        gb = g[: len(xb)]
+        np.multiply(xb, 3.0 * _GELU_A, out=gb)
+        gb *= xb
+        gb += 1.0
+        np.multiply(tb, tb, out=sb)
+        np.subtract(1.0, sb, out=sb)
+        sb *= xb
+        sb *= _GELU_C
+        sb *= gb
+        np.add(tb, 1.0, out=gb)
+        sb += gb
+        sb *= 0.5
+        sb *= dy[rows]
     return s
 
 
@@ -310,8 +347,9 @@ def _layer_norm(x, g, b):
 
 def _layer_norm_backward(dy, g, cache):
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=(0, 1))
-    db = dy.sum(axis=(0, 1))
+    rows_axes = tuple(range(dy.ndim - 1))
+    dg = (dy * xhat).sum(axis=rows_axes)
+    db = dy.sum(axis=rows_axes)
     dxhat = dy * g
     dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
     return dx, dg, db
@@ -357,13 +395,19 @@ def _project_backward(dy, x, W, adapter, name, masks, cache, grads, adapter_grad
 
 
 def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
-                   past=None):
+                   past=None, loss_rows=None):
     """Causal forward over a right-padded id batch.
 
     rows holds the flat indices into (N*T) of the real, non-pad positions;
     the feed-forward block runs on those rows only, and its output at the
     pad rows is zero. Returns (logits (N,T,V), cache for backward). dropout_rng
     draws the adapter-path masks; None disables dropout.
+
+    loss_rows, a subset of rows, holds the flat indices of the positions
+    the loss reads. Given, the last layer's second norm and feed-forward
+    block, the final norm and the head run at those rows only, and the
+    logits are (len(loss_rows), V) in their order. The last layer's
+    attention half still runs on the padded layout.
 
     rows=None is the decode call: every position is real, and only what the
     next token needs is computed and kept. Keys and values run at every
@@ -437,23 +481,29 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
             ctx, params[f"L{i}.o"], adapter, f"L{i}.o", masks
         )
         x_attn = x + attn_out
+        ff_at = rows
+        if loss_rows is not None and i == cfg.layers - 1:
+            # Past this point only the loss rows reach the logits.
+            x_attn, ff_at = x_attn.reshape(-1, cfg.width)[loss_rows], None
         ln2_out, ln2_cache = _layer_norm(
             x_attn, params[f"L{i}.ln2.g"], params[f"L{i}.ln2.b"]
         )
         ln2_rows = ln2_out.reshape(-1, cfg.width)
-        if rows is not None:
-            ln2_rows = ln2_rows[rows]
+        if ff_at is not None:
+            ln2_rows = ln2_rows[ff_at]
         pre_act = ln2_rows @ params[f"L{i}.ff1"]
         pre_act += params[f"L{i}.ff1b"]
         act, tanh_u = _gelu(pre_act)
         ff_rows = act @ params[f"L{i}.ff2"]
         ff_rows += params[f"L{i}.ff2b"]
-        if rows is None:
+        if ff_at is None:
             x = x_attn + ff_rows.reshape(x_attn.shape)
+        else:
+            x = x_attn.copy()
+            x.reshape(-1, cfg.width)[ff_at] += ff_rows
+        if rows is None:
             layers_cache.append({"kh": kh, "vh": vh})
             continue
-        x = x_attn.copy()
-        x.reshape(-1, cfg.width)[rows] += ff_rows
         layers_cache.append(
             {
                 "ln1_out": ln1_out,
@@ -482,12 +532,20 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
     cache = {
         "ids": ids,
         "rows": rows,
+        "loss_rows": loss_rows,
         "tag_hits": tag_hits,
         "layers": layers_cache,
         "final_out": final_out,
         "lnf_cache": lnf_cache,
     }
     return logits, cache
+
+
+def _scatter_rows(values, at, shape):
+    """An array of zeros of shape whose flat rows at hold values."""
+    out = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    out[at] = values
+    return out.reshape(shape)
 
 
 def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
@@ -498,6 +556,7 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
     H = cfg.heads
     dh = cfg.width // H
     N, T = cache["ids"].shape
+    rows, loss_rows = cache["rows"], cache["loss_rows"]
 
     flat_final = cache["final_out"].reshape(-1, cfg.width)
     if grads is not None:
@@ -508,11 +567,12 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
         grads["lnf.g"] += dg
         grads["lnf.b"] += db
 
-    rows = cache["rows"]
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
-        # FF block, on the real rows only.
-        dff_rows = dx.reshape(-1, cfg.width)[rows]
+        # FF block, on the real rows only; with loss rows, dx of the last
+        # layer is already at those rows.
+        tail = loss_rows is not None and i == cfg.layers - 1
+        dff_rows = dx if tail else dx.reshape(-1, cfg.width)[rows]
         if grads is not None:
             grads[f"L{i}.ff2b"] += dff_rows.sum(axis=0)
             grads[f"L{i}.ff2"] += lc["act"].T @ dff_rows
@@ -521,9 +581,9 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
         if grads is not None:
             grads[f"L{i}.ff1b"] += dpre.sum(axis=0)
             grads[f"L{i}.ff1"] += lc["ln2_rows"].T @ dpre
-        dln2_out = np.zeros((N * T, cfg.width))
-        dln2_out[rows] = dpre @ params[f"L{i}.ff1"].T
-        dln2_out = dln2_out.reshape(N, T, cfg.width)
+        dln2_out = dpre @ params[f"L{i}.ff1"].T
+        if not tail:
+            dln2_out = _scatter_rows(dln2_out, rows, (N, T, cfg.width))
         dx_attn_from_ln2, dg, db = _layer_norm_backward(
             dln2_out, params[f"L{i}.ln2.g"], lc["ln2_cache"]
         )
@@ -531,6 +591,8 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
             grads[f"L{i}.ln2.g"] += dg
             grads[f"L{i}.ln2.b"] += db
         dx_attn = dx + dx_attn_from_ln2
+        if tail:
+            dx_attn = _scatter_rows(dx_attn, loss_rows, (N, T, cfg.width))
 
         # Attention output projection.
         dctx = _project_backward(
@@ -582,52 +644,48 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
 
 
 def _pack_batch(examples, eos_id: int):
-    """Right-pad sequences; build target grid, prediction mask and the flat
-    indices of the real (non-pad) positions."""
+    """Right-pad sequences to (N, T) ids; returns them with the flat indices
+    of the real (non-pad) positions, the flat indices of the positions the
+    loss reads, in order, and the id each of those predicts."""
     seqs = [
         list(ex.input_ids) + list(ex.target_ids) + [eos_id] for ex in examples
     ]
     T = max(len(s) for s in seqs)
     N = len(seqs)
     ids = np.zeros((N, T), dtype=np.int64)
-    tgt = np.zeros((N, T), dtype=np.int64)
-    mask = np.zeros((N, T), dtype=np.float64)
+    loss_rows, targets = [], []
     for n, (ex, seq) in enumerate(zip(examples, seqs)):
         L = len(seq)
         ids[n, :L] = seq
         li = len(ex.input_ids)
         # Position t predicts token t+1; speech predictions start at the
         # last input position.
-        tgt[n, li - 1 : L - 1] = seq[li:]
-        mask[n, li - 1 : L - 1] = 1.0
+        loss_rows.extend(range(n * T + li - 1, n * T + L - 1))
+        targets.extend(seq[li:])
     lengths = np.array([len(seq) for seq in seqs])
     rows = np.flatnonzero(np.arange(T) < lengths[:, None])
-    return ids, tgt, mask, rows
+    return ids, rows, np.array(loss_rows), np.array(targets)
 
 
 def _loss_forward(params, cfg, examples, adapter, dropout_rng):
     if not examples:
         raise ValueError("empty batch")
-    ids, tgt, mask, rows = _pack_batch(examples, cfg.eos_id)
-    logits, cache = _forward_batch(params, cfg, ids, rows, adapter, dropout_rng)
+    ids, rows, loss_rows, targets = _pack_batch(examples, cfg.eos_id)
+    logits, cache = _forward_batch(params, cfg, ids, rows, adapter,
+                                   dropout_rng, loss_rows=loss_rows)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
-    n, t = np.nonzero(mask)
-    picked = shifted[n, t, tgt[n, t]]
-    total = float((logsumexp[n, t] - picked).sum())
-    count = len(n)
-    loss = total / count
-    return loss, (cache, tgt, mask, shifted, logsumexp, count)
+    picked = shifted[np.arange(len(targets)), targets]
+    loss = float((logsumexp - picked).sum()) / len(targets)
+    return loss, (cache, targets, shifted, logsumexp)
 
 
 def _loss_backward(cfg, bundle, params, adapter, grads, adapter_grads) -> None:
     """Adds the loss gradients in, as _backward_batch does."""
-    cache, tgt, mask, shifted, logsumexp, count = bundle
-    probs = np.exp(shifted - logsumexp[..., None])
-    dlogits = probs * mask[..., None]
-    n, t = np.nonzero(mask)
-    dlogits[n, t, tgt[n, t]] -= 1.0
-    dlogits /= count
+    cache, targets, shifted, logsumexp = bundle
+    dlogits = np.exp(shifted - logsumexp[:, None])
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    dlogits /= len(targets)
     _backward_batch(dlogits, params, cfg, cache, adapter, grads, adapter_grads)
 
 
@@ -721,6 +779,10 @@ def lr_at_step(step: int, cfg: TrainConfig) -> float:
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Values per block of the AdamW update: a block's weights, gradient, both
+# moments and scratch (1.25 MB at 32k float64 values) stay in the L2 cache
+# through the chain of ops.
+_ADAM_BLOCK = 32768
 
 
 def _sample_batch(examples, rng, batch_size):
@@ -742,8 +804,12 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
            cfg: TrainConfig):
     """AdamW (Loshchilov & Hutter) with global-norm clipping on the base
     weights (no adapter) or on the adapter, the base frozen; the adapter's
-    dropout masks come from the batch generator. The clip norm sums per
-    name, in order. Returns (the trained float64 views by name, the curve).
+    dropout masks come from the batch generator. The clip norm sums each
+    name's squares whole, in name order. The update then runs block by
+    block, each block at most _ADAM_BLOCK values and decayed whole or not
+    at all, through the same elementwise ops the whole vector would take,
+    so the bits do not depend on the blocking. Returns (the trained float64
+    views by name, the curve).
     """
     if not examples:
         raise ValueError("empty dataset")
@@ -756,14 +822,19 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
                           dtype=np.float64)
     decay = np.concatenate([np.full(a.size, name.split(".")[-1] in _DECAYED)
                             for name, a in initial.items()])
-    # One slice of flat per run of decayed entries: its start and stop are
-    # consecutive change points of decay.
-    edges = np.flatnonzero(np.diff(decay, prepend=False, append=False))
-    decayed = [slice(start, stop) for start, stop in edges.reshape(-1, 2)]
-    grad, scratch = np.empty_like(flat), np.empty_like(flat)
+    grad = np.empty_like(flat)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     trained, grads = _views(flat, initial), _views(grad, initial)
-    squares = list(_views(scratch, initial).values())
+    work = np.empty(max(_ADAM_BLOCK, max(g.size for g in grads.values())))
+    squares = [(g, work[: g.size].reshape(g.shape)) for g in grads.values()]
+    # Cut every _ADAM_BLOCK values and wherever decay changes.
+    cuts = sorted({*range(0, flat.size, _ADAM_BLOCK), flat.size,
+                   *(np.flatnonzero(np.diff(decay)) + 1).tolist()})
+    blocks = [
+        (flat[a:b], grad[a:b], m[a:b], v[a:b], work[: b - a],
+         bool(decay[a]) and cfg.weight_decay > 0.0)
+        for a, b in zip(cuts, cuts[1:])
+    ]
     if adapter is None:
         params, adapter64, dropout_rng = trained, None, None
         base_grads, adapter_grads = grads, None
@@ -783,30 +854,33 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         _loss_backward(
             model.config, bundle, params, adapter64, base_grads, adapter_grads
         )
-        np.multiply(grad, grad, out=scratch)
-        norm = math.sqrt(sum(float(square.sum()) for square in squares))
-        if norm > cfg.grad_clip:
-            grad *= cfg.grad_clip / norm
+        norm = math.sqrt(sum(float(np.multiply(g, g, out=square).sum())
+                             for g, square in squares))
+        clip = cfg.grad_clip / norm if norm > cfg.grad_clip else None
+        lr = lr_at_step(step, cfg)
+        bc1, bc2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
         # w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w), the wd
-        # term at decayed entries only; grad is spent once m and v hold it.
-        m *= _BETA1
-        np.multiply(grad, 1.0 - _BETA1, out=scratch)
-        m += scratch
-        v *= _BETA2
-        grad *= grad
-        grad *= 1.0 - _BETA2
-        v += grad
-        np.divide(v, 1.0 - _BETA2**step, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += _ADAM_EPS
-        np.divide(m, 1.0 - _BETA1**step, out=scratch)
-        scratch /= grad
-        if cfg.weight_decay > 0.0:
-            for run in decayed:
-                np.multiply(flat[run], cfg.weight_decay, out=grad[run])
-                scratch[run] += grad[run]
-        scratch *= lr_at_step(step, cfg)
-        flat -= scratch
+        # term in decayed blocks only; g is spent once mb and vb hold it.
+        for w, g, mb, vb, tmp, decayed in blocks:
+            if clip is not None:
+                g *= clip
+            mb *= _BETA1
+            np.multiply(g, 1.0 - _BETA1, out=tmp)
+            mb += tmp
+            vb *= _BETA2
+            g *= g
+            g *= 1.0 - _BETA2
+            vb += g
+            np.divide(vb, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += _ADAM_EPS
+            np.divide(mb, bc1, out=tmp)
+            tmp /= g
+            if decayed:
+                np.multiply(w, cfg.weight_decay, out=g)
+                tmp += g
+            tmp *= lr
+            w -= tmp
         if step % cfg.log_every == 0 or step == cfg.steps:
             curve.append((step, loss))
     return trained, curve

@@ -442,6 +442,17 @@ class TestBfsOracle:
         with pytest.raises(ValueError, match=match):
             kernels.bfs_distance_matrix(indptr, indices, n)
 
+    @pytest.mark.parametrize("indptr, indices, n, what", [
+        ([0, 1.0, 1], [1], 2, "indptr"),
+        ([0, 1, 1], [1.7], 2, "indices"),
+        ([0, 1, 1], [1], 2.9, "n_nodes"),
+        ([0, 1, 1], [1], np.float64(2.0), "n_nodes"),
+        ([0, 1.0, 1], [1.7], 2.9, "n_nodes"),
+    ])
+    def test_non_integer_csr_rejected(self, indptr, indices, n, what):
+        with pytest.raises(ValueError, match=f"takes (an )?integer {what}"):
+            kernels.bfs_distance_matrix(indptr, indices, n)
+
     @pytest.mark.parametrize("indices", [[1, 2], [-1, 0]])
     def test_node_id_out_of_range_rejected(self, indices):
         with pytest.raises(ValueError, match=r"node ids in \[0, 2\)"):

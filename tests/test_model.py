@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import uttertune.model
 from uttertune.errors import CorruptFile, NonFiniteLoss, SequenceTooLong
 from uttertune.lora import PROJECTIONS, init_adapter
 from uttertune.model import (
@@ -14,7 +15,9 @@ from uttertune.model import (
     TrainConfig,
     TrainingExample,
     _DECODE_BATCH,
+    _GELU_BLOCK,
     _adapter64,
+    _backward_batch,
     _forward_batch,
     _gelu,
     _gelu_backward,
@@ -22,6 +25,7 @@ from uttertune.model import (
     _layer_norm_backward,
     _loss_backward,
     _loss_forward,
+    _pack_batch,
     _train,
     generate,
     gradient_check,
@@ -235,6 +239,60 @@ def test_padded_batch_grads_match_per_sequence_mean(tiny_model):
         assert loss == pytest.approx(want_loss, rel=1e-12)
         for k, v in want.items():
             assert np.abs(got[k] - v).max() <= 1e-12 * np.abs(v).max(), k
+
+
+def _full_tail_loss_and_grads(model, examples, adapter):
+    """Loss and grads as computed before the loss rows: the last layer's
+    feed-forward block, the final norm and the head at every real row,
+    (N, T, V) logits, and a mask over them for the loss and dlogits."""
+    params, adapter64 = model.params64(), _adapter64(adapter)
+    ids, rows, loss_rows, targets = _pack_batch(examples, model.config.eos_id)
+    logits, cache = _forward_batch(params, model.config, ids, rows, adapter64,
+                                   None)
+    mask = np.zeros(ids.size)
+    mask[loss_rows] = 1.0
+    mask = mask.reshape(ids.shape)
+    tgt = np.zeros(ids.size, dtype=np.int64)
+    tgt[loss_rows] = targets
+    tgt = tgt.reshape(ids.shape)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=-1))
+    n, t = np.nonzero(mask)
+    picked = shifted[n, t, tgt[n, t]]
+    total = float((logsumexp[n, t] - picked).sum())
+    count = len(n)
+    probs = np.exp(shifted - logsumexp[..., None])
+    dlogits = probs * mask[..., None]
+    dlogits[n, t, tgt[n, t]] -= 1.0
+    dlogits /= count
+    trainable = params if adapter is None else adapter64[0]
+    grads = {k: np.zeros_like(v) for k, v in trainable.items()}
+    _backward_batch(dlogits, params, model.config, cache, adapter64,
+                    grads if adapter is None else None,
+                    None if adapter is None else grads)
+    return total / count, grads
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_loss_row_tail_matches_full_tail(tiny_model, trained_adapter,
+                                         with_adapter):
+    """The tail at the loss rows only: the loss bit for bit, the grads
+    within rounding (a weight gradient no longer sums exact-zero rows)."""
+    adapter = trained_adapter if with_adapter else None
+    batch = make_examples(np.random.default_rng(13), 6, with_tags=True)
+    assert len({len(ex.input_ids) + len(ex.target_ids) for ex in batch}) > 1
+    want_loss, want = _full_tail_loss_and_grads(tiny_model, batch, adapter)
+    loss, grads, agrads = loss_and_grads(tiny_model, batch, adapter)
+    got = grads if adapter is None else agrads
+    assert repr(loss) == repr(want_loss)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        err = np.abs(got[name] - value).max()
+        assert err <= 1e-12 * np.abs(value).max(), name
+    ids = [1, TAG_START, 5, TAG_END, 9, 33, 34]
+    logits = tiny_model.forward(ids, adapter)
+    assert logits.shape == (len(ids), TINY.vocab_size)
 
 
 # -- adapter path ------------------------------------------------------------
@@ -500,9 +558,7 @@ def _assert_bitwise_equal(got, want):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-@pytest.mark.parametrize("grad_clip", [1.2, 1e6], ids=["clipping", "no-clip"])
-@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-def test_pretrain_loop_matches_per_tensor_optimizer(grad_clip, weight_decay):
+def _check_pretrain_loop(grad_clip, weight_decay):
     model = ToyLM.init(TINY)
     examples = make_examples(np.random.default_rng(9), 24)
     cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=1,
@@ -515,7 +571,13 @@ def test_pretrain_loop_matches_per_tensor_optimizer(grad_clip, weight_decay):
     _assert_bitwise_equal(got, want)
 
 
-def test_adapter_loop_matches_per_tensor_optimizer(tiny_model):
+@pytest.mark.parametrize("grad_clip", [1.2, 1e6], ids=["clipping", "no-clip"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_pretrain_loop_matches_per_tensor_optimizer(grad_clip, weight_decay):
+    _check_pretrain_loop(grad_clip, weight_decay)
+
+
+def _check_adapter_loop(tiny_model):
     adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
                            dropout_rate=0.1, seed=3)
     examples = make_examples(np.random.default_rng(10), 24, with_tags=True)
@@ -528,6 +590,21 @@ def test_adapter_loop_matches_per_tensor_optimizer(tiny_model):
     assert curve == want_curve
     _assert_bitwise_equal(got, want)
     assert np.any(want["tag_deltas"]) and np.any(want["L0.q.C"])
+
+
+def test_adapter_loop_matches_per_tensor_optimizer(tiny_model):
+    _check_adapter_loop(tiny_model)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_loops_match_per_tensor_optimizer_in_small_blocks(tiny_model,
+                                                          monkeypatch, block):
+    """At the default block the tiny model's ~6k values are cut only at
+    decay edges; blocks of 7 and 1,000 values also straddle the views."""
+    monkeypatch.setattr(uttertune.model, "_ADAM_BLOCK", block)
+    for grad_clip, weight_decay in [(1.2, 0.05), (1e6, 0.0)]:
+        _check_pretrain_loop(grad_clip, weight_decay)
+    _check_adapter_loop(tiny_model)
 
 
 # -- persistence -------------------------------------------------------------
@@ -777,6 +854,51 @@ def test_gelu_matches_closed_tanh_form():
     )
     np.testing.assert_allclose(_gelu_backward(np.ones_like(x), x, tanh_u),
                                closed_grad, rtol=1e-12, atol=1e-15)
+
+
+def _whole_array_gelu(x):
+    """_gelu over the whole array at once, as it ran before row blocks."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, t
+
+
+def _whole_array_gelu_backward(dy, x, t):
+    g = x * (3.0 * 0.044715)
+    g *= x
+    g += 1.0
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= x
+    s *= math.sqrt(2.0 / math.pi)
+    s *= g
+    np.add(t, 1.0, out=g)
+    s += g
+    s *= 0.5
+    s *= dy
+    return s
+
+
+@pytest.mark.parametrize("width", [1024, 37])
+def test_gelu_blocks_are_bitwise_the_whole_array_form(width):
+    block = _GELU_BLOCK // width  # rows per block
+    rng = np.random.default_rng(width)
+    for n_rows in (1, block - 1, block, block + 1, 2 * block + 3):
+        x = rng.normal(scale=3.0, size=(n_rows, width))
+        dy = rng.normal(size=(n_rows, width))
+        y, t = _gelu(x)
+        want_y, want_t = _whole_array_gelu(x)
+        assert y.tobytes() == want_y.tobytes(), n_rows
+        assert t.tobytes() == want_t.tobytes(), n_rows
+        assert (_gelu_backward(dy, x, t).tobytes()
+                == _whole_array_gelu_backward(dy, x, t).tobytes()), n_rows
 
 
 def test_gelu_grad_matches_central_differences():
