@@ -467,7 +467,7 @@ def _cmd_eval(args) -> int:
     )
     report_path = out / f"report_{config['mode']}.tsv"
     save_report(report, report_path)
-    print(format_summary([report]))
+    print(format_summary(report))
 
     failures = []
     if config["mode"] == "tagged" and "tagged_accent_min" in thresholds:

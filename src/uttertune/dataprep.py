@@ -418,7 +418,7 @@ def load_corpus(path) -> list[CorpusRecord]:
 
 
 def vocab_training_text(records: Iterable[CorpusRecord],
-                        lexicon=None) -> list[str]:
+                        lexicon: Iterable[LexiconEntry]) -> list[str]:
     """Corpus text with tag literals removed, for BPE training.
 
     Tags are structural (they get reserved ids, never merges), so the
@@ -429,12 +429,11 @@ def vocab_training_text(records: Iterable[CorpusRecord],
     texts = []
     for r in records:
         texts.append(r.input_text.replace(PHON_START, "").replace(PHON_END, ""))
-    if lexicon is not None:
-        pieces = []
-        for entry in lexicon:
-            pieces.append(entry.grapheme)
-            pieces.extend(r.text for r in entry.readings)
-        texts.append("".join(pieces) + "/")
+    pieces = []
+    for entry in lexicon:
+        pieces.append(entry.grapheme)
+        pieces.extend(r.text for r in entry.readings)
+    texts.append("".join(pieces) + "/")
     return texts
 
 

@@ -231,15 +231,13 @@ def load_report(path) -> EvalReport:
     return report
 
 
-def format_summary(reports) -> str:
-    """Aligned text table over one or more reports."""
-    lines = [f"{'mode':<8} {'items':>5} {'excl':>4} {'CER':>8} {'accent':>7}"]
-    for report in reports:
-        lines.append(
-            f"{report.mode:<8} {report.n_items:>5} {report.n_excluded:>4} "
-            f"{report.mean_cer:>8.4f} {report.accent_rate:>7.3f}"
-        )
-    return "\n".join(lines)
+def format_summary(report) -> str:
+    """A report's aggregates as an aligned two-line text table."""
+    return (
+        f"{'mode':<8} {'items':>5} {'excl':>4} {'CER':>8} {'accent':>7}\n"
+        f"{report.mode:<8} {report.n_items:>5} {report.n_excluded:>4} "
+        f"{report.mean_cer:>8.4f} {report.accent_rate:>7.3f}"
+    )
 
 
 # -- leakage -------------------------------------------------------------------

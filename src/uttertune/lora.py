@@ -74,6 +74,12 @@ class LoraAdapter:
     def __post_init__(self):
         if self.scaling not in SCALING_MODES:
             raise ValueError(f"scaling must be one of {SCALING_MODES}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(
+                f"dropout_rate must be in [0,1), got {self.dropout_rate}"
+            )
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.tag_deltas.shape != (2, self.base_spec.width):
             raise ShapeMismatch(
                 f"tag deltas shape {self.tag_deltas.shape} != (2, {self.base_spec.width})"
@@ -108,10 +114,6 @@ def init_adapter(
         raise InvalidRank(f"rank must be >= 1, got {r}")
     if r > base_spec.width:
         raise InvalidRank(f"rank {r} exceeds model width {base_spec.width}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in [0,1), got {dropout_rate}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
     rng = np.random.default_rng(seed)
     d = base_spec.width
     layers = []
@@ -240,4 +242,6 @@ def load_adapter(path) -> LoraAdapter:
         )
     except KeyError as missing:
         raise CorruptFile(f"{path}: missing field {missing}") from None
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: bad meta value: {exc}") from None
 

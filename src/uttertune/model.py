@@ -17,21 +17,18 @@ The adapter path is computed separately from the frozen path
 well-defined place and zero-initialized C keeps step-0 logits bitwise
 equal to the base model's.
 
-Batches are right-padded to (N, T); pad rows sit after every real
+Every forward, in training, in ToyLM.forward and in decoding, is one call
+of _forward_batch over a right-padded (N, T) id batch that names the flat
+rows whose logits it wants (out_rows). Pad rows sit after every real
 position, so causal attention gives them zero weight and they cannot
-affect a real row. Where each op runs in a training step:
-- padded rows (N*T): the embedding, the layer norms before attention, the
-  Q/K/V/O projections (and their dropout draws) and attention, in every
-  layer, and the second layer norm of every layer but the last;
-- real rows (R, gathered and scattered back with zeros at the pad rows):
-  the feed-forward block of every layer but the last;
-- loss rows (the R_loss speech-target positions the loss reads): the last
-  layer's second norm and feed-forward block, the final norm, the head
-  and the loss, as (R_loss, width) and (R_loss, V). The backward pass
-  scatters their gradient back to the padded layout at the last layer's
-  attention output.
-ToyLM.forward passes no loss rows, so its last layer, final norm and head
-run at every position, as the other layers do. GELU is the tanh form, in
+affect a real row. The embedding, the layer norms before attention, the
+Q/K/V/O projections (and their dropout draws) and attention run on the
+padded layout in every layer; the feed-forward block of every layer but
+the last runs on the real rows (gathered, and scattered back with zeros at
+the pad rows); the last layer's second norm and feed-forward block, the
+final norm and the head run at out_rows only. A training step asks for
+the speech-target rows the loss reads, ToyLM.forward for every position,
+and a decode step for each row's last position. GELU is the tanh form, in
 row blocks that stay in cache through its chain of elementwise ops; the
 backward pass reuses the forward tanh.
 
@@ -39,15 +36,10 @@ Generation is greedy and constrained to the speech-token range: the
 model's job after a text prompt is to emit speech codes, each step takes
 the argmax over that range, and the end-of-speech id (last id of the
 range) terminates it. generate is the one decoder, used by eval and by the
-generate command alike. It decodes a list of prompts through the same
-forward, called without rows: every position is then real, and the forward
-computes only what the next token needs. It keeps each layer's keys and
-values and nothing else, and runs the last layer past its keys and values,
-the final norm and the head at the last position only. Prompts of equal
-length share a batch, which runs the prompts once and then one token per
-row and step against the keys and values cached from earlier steps (the
-layer cache's kh/vh passed back as past); rows that emit end-of-speech drop
-out.
+generate command alike. Prompts of equal length share a batch, which runs
+the prompts once and then one token per row and step; the forward, called
+without rows, keeps each layer's keys and values and nothing else, and the
+next step takes them back as past. Rows that emit end-of-speech drop out.
 
 The weight table (_weight_shapes) names every tensor with its shape; the
 constructor checks a loaded model against it, and init and fingerprint
@@ -225,6 +217,8 @@ class ToyLM:
             )
         except KeyError as missing:
             raise CorruptFile(f"{path}: missing meta field {missing}") from None
+        except ValueError as exc:
+            raise CorruptFile(f"{path}: bad meta value: {exc}") from None
         return cls(config, tensors)
 
     def params64(self) -> dict[str, np.ndarray]:
@@ -245,10 +239,10 @@ class ToyLM:
         if ids.ndim != 1:
             raise ValueError("forward takes a single id sequence")
         logits, _ = _forward_batch(
-            self.params64(), self.config, ids[None, :], np.arange(ids.shape[0]),
+            self.params64(), self.config, ids[None, :], np.arange(ids.size),
             _adapter64(adapter), None,
         )
-        return logits[0]
+        return logits
 
     def loss(self, examples, adapter: LoraAdapter | None = None) -> float:
         """Mean next-token cross-entropy over speech positions only."""
@@ -394,33 +388,21 @@ def _project_backward(dy, x, W, adapter, name, masks, cache, grads, adapter_grad
     return dx
 
 
-def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
-                   past=None, loss_rows=None):
-    """Causal forward over a right-padded id batch.
+def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
+                   dropout_rng, rows=None, past=None):
+    """Causal forward over a right-padded id batch: (logits, cache).
 
-    rows holds the flat indices into (N*T) of the real, non-pad positions;
-    the feed-forward block runs on those rows only, and its output at the
-    pad rows is zero. Returns (logits (N,T,V), cache for backward). dropout_rng
-    draws the adapter-path masks; None disables dropout.
+    out_rows are flat indices into (N*T); the logits are (len(out_rows), V)
+    in their order, and the last layer after attention, the final norm and
+    the head run at those rows only. rows are the flat indices of the real
+    positions (None: every position is real); the feed-forward block of the
+    other layers runs at them only, and its output at the pad rows is zero.
+    dropout_rng draws the adapter-path masks; None disables dropout.
 
-    loss_rows, a subset of rows, holds the flat indices of the positions
-    the loss reads. Given, the last layer's second norm and feed-forward
-    block, the final norm and the head run at those rows only, and the
-    logits are (len(loss_rows), V) in their order. The last layer's
-    attention half still runs on the padded layout.
-
-    rows=None is the decode call: every position is real, and only what the
-    next token needs is computed and kept. Keys and values run at every
-    position, but the last layer's query, attention, output projection and
-    feed-forward block, the final norm and the head run at the last
-    position only, so the logits are (N, 1, V); the cache holds only each
-    layer's kh and vh.
-
-    past continues a decode: one (kh, vh) pair per layer, each (N, H, P, dh),
-    as a previous call's cache["layers"][i]["kh"/"vh"] holds them. ids then
-    sit at positions P..P+T-1 and attend to the P cached keys and values as
-    well as causally to each other; every row must share those P positions.
-    Training passes no past.
+    With rows, cache is what _backward_batch takes. Without, it is one
+    (kh, vh) pair per layer, each (N, H, positions, dh), and a next call
+    takes it as past: that call's ids sit after the cached positions and
+    attend to them as well as causally to each other.
     """
     N, T = ids.shape
     P = 0 if past is None else past[0][0].shape[2]
@@ -457,14 +439,10 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
                     ).astype(np.float64) / keep
                     for p in PROJECTIONS
                 }
+        q, q_cache = _project(ln1_out, params[f"L{i}.q"], adapter, f"L{i}.q", masks)
         k, k_cache = _project(ln1_out, params[f"L{i}.k"], adapter, f"L{i}.k", masks)
         v, v_cache = _project(ln1_out, params[f"L{i}.v"], adapter, f"L{i}.v", masks)
-        if rows is None and i == cfg.layers - 1:
-            # Past this point only the last position reaches the logits.
-            x, ln1_out, causal = x[:, -1:], ln1_out[:, -1:], None
-        Tq = x.shape[1]
-        q, q_cache = _project(ln1_out, params[f"L{i}.q"], adapter, f"L{i}.q", masks)
-        qh = q.reshape(N, Tq, H, dh).transpose(0, 2, 1, 3)
+        qh = q.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(N, T, H, dh).transpose(0, 2, 1, 3)
         if past is not None:
@@ -476,15 +454,15 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, Tq, cfg.width)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, T, cfg.width)
         attn_out, o_cache = _project(
             ctx, params[f"L{i}.o"], adapter, f"L{i}.o", masks
         )
         x_attn = x + attn_out
         ff_at = rows
-        if loss_rows is not None and i == cfg.layers - 1:
-            # Past this point only the loss rows reach the logits.
-            x_attn, ff_at = x_attn.reshape(-1, cfg.width)[loss_rows], None
+        if i == cfg.layers - 1:
+            # Past this point only out_rows reach the logits.
+            x_attn, ff_at = x_attn.reshape(-1, cfg.width)[out_rows], None
         ln2_out, ln2_cache = _layer_norm(
             x_attn, params[f"L{i}.ln2.g"], params[f"L{i}.ln2.b"]
         )
@@ -501,38 +479,33 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, rows, adapter, dropout_rng,
         else:
             x = x_attn.copy()
             x.reshape(-1, cfg.width)[ff_at] += ff_rows
-        if rows is None:
-            layers_cache.append({"kh": kh, "vh": vh})
-            continue
-        layers_cache.append(
-            {
-                "ln1_out": ln1_out,
-                "ln1_cache": ln1_cache,
-                "masks": masks,
-                "q_cache": q_cache,
-                "k_cache": k_cache,
-                "v_cache": v_cache,
-                "o_cache": o_cache,
-                "qh": qh,
-                "kh": kh,
-                "vh": vh,
-                "attn": attn,
-                "ctx": ctx,
-                "ln2_rows": ln2_rows,
-                "ln2_cache": ln2_cache,
-                "pre_act": pre_act,
-                "tanh_u": tanh_u,
-                "act": act,
-            }
-        )
+        layers_cache.append((kh, vh) if rows is None else {
+            "ln1_out": ln1_out,
+            "ln1_cache": ln1_cache,
+            "masks": masks,
+            "q_cache": q_cache,
+            "k_cache": k_cache,
+            "v_cache": v_cache,
+            "o_cache": o_cache,
+            "qh": qh,
+            "kh": kh,
+            "vh": vh,
+            "attn": attn,
+            "ctx": ctx,
+            "ln2_rows": ln2_rows,
+            "ln2_cache": ln2_cache,
+            "pre_act": pre_act,
+            "tanh_u": tanh_u,
+            "act": act,
+        })
     final_out, lnf_cache = _layer_norm(x, params["lnf.g"], params["lnf.b"])
     logits = final_out @ params["head"]
     if rows is None:
-        return logits, {"layers": layers_cache}
+        return logits, layers_cache
     cache = {
         "ids": ids,
         "rows": rows,
-        "loss_rows": loss_rows,
+        "out_rows": out_rows,
         "tag_hits": tag_hits,
         "layers": layers_cache,
         "final_out": final_out,
@@ -550,13 +523,13 @@ def _scatter_rows(values, at, shape):
 
 def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
                     grads, adapter_grads) -> None:
-    """Adds the base gradients into grads (None skips them) and, with an
-    adapter, its gradients into adapter_grads; each dict is shaped like
-    the parameters it belongs to."""
+    """Given dlogits at the forward's out_rows, adds the base gradients
+    into grads (None skips them) and, with an adapter, its gradients into
+    adapter_grads; each dict is shaped like the parameters it belongs to."""
     H = cfg.heads
     dh = cfg.width // H
     N, T = cache["ids"].shape
-    rows, loss_rows = cache["rows"], cache["loss_rows"]
+    rows, out_rows = cache["rows"], cache["out_rows"]
 
     flat_final = cache["final_out"].reshape(-1, cfg.width)
     if grads is not None:
@@ -569,9 +542,9 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
 
     for i in reversed(range(cfg.layers)):
         lc = cache["layers"][i]
-        # FF block, on the real rows only; with loss rows, dx of the last
-        # layer is already at those rows.
-        tail = loss_rows is not None and i == cfg.layers - 1
+        # FF block, on the real rows only; dx of the last layer is already
+        # at out_rows.
+        tail = i == cfg.layers - 1
         dff_rows = dx if tail else dx.reshape(-1, cfg.width)[rows]
         if grads is not None:
             grads[f"L{i}.ff2b"] += dff_rows.sum(axis=0)
@@ -592,7 +565,7 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
             grads[f"L{i}.ln2.b"] += db
         dx_attn = dx + dx_attn_from_ln2
         if tail:
-            dx_attn = _scatter_rows(dx_attn, loss_rows, (N, T, cfg.width))
+            dx_attn = _scatter_rows(dx_attn, out_rows, (N, T, cfg.width))
 
         # Attention output projection.
         dctx = _project_backward(
@@ -671,8 +644,8 @@ def _loss_forward(params, cfg, examples, adapter, dropout_rng):
     if not examples:
         raise ValueError("empty batch")
     ids, rows, loss_rows, targets = _pack_batch(examples, cfg.eos_id)
-    logits, cache = _forward_batch(params, cfg, ids, rows, adapter,
-                                   dropout_rng, loss_rows=loss_rows)
+    logits, cache = _forward_batch(params, cfg, ids, loss_rows, adapter,
+                                   dropout_rng, rows)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
     picked = shifted[np.arange(len(targets)), targets]
@@ -727,6 +700,7 @@ def gradient_check(
     adapter parameter tensor. With dropout active, pass a dropout_seed so
     both routes see identical masks.
     """
+    _, _, agrads = loss_and_grads(model, examples, adapter, dropout_seed)
     base = model.params64()
     adapter64 = _adapter64(adapter)
     aparams, _scale, rate = adapter64
@@ -735,11 +709,8 @@ def gradient_check(
         rng = None
         if dropout_seed is not None and rate > 0.0:
             rng = np.random.default_rng(dropout_seed)
-        return _loss_forward(base, model.config, examples, adapter64, rng)
+        return _loss_forward(base, model.config, examples, adapter64, rng)[0]
 
-    _, bundle = run_loss()
-    agrads = {k: np.zeros_like(v) for k, v in aparams.items()}
-    _loss_backward(model.config, bundle, base, adapter64, None, agrads)
     names = sorted(aparams)
     sizes = np.array([aparams[n].size for n in names])
     rng = np.random.default_rng(seed)
@@ -753,9 +724,9 @@ def gradient_check(
         flat = aparams[name].reshape(-1)
         original = flat[offset]
         flat[offset] = original + step
-        hi, _ = run_loss()
+        hi = run_loss()
         flat[offset] = original - step
-        lo, _ = run_loss()
+        lo = run_loss()
         flat[offset] = original
         fd = (hi - lo) / (2.0 * step)
         analytic = float(agrads[name].reshape(-1)[offset])
@@ -965,16 +936,15 @@ def generate(
             ids = np.stack([prompts[index] for index in live])
             past = None
             for _ in range(budget):
-                logits, cache = _forward_batch(
-                    params, cfg, ids, None, adapter64, None, past
+                last = np.arange(1, len(live) + 1) * ids.shape[1] - 1
+                logits, past = _forward_batch(
+                    params, cfg, ids, last, adapter64, None, past=past
                 )
-                nxt = lo + np.argmax(logits[:, -1, lo:hi], axis=1)
+                nxt = lo + np.argmax(logits[:, lo:hi], axis=1)
                 going = nxt != cfg.eos_id
                 live = [index for index, g in zip(live, going) if g]
                 if not live:
                     break
-                past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
-                del cache  # so that a gather frees the ungathered rows
                 if len(live) < going.size:  # a row ended: drop its K/V rows
                     nxt = nxt[going]
                     past = [(kh[going], vh[going]) for kh, vh in past]

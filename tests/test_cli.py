@@ -783,6 +783,28 @@ def test_container_without_its_fields_is_one_line_data_error(pipeline,
 
 
 
+@pytest.mark.parametrize("slot, key, value", [
+    pytest.param("model", "layers", "x", id="model-layers-x"),
+    pytest.param("adapter", "rank", "x", id="adapter-rank-x"),
+    pytest.param("adapter", "alpha", "nan", id="adapter-alpha-nan"),
+    pytest.param("adapter", "dropout", "1.5", id="adapter-dropout-1.5"),
+])
+def test_malformed_meta_value_is_one_line_data_error_naming_the_file(
+        pipeline, tmp_path, capsys, slot, key, value):
+    tensors, meta = load_tensors(pipeline[slot])
+    meta[key] = value
+    bad = tmp_path / f"bad_{slot}.ut"
+    save_tensors(bad, tensors, meta)
+    out = tmp_path / "o"
+    assert main(_model_argv("eval", pipeline, out, **{slot: bad})) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"CorruptFile: {bad}: "), err
+    assert key in err or repr(value) in err, err
+    assert not out.exists()
+
+
 def _flip_last_byte(raw):
     return raw[:-1] + bytes([raw[-1] ^ 1])
 

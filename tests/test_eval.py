@@ -491,7 +491,7 @@ def test_report_load_rejects_foreign_file(tmp_path):
 
 
 def test_format_summary_lists_each_mode():
-    text = format_summary([_sample_report()])
+    text = format_summary(_sample_report())
     assert "plain" in text
     assert "CER" in text
     lines = text.splitlines()

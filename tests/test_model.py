@@ -152,7 +152,8 @@ def test_causality_is_exact(tiny_model):
 def test_attention_rows_are_normalized(tiny_model):
     ids = np.array([[1, 2, 3, 4, 5, 6]], dtype=np.int64)
     _, cache = _forward_batch(
-        tiny_model.params64(), TINY, ids, np.arange(ids.size), None, None
+        tiny_model.params64(), TINY, ids, np.arange(ids.size), None, None,
+        rows=np.arange(ids.size),
     )
     for layer_cache in cache["layers"]:
         sums = layer_cache["attn"].sum(axis=-1)
@@ -243,27 +244,26 @@ def test_padded_batch_grads_match_per_sequence_mean(tiny_model):
 
 def _full_tail_loss_and_grads(model, examples, adapter):
     """Loss and grads as computed before the loss rows: the last layer's
-    feed-forward block, the final norm and the head at every real row,
-    (N, T, V) logits, and a mask over them for the loss and dlogits."""
+    feed-forward block, the final norm and the head at every real row, and
+    a mask over those rows for the loss and dlogits."""
     params, adapter64 = model.params64(), _adapter64(adapter)
     ids, rows, loss_rows, targets = _pack_batch(examples, model.config.eos_id)
     logits, cache = _forward_batch(params, model.config, ids, rows, adapter64,
-                                   None)
-    mask = np.zeros(ids.size)
-    mask[loss_rows] = 1.0
-    mask = mask.reshape(ids.shape)
-    tgt = np.zeros(ids.size, dtype=np.int64)
-    tgt[loss_rows] = targets
-    tgt = tgt.reshape(ids.shape)
+                                   None, rows)
+    at = np.searchsorted(rows, loss_rows)
+    mask = np.zeros(len(rows))
+    mask[at] = 1.0
+    tgt = np.zeros(len(rows), dtype=np.int64)
+    tgt[at] = targets
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
-    n, t = np.nonzero(mask)
-    picked = shifted[n, t, tgt[n, t]]
-    total = float((logsumexp[n, t] - picked).sum())
-    count = len(n)
+    (r,) = np.nonzero(mask)
+    picked = shifted[r, tgt[r]]
+    total = float((logsumexp[r] - picked).sum())
+    count = len(r)
     probs = np.exp(shifted - logsumexp[..., None])
     dlogits = probs * mask[..., None]
-    dlogits[n, t, tgt[n, t]] -= 1.0
+    dlogits[r, tgt[r]] -= 1.0
     dlogits /= count
     trainable = params if adapter is None else adapter64[0]
     grads = {k: np.zeros_like(v) for k, v in trainable.items()}
@@ -293,6 +293,48 @@ def test_loss_row_tail_matches_full_tail(tiny_model, trained_adapter,
     ids = [1, TAG_START, 5, TAG_END, 9, 33, 34]
     logits = tiny_model.forward(ids, adapter)
     assert logits.shape == (len(ids), TINY.vocab_size)
+
+
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+@pytest.mark.parametrize("pick", ["all-reversed", "shuffled-subset", "one"])
+def test_out_rows_are_those_rows_of_the_per_sequence_forward(
+        tiny_model, trained_adapter, with_adapter, pick):
+    """Any order, any subset of a padded batch's real rows: the logits
+    come back in out_rows' order, each within 1e-12 of ToyLM.forward's."""
+    adapter = trained_adapter if with_adapter else None
+    batch = make_examples(np.random.default_rng(14), 5, with_tags=True)
+    ids, rows, _, _ = _pack_batch(batch, TINY.eos_id)
+    assert len(rows) < ids.size  # some rows are padding
+    rng = np.random.default_rng(15)
+    out_rows = {
+        "all-reversed": rows[::-1],
+        "shuffled-subset": rng.permutation(rows)[: len(rows) // 3],
+        "one": rows[-1:],
+    }[pick]
+    logits, _ = _forward_batch(tiny_model.params64(), TINY, ids, out_rows,
+                               _adapter64(adapter), None, rows)
+    assert logits.shape == (len(out_rows), TINY.vocab_size)
+    T = ids.shape[1]
+    for row, got in zip(out_rows, logits):
+        n, t = divmod(int(row), T)
+        seq = list(batch[n].input_ids) + list(batch[n].target_ids) + [TINY.eos_id]
+        want = tiny_model.forward(seq, adapter)[t]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_decode_return_value_is_taken_as_past_as_it_is(tiny_model,
+                                                       trained_adapter):
+    adapter64 = _adapter64(trained_adapter)
+    params = tiny_model.params64()
+    seq = [1, TAG_START, 5, TAG_END, 9, 33, 34, 35]
+    ids = np.array([seq])
+    _, past = _forward_batch(params, TINY, ids[:, :5], np.array([4]),
+                             adapter64, None)
+    logits, _ = _forward_batch(params, TINY, ids[:, 5:], np.arange(3),
+                               adapter64, None, past=past)
+    want = tiny_model.forward(seq, trained_adapter)[5:]
+    assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- adapter path ------------------------------------------------------------
@@ -768,18 +810,16 @@ def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
     rng = np.random.default_rng(8)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END
-    full, _ = _forward_batch(params, TINY, ids, np.arange(ids.size),
-                             adapter64, None)
+    full = _training_layout_logits(params, ids, adapter64)
     # Prefill 4 positions, then a chunk of 3, then one position at a time.
     past = None
     for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
         chunk = ids[:, lo:hi]
-        logits, cache = _forward_batch(params, TINY, chunk,
-                                       np.arange(chunk.size), adapter64, None,
-                                       past)
-        want = full[:, lo:hi]
+        logits, past = _forward_batch(params, TINY, chunk,
+                                      np.arange(chunk.size), adapter64, None,
+                                      past=past)
+        want = full[:, lo:hi].reshape(logits.shape)
         assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
-        past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
         assert past[0][0].shape[2] == hi
 
 
@@ -787,27 +827,36 @@ def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
                          ids=["base", "trained-adapter"])
 def test_decode_call_matches_full_forward_at_last_position(
         tiny_model, trained_adapter, with_adapter):
-    """rows=None: logits at the last position only, within rounding of the
-    full forward, and a cache of keys and values alone."""
+    """rows=None, out_rows at each row's last position: those logits within
+    rounding of the full forward, and per layer the keys and values alone,
+    which the next call takes as its past as they are."""
     adapter64 = _adapter64(trained_adapter if with_adapter else None)
     params = tiny_model.params64()
     rng = np.random.default_rng(9)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END
-    full, _ = _forward_batch(params, TINY, ids, np.arange(ids.size),
-                             adapter64, None)
+    full = _training_layout_logits(params, ids, adapter64)
     # Prefill 4 positions, then a chunk of 3, then one position at a time.
     past = None
     for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
-        logits, cache = _forward_batch(params, TINY, ids[:, lo:hi], None,
-                                       adapter64, None, past)
-        want = full[:, hi - 1 : hi]
+        last = np.arange(1, len(ids) + 1) * (hi - lo) - 1
+        logits, past = _forward_batch(params, TINY, ids[:, lo:hi], last,
+                                      adapter64, None, past=past)
+        want = full[:, hi - 1]
         assert logits.shape == want.shape
         assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
-        assert list(cache) == ["layers"] and len(cache["layers"]) == TINY.layers
-        assert all(list(lc) == ["kh", "vh"] for lc in cache["layers"])
-        past = [(lc["kh"], lc["vh"]) for lc in cache["layers"]]
-        assert past[0][0].shape[2] == hi
+        assert len(past) == TINY.layers
+        assert all(len(kv) == 2 for kv in past)
+        assert past[0][0].shape == (3, TINY.heads, hi, TINY.width // TINY.heads)
+
+
+def _training_layout_logits(params, ids, adapter64):
+    """(N, T, V) logits of the training layout: every position real and
+    asked for."""
+    every = np.arange(ids.size)
+    logits, _ = _forward_batch(params, TINY, ids, every, adapter64, None,
+                               rows=every)
+    return logits.reshape(ids.shape + (-1,))
 
 
 def _mean_form_layer_norm(x, g, b):

@@ -26,7 +26,6 @@ ALLOWED = {
     "model.ToyLM.forward": "the oracle of check 1 and of the decode tests",
     "tokenizer.decode": "the inverse of encode_text, the round-trip oracle",
     "model.ToyLM.loss": "perfbench measures the loss through it",
-    "model.loss_and_grads": "perfbench measures gradients through it",
     "kernels.active_backend": "perfbench and check 7's verdict print it",
     "kernels.enumerate_strings": "check 7's route, also perfbench distance",
     "kernels.edit_move_graph": "check 7's route, also perfbench distance",
