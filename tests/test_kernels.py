@@ -405,18 +405,24 @@ class TestBfsOracle:
         d = kernels.bfs_distance_matrix([0, 0], [], 1)
         assert d.dtype == np.uint8 and d.tolist() == [[0]]
 
+    def test_empty_graph(self):
+        d = kernels.bfs_distance_matrix([0], [], 0)
+        assert d.dtype == np.uint8 and d.shape == (0, 0)
+
     def test_longest_allowed_path(self):
         n = 255
         indptr, indices = csr(n, [(u, u + 1) for u in range(n - 1)])
         d = kernels.bfs_distance_matrix(indptr, indices, n)
         assert d[0, n - 1] == 254 and d[n - 1, 0] == 255
 
-    @pytest.mark.parametrize("n", [1, 8, 13, 40, 97])
+    @pytest.mark.parametrize("n", [1, 8, 13, 40, 97, 300, 777])
     def test_matches_in_adjacency_form(self, n):
         # Random directed graphs; some nodes lose every out-edge (sinks) and
-        # some lose every edge (isolated).
+        # some lose every edge (isolated). 300 and 777 nodes take two and
+        # four blocks of 256 targets, the last one partial; at p = 2 / n the
+        # graphs are sparse, with long paths.
         rng = np.random.default_rng(100 + n)
-        for p in (0.03, 0.1, 0.3):
+        for p in (0.03, 0.1, 0.3, 2 / n):
             adj = rng.random((n, n)) < p
             np.fill_diagonal(adj, False)
             adj[rng.random(n) < 0.2] = False
@@ -427,6 +433,25 @@ class TestBfsOracle:
             got = kernels.bfs_distance_matrix(indptr, indices, n)
             assert np.array_equal(
                 got, in_adjacency_bfs_matrix(indptr, indices, n))
+
+    def test_highest_out_degree_on_the_largest_id(self):
+        # Sources are reordered by falling out-degree; here that order puts
+        # the last node first.
+        n = 530
+        edges = [(u, u + 1) for u in range(0, n - 2, 2)]
+        edges += [(n - 1, v) for v in range(0, n - 1, 7)]
+        indptr, indices = csr(n, edges)
+        assert np.argmax(np.diff(indptr)) == n - 1
+        d = kernels.bfs_distance_matrix(indptr, indices, n)
+        assert np.array_equal(d, in_adjacency_bfs_matrix(indptr, indices, n))
+        assert d[n - 1, 1] == 2 and d[n - 1, 0] == 1 and d[1, n - 1] == 255
+
+    def test_edgeless_graph_above_one_block(self):
+        n = 600
+        d = kernels.bfs_distance_matrix(np.zeros(n + 1, np.int64), [], n)
+        want = np.full((n, n), 255, dtype=np.uint8)
+        np.fill_diagonal(want, 0)
+        assert np.array_equal(d, want)
 
     @pytest.mark.parametrize("indptr, indices, n, match", [
         ([0, 1], [1], 2, "indptr of length n_nodes"),
@@ -487,7 +512,9 @@ class TestCheck7Matrices:
 class TestCheck7Memory:
     # Bytes traced by tracemalloc while each kernel runs, over the n**2
     # bytes of its output. The DP's trie is its rows, so it needs no
-    # second matrix; the BFS keeps four n x n / 8 bit sets beside dist.
+    # second matrix. Beside dist, the BFS keeps one row per edge for its
+    # slots, and for one block of 256 targets at a time four n x 32-byte
+    # bit sets and the block's n x 256 distances with their unpacked bits.
     @staticmethod
     def traced_peak(kernel, *args):
         tracemalloc.start()
@@ -504,7 +531,7 @@ class TestCheck7Memory:
 
     def test_bfs_peak(self):
         graph = kernels.edit_move_graph(4, 6)
-        assert self.traced_peak(kernels.bfs_distance_matrix, *graph) < 2.0
+        assert self.traced_peak(kernels.bfs_distance_matrix, *graph) < 1.3
 
 
 class TestUniverse:
@@ -561,6 +588,27 @@ class TestUniverse:
         assert indptr.dtype == indices.dtype == np.int64
         assert np.array_equal(indptr, want_ptr)
         assert np.array_equal(indices, want_indices)
+
+    @pytest.mark.parametrize("alphabet_size, max_len",
+                             [(0, 3), (1, 4), (2, 3), (3, 4), (4, 6)])
+    def test_edge_dedup_matches_np_unique(self, monkeypatch, alphabet_size,
+                                          max_len):
+        # The raw src * n + dst keys, duplicates included, are the one array
+        # edit_move_graph sorts; its edges must be np.unique of them.
+        raw, sort = [], np.sort
+
+        def recording_sort(keys):
+            raw.append(keys.copy())
+            return sort(keys)
+
+        monkeypatch.setattr(kernels.np, "sort", recording_sort)
+        indptr, indices, n = kernels.edit_move_graph(alphabet_size, max_len)
+        monkeypatch.undo()
+        (keys,) = raw
+        got = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        assert np.array_equal(got, np.unique(keys))
+        if alphabet_size and max_len > 1:
+            assert keys.size > got.size
 
     def test_insertions_capped_at_max_len(self):
         indptr, indices, n = kernels.edit_move_graph(2, 2)
