@@ -12,20 +12,24 @@ Kernels:
                            cross-check the DP route; keep the two
                            implementations independent)
 
-edit_distance_matrix keeps its own recurrence, over the prefix trie of its
-rows: one uint8 cell per pair of distinct prefixes, where a DP per pair of
-rows repeats the cells of every shared prefix. On check 7's (4, 6) universe
-that is 29.8 M cells in place of 958 M, and ~0.1 s in place of ~0.6 s on a
-2-vCPU Xeon.
+edit_distance_matrix keeps its own recurrence, over the suffix trie of its
+rows: one uint8 cell per pair of distinct suffixes, where a DP per pair of
+rows repeats the cells of every shared suffix. Its nodes are numbered
+first symbol before the rest, the order in which enumerate_strings lists
+its rows, so on check 7's (4, 6) universe the trie is the table itself,
+every parent read is a slice and no copy of the n x n result is made.
+That is 29.8 M cells in place of 958 M, and ~0.03 s in place of ~0.6 s on
+a 2-vCPU Xeon.
 
 bfs_distance_matrix runs its bit-set BFS over one block of 256 targets at
 a time, every level of a block before the next block starts, with the
 sources in falling out-degree order so that each out-neighbour slot
-gathers for a prefix of the rows, one 32-byte row per edge. Its cost is
-levels x (sum of out-degrees) x 32 bytes per block, and its working set
-four n x 32-byte bit sets (175 KB each at check 7's 5,461 nodes) plus the
-block's n x 256 distances. On (4, 6) that is ~0.2 s in place of ~0.5 s
-for whole-width bit sets padded with self loops, on the same Xeon.
+gathers for a prefix of the rows, one 32-byte row per edge, straight into
+its buffer. Its cost is levels x (sum of out-degrees) x 32 bytes per
+block, and its working set four n x 32-byte bit sets (175 KB each at
+check 7's 5,461 nodes) plus the block's n x 256 distances. On (4, 6) that
+is ~0.13 s in place of ~0.5 s for whole-width bit sets padded with self
+loops, on the same Xeon.
 
 Both matrix kernels return uint8 and reject inputs whose values would not
 fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
@@ -49,9 +53,9 @@ UNREACHABLE = 255
 # Every DP value is <= max(la, lb), and a cell adds 1 before taking the
 # minimum, so strings up to 254 long keep every uint8 step below overflow.
 MAX_MATRIX_LEN = UNREACHABLE - 1
-# Cells per row chunk of a (depth, depth) block in edit_distance_matrix:
-# the chunk's few uint8 temporaries then take well under an L2 cache.
-_DP_BLOCK_CELLS = 1 << 17
+# Cells per row chunk in edit_distance_matrix, counted over the two depths
+# of columns the chunk reads: its uint8 temporaries then stay in L2.
+_DP_BLOCK_CELLS = 1 << 19
 # Targets per block in bfs_distance_matrix, a multiple of 8: a block's bit
 # sets then take n * 32 bytes each, 175 KB at check 7's 5,461 nodes, and
 # stay in L2 through all of the block's levels.
@@ -134,12 +138,24 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
     lengths does not hold one integer in [0, width] per row, or if a string
     is longer than MAX_MATRIX_LEN.
 
-    The DP runs over the prefix trie of the rows (Shang & Merrett, IEEE
-    TKDE 8(4), 1996): d[u, v] is the distance between trie nodes u and v,
-    and each (node, node) cell is computed once from the cells of the
-    nodes' parents, however many rows share those prefixes. The cost is
-    one cell per pair of trie nodes, and n_nodes**2 bytes; a table that is
-    not closed under prefixes (or not in trie order) takes a second, n*n
+    The DP runs over the suffix trie of the rows, the trie of the reversed
+    strings (Shang & Merrett, IEEE TKDE 8(4), 1996): d[u, v] is the
+    distance between trie nodes u and v, each computed once from the cells
+    of the nodes' parents, however many rows share those suffixes. A
+    depth-(i+1) node is (first symbol, depth-i node of the rest), and the
+    recurrence is Levenshtein's taken from the front: d(aX, bY) =
+    min(d(X, bY) + 1, d(aX, Y) + 1, d(X, Y) + [a != b]).
+
+    Nodes are numbered in depth order and, within a depth, by first symbol
+    and then by the rest's number. enumerate_strings lists a string of
+    length L at c * k**(L-1) + (the index of its rest) among its length, so
+    for a full universe in that order node ids are row ids. There the
+    nodes of one depth and first symbol have as parents the whole depth
+    above, in order, so each chunk of rows reads its parents as one slice
+    of d. A table that is not closed under suffixes has first-symbol groups
+    whose parents skip ids, and these parents are gathered instead. The
+    cost is one cell per pair of trie nodes, and n_nodes**2 bytes; a table
+    whose rows are not the trie's nodes in order takes a second, n*n
     matrix for the rows' cells.
     """
     padded = np.asarray(padded)
@@ -164,50 +180,76 @@ def edit_distance_matrix(padded, lengths) -> np.ndarray:
             f"edit_distance_matrix takes strings up to {MAX_MATRIX_LEN} long, "
             f"got one of length {max_len}"
         )
-    # The trie, level by level. Node ids run in depth order from the root,
-    # 0; a depth-(i+1) node is a distinct (parent, symbol) key among the
-    # rows longer than i, numbered in key order, so each parent's children
-    # are contiguous. bounds[i]:bounds[i+1] are the depth-i nodes.
-    symbols, codes = np.unique(padded, return_inverse=True)
-    codes = codes.reshape(padded.shape)
+    # The suffix trie, level by level. Node ids run in depth order from the
+    # root, 0. A depth-(i+1) node is a distinct (symbol, suffix) key among
+    # the rows longer than i: the row's (i+1)-th symbol from the end, and
+    # the depth-i node of the rest, its parent. Keys are numbered in
+    # order, so the nodes of one depth that share a first symbol are one
+    # range; groups[i] lists those ranges as (symbol, nodes).
+    # bounds[i]:bounds[i+1] are the depth-i nodes.
+    codes = np.unique(padded, return_inverse=True)[1].reshape(padded.shape)
     row_node = np.zeros(n_str, dtype=np.int64)
     bounds = [0, 1]
-    parent, symbol = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    parent, groups = [np.zeros(1, np.int64)], [[]]
     for i in range(max_len):
         rows = np.nonzero(lengths > i)[0]
-        keys, child = np.unique(row_node[rows] * symbols.size + codes[rows, i],
-                                return_inverse=True)
-        row_node[rows] = bounds[-1] + child
-        parent.append(keys // symbols.size)
-        symbol.append(keys % symbols.size)
-        bounds.append(bounds[-1] + keys.size)
-    parent, symbol = np.concatenate(parent), np.concatenate(symbol)
+        lo = bounds[-1]
+        keys, child = np.unique(
+            codes[rows, lengths[rows] - 1 - i] * lo + row_node[rows],
+            return_inverse=True)
+        row_node[rows] = lo + child
+        parent.append(keys % lo)
+        bounds.append(lo + keys.size)
+        symbol = keys // lo
+        starts = np.flatnonzero(np.diff(symbol, prepend=-1)).tolist()
+        groups.append([(int(symbol[a]), slice(lo + a, lo + b))
+                       for a, b in zip(starts, [*starts[1:], keys.size])])
+    parent = np.concatenate(parent)
     n_nodes = bounds[-1]
 
     # d[u, v] = min(d[pu, v] + 1, d[u, pv] + 1, d[pu, pv] + (sym u != sym v))
     # for u of depth i and v of depth j, one (i, j) block after another,
-    # each after (i - 1, j) and (i, j - 1), in chunks of rows u.
+    # each after (i - 1, j) and (i, j - 1). Rows u go in chunks inside one
+    # symbol group, so sym u is one value, and columns v one symbol group
+    # at a time. Each chunk reads its parents' rows once, over the columns
+    # of depths j - 1 and j, and takes both d[pu, v] and d[pu, pv] from
+    # that read. Parents that are consecutive ids, as in a full universe,
+    # are read as a slice; other parents are gathered.
     d = np.empty((n_nodes, n_nodes), dtype=np.uint8)
     d[0] = d[:, 0] = np.repeat(np.arange(max_len + 1, dtype=np.uint8),
                                np.diff(bounds))
     for j in range(1, max_len + 1):
-        plo, lo, hi = bounds[j - 1 : j + 2]
-        # np.repeat(..., fan_out, axis=1) takes column pv to its children v.
-        fan_out = np.bincount(parent[lo:hi] - plo, minlength=lo - plo)
-        block = max(1, _DP_BLOCK_CELLS // (hi - lo))
-        for i in range(1, max_len + 1):
-            for start in range(bounds[i], bounds[i + 1], block):
-                u = slice(start, min(start + block, bounds[i + 1]))
-                pu = parent[u]
-                best = np.minimum(d[pu, lo:hi],
-                                  np.repeat(d[u, plo:lo], fan_out, axis=1))
-                best += 1
-                diag = np.repeat(d[pu, plo:lo], fan_out, axis=1)
-                diag += (symbol[u, None] != symbol[lo:hi]).view(np.uint8)
-                np.minimum(best, diag, out=d[u, lo:hi])
+        plo, hi = bounds[j - 1], bounds[j + 1]
+        columns = [(sym_v, v, slice(v.start - plo, v.stop - plo),
+                    _slice_if_range(parent[v]),
+                    _slice_if_range(parent[v] - plo))
+                   for sym_v, v in groups[j]]
+        block = max(1, _DP_BLOCK_CELLS // (hi - plo))
+        for sym_u, nodes in itertools.chain(*groups[1:]):
+            for start in range(nodes.start, nodes.stop, block):
+                u = slice(start, min(start + block, nodes.stop))
+                above = d[_slice_if_range(parent[u]), plo:hi]
+                for sym_v, v, v_above, pv, pv_above in columns:
+                    # With best = min(d[pu, v], d[u, pv]) and diag =
+                    # d[pu, pv], the cell is min(best + 1, diag) when the
+                    # symbols match and min(best, diag) + 1 when they differ.
+                    best = np.minimum(above[:, v_above], d[u, pv])
+                    if sym_u == sym_v:
+                        best += 1
+                        np.minimum(best, above[:, pv_above], out=d[u, v])
+                    else:
+                        np.minimum(best, above[:, pv_above], out=best)
+                        np.add(best, 1, out=d[u, v])
     if n_nodes == n_str and np.array_equal(row_node, np.arange(n_str)):
         return d
     return d[np.ix_(row_node, row_node)]
+
+
+def _slice_if_range(ids: np.ndarray):
+    """Increasing node ids as a slice when they are consecutive, so that
+    numpy reads them as a view; otherwise the ids themselves."""
+    first, last = int(ids[0]), int(ids[-1])
+    return slice(first, last + 1) if last - first == ids.size - 1 else ids
 
 
 # -- BFS oracle over the edit-move graph -----------------------------------
@@ -291,7 +333,12 @@ def bfs_distance_matrix(indptr, indices, n_nodes: int) -> np.ndarray:
             reached.fill(0)
             for slot in slots:
                 rows = slice(0, slot.size)
-                np.take(frontier, slot, axis=0, out=gathered[rows])
+                # mode="clip" writes straight into out, where the default
+                # "raise" buffers it; it is exact only because every slot id
+                # is a row in [0, n), which the range check on indices above
+                # guarantees.
+                np.take(frontier, slot, axis=0, out=gathered[rows],
+                        mode="clip")
                 np.bitwise_or(reached[rows], gathered[rows], out=reached[rows])
             np.bitwise_and(reached, unseen, out=reached)
             if not reached.any():

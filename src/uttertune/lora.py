@@ -91,6 +91,11 @@ class LoraAdapter:
             raise ShapeMismatch("adapter must cover every Q/K/V/O projection in order")
         d, r = self.base_spec.width, self.rank
         for layer in self.layers:
+            for name in ("rank", "alpha", "dropout_rate"):
+                mine, adapters = getattr(layer, name), getattr(self, name)
+                if mine != adapters:
+                    raise ValueError(f"{layer.target}: {name} {mine!r} "
+                                     f"!= the adapter's {adapters!r}")
             if layer.B.shape != (d, r) or layer.C.shape != (r, d):
                 raise ShapeMismatch(
                     f"{layer.target}: factors B {layer.B.shape} and C "

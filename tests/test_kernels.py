@@ -1,5 +1,6 @@
 """Edit-distance kernels and the BFS edit-move oracle."""
 
+import functools
 import hashlib
 import itertools
 import re
@@ -132,6 +133,27 @@ def ref_edit_move_graph(alphabet_size, max_len):
     indices = np.array([v for nbrs in neighbor_lists for v in nbrs],
                        dtype=np.int64)
     return indptr, indices, n
+
+
+def universe_case(case):
+    """A (3, 4) universe with its rows shuffled, or a (4, 4) universe with
+    a fixed ~40% of its strings removed."""
+    if case == "shuffled":
+        padded, lengths = kernels.enumerate_strings(3, 4)
+        order = np.random.default_rng(3).permutation(lengths.size)
+    else:
+        padded, lengths = kernels.enumerate_strings(4, 4)
+        order = np.flatnonzero(
+            np.random.default_rng(4).random(lengths.size) >= 0.4)
+    return padded[order], lengths[order]
+
+
+@functools.lru_cache(maxsize=None)
+def universe_reference(case):
+    """ref_edit_distance over every pair of universe_case(case)'s rows."""
+    padded, lengths = universe_case(case)
+    rows = [list(padded[i, : lengths[i]]) for i in range(lengths.size)]
+    return np.array([[ref_edit_distance(a, b) for b in rows] for a in rows])
 
 
 def csr(n, edges):
@@ -272,6 +294,33 @@ class TestEditDistanceMatrix:
         want = [[ref_edit_distance(a, b) for b in rows] for a in rows]
         assert mat.dtype == np.uint8 and mat.flags.c_contiguous
         assert mat.tolist() == want
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 7, 64])
+    @pytest.mark.parametrize("case, gathers", [
+        # Trie order is not row order, so the rows' cells are gathered at
+        # the end, but every parent group is still one range of ids.
+        ("shuffled", False),
+        # Some first symbol's suffix parents skip the removed strings'
+        # suffixes, so they are gathered instead of sliced.
+        ("subsampled", True),
+    ])
+    def test_universe_variants_match_reference(self, case, gathers,
+                                               block_cells, monkeypatch):
+        if block_cells is not None:
+            monkeypatch.setattr(kernels, "_DP_BLOCK_CELLS", block_cells)
+        gathered = []
+        slice_if_range = kernels._slice_if_range
+
+        def recording(ids):
+            out = slice_if_range(ids)
+            gathered.append(not isinstance(out, slice))
+            return out
+
+        monkeypatch.setattr(kernels, "_slice_if_range", recording)
+        mat = kernels.edit_distance_matrix(*universe_case(case))
+        assert mat.dtype == np.uint8 and mat.flags.c_contiguous
+        assert np.array_equal(mat, universe_reference(case))
+        assert any(gathered) == gathers
 
     def test_longest_allowed_strings(self):
         L = kernels.MAX_MATRIX_LEN

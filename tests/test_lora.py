@@ -1,5 +1,7 @@
 """Adapter init, effective weights, budget accounting, persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ class TestInit:
         assert [l.target for l in a.layers] == [
             f"L{i}.{p}" for i in range(2) for p in ("q", "k", "v", "o")
         ]
+
+    @pytest.mark.parametrize("name, value", [
+        ("rank", 5), ("alpha", 32.0), ("dropout_rate", 0.0),
+    ])
+    def test_layer_contradicting_adapter_rejected(self, name, value):
+        a = init_adapter(SPEC, r=4, alpha=64.0, dropout_rate=0.05, seed=0)
+        layer = a.layers[5]
+        changes = {name: value}
+        if name == "rank":
+            changes["B"] = np.zeros((64, value), np.float32)
+            changes["C"] = np.zeros((value, 64), np.float32)
+        layers = list(a.layers)
+        layers[5] = dataclasses.replace(layer, **changes)
+        with pytest.raises(ValueError, match=rf"^L1\.k: {name} {value!r} "
+                                             rf"!= the adapter's "):
+            dataclasses.replace(a, layers=layers)
 
 
 def merged_q(W, B, C, alpha, scaling="literal"):
