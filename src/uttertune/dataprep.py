@@ -104,11 +104,7 @@ def codes_to_pitch(codes: Iterable[SpeechTokenCode]) -> str:
 
 
 def render_oracle(annotation) -> tuple[SpeechTokenCode, ...]:
-    """Gold speech tokens for an annotation (string or parsed form)."""
-    if isinstance(annotation, str):
-        annotation = parse_annotation(annotation)
-    if not isinstance(annotation, PhonemeAnnotation):
-        raise TypeError("annotation must be a string or PhonemeAnnotation")
+    """Gold speech tokens for a PhonemeAnnotation."""
     pitch = derive_pitch(annotation)
     codes = []
     for mora, level in zip(annotation.morae(), pitch):

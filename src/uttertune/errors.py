@@ -68,14 +68,10 @@ class UncoveredSymbol(UtterTuneError):
     """A character has no atomic token in the vocabulary."""
 
 
-class UnknownTokenId(UtterTuneError):
-    """Token id is outside every vocabulary range."""
-
-
 # --- lora / tensor container ---
 
 class InvalidRank(UtterTuneError):
-    """LoRA rank outside [1, min(d, k)]."""
+    """LoRA rank outside [1, model width]."""
 
 
 class ShapeMismatch(UtterTuneError):

@@ -266,17 +266,20 @@ class LeakageResult:
 # this many rows stay near 4 MB at the desk's 240 items, where gathering all
 # 10,000 at once took 38 MB.
 _BOOTSTRAP_CHUNK = 1024
+_CI_LEVEL = 0.99
 
 
 def bootstrap_diff_ci(
     adapted, baseline, resamples: int = 10_000, seed: int = 0,
-    level: float = 0.99,
 ) -> tuple[float, float]:
-    """Paired bootstrap percentile CI for mean(adapted) - mean(baseline)."""
+    """Paired bootstrap percentile CI at _CI_LEVEL for mean(adapted) -
+    mean(baseline)."""
     a = np.asarray(adapted, dtype=np.float64)
     b = np.asarray(baseline, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("need two equal-length non-empty vectors")
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     rng = np.random.default_rng(seed)
     # The int32 draw gives the int64 draw's values (the tests check it) in
     # half the memory, and a row's mean does not depend on its chunk.
@@ -286,7 +289,7 @@ def bootstrap_diff_ci(
         rows = idx[start : start + _BOOTSTRAP_CHUNK]
         diffs[start : start + len(rows)] = (a[rows].mean(axis=1)
                                             - b[rows].mean(axis=1))
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - _CI_LEVEL) / 2.0
     lo, hi = np.quantile(diffs, [tail, 1.0 - tail])
     return float(lo), float(hi)
 

@@ -18,8 +18,7 @@ rows repeats the cells of every shared suffix. Its nodes are numbered
 first symbol before the rest, the order in which enumerate_strings lists
 its rows, so on check 7's (4, 6) universe the trie is the table itself,
 every parent read is a slice and no copy of the n x n result is made.
-That is 29.8 M cells in place of 958 M, and ~0.03 s in place of ~0.6 s on
-a 2-vCPU Xeon.
+That is 29.8 M cells and ~0.03 s on a 2-vCPU Xeon.
 
 bfs_distance_matrix runs its bit-set BFS over one block of 256 targets at
 a time, every level of a block before the next block starts, with the
@@ -28,8 +27,7 @@ gathers for a prefix of the rows, one 32-byte row per edge, straight into
 its buffer. Its cost is levels x (sum of out-degrees) x 32 bytes per
 block, and its working set four n x 32-byte bit sets (175 KB each at
 check 7's 5,461 nodes) plus the block's n x 256 distances. On (4, 6) that
-is ~0.13 s in place of ~0.5 s for whole-width bit sets padded with self
-loops, on the same Xeon.
+is ~0.13 s on the same Xeon.
 
 Both matrix kernels return uint8 and reject inputs whose values would not
 fit: edit_distance_matrix strings longer than MAX_MATRIX_LEN, and
@@ -78,8 +76,21 @@ def edit_distance_table(a, b) -> np.ndarray:
     Each row is filled by a few vectorised passes over the row above.
     Raises ValueError unless a and b are 1-D integer sequences.
     """
-    a = _id_sequence("edit_distance_table", a)
-    b = _id_sequence("edit_distance_table", b)
+    return _levenshtein_table(_id_sequence("edit_distance_table", a),
+                              _id_sequence("edit_distance_table", b))
+
+
+def edit_distance(a, b) -> int:
+    """Unit-cost Levenshtein distance between two integer sequences.
+
+    Raises ValueError unless a and b are 1-D integer sequences.
+    """
+    a, b = _id_sequence("edit_distance", a), _id_sequence("edit_distance", b)
+    return int(_levenshtein_table(a, b)[-1, -1])
+
+
+def _levenshtein_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """edit_distance_table on two checked int64 id arrays."""
     m, n = a.shape[0], b.shape[0]
     # The DP runs on e[i, j] = d[i, j] - i - j. There a deletion or an
     # insertion costs 0 and a diagonal step -2 or -1, so that
@@ -95,15 +106,6 @@ def edit_distance_table(a, b) -> np.ndarray:
         np.minimum.accumulate(row, out=row)
     table += np.add.outer(np.arange(m + 1), np.arange(n + 1))
     return table
-
-
-def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance between two integer sequences.
-
-    Raises ValueError unless a and b are 1-D integer sequences.
-    """
-    a, b = _id_sequence("edit_distance", a), _id_sequence("edit_distance", b)
-    return int(edit_distance_table(a, b)[-1, -1])
 
 
 def _require_integers(kernel: str, what: str, values: np.ndarray) -> None:

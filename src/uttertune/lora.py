@@ -45,20 +45,6 @@ class LoraLayer:
     alpha: float
     dropout_rate: float
 
-    def __post_init__(self):
-        d, rb = self.B.shape
-        rc, k = self.C.shape
-        if rb != self.rank or rc != self.rank:
-            raise ShapeMismatch(
-                f"{self.target}: factor ranks {rb},{rc} != declared {self.rank}"
-            )
-        if self.rank < 1:
-            raise InvalidRank(f"rank must be >= 1, got {self.rank}")
-        if self.rank > min(d, k):
-            raise InvalidRank(
-                f"rank {self.rank} exceeds min(d,k) = {min(d, k)}"
-            )
-
 
 @dataclass
 class LoraAdapter:
@@ -72,6 +58,7 @@ class LoraAdapter:
     base_spec: BaseShapeSpec
 
     def __post_init__(self):
+        _check_rank(self.rank, self.base_spec.width)
         if self.scaling not in SCALING_MODES:
             raise ValueError(f"scaling must be one of {SCALING_MODES}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -106,6 +93,13 @@ class LoraAdapter:
         return self.alpha / self.rank if self.scaling == "normalized" else self.alpha
 
 
+def _check_rank(rank: int, width: int) -> None:
+    """Raise InvalidRank unless 1 <= rank <= width: every adapted projection
+    is width x width."""
+    if not 1 <= rank <= width:
+        raise InvalidRank(f"rank {rank} outside [1, {width}], the model width")
+
+
 def init_adapter(
     base_spec: BaseShapeSpec,
     r: int = 16,
@@ -115,10 +109,8 @@ def init_adapter(
     scaling: str = "literal",
 ) -> LoraAdapter:
     """Fresh adapter: B random (std 0.02), C zero, tag deltas zero."""
-    if r < 1:
-        raise InvalidRank(f"rank must be >= 1, got {r}")
-    if r > base_spec.width:
-        raise InvalidRank(f"rank {r} exceeds model width {base_spec.width}")
+    # Checked before the draw, which allocates width x r values per factor.
+    _check_rank(r, base_spec.width)
     rng = np.random.default_rng(seed)
     d = base_spec.width
     layers = []

@@ -107,10 +107,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     warmup_fraction: float = 0.10
     batch_size: int = 8
-    weight_decay: float = 0.01
-    grad_clip: float = 1.0
     seed: int = 0
-    log_every: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
@@ -118,7 +115,7 @@ class TrainConfig:
         lr = self.learning_rate
         if not 0.0 < lr < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
-        for name in ("steps", "batch_size", "log_every"):
+        for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -750,6 +747,9 @@ def lr_at_step(step: int, cfg: TrainConfig) -> float:
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPS = 1e-8
+_WEIGHT_DECAY = 0.01
+_GRAD_CLIP = 1.0
+_LOG_EVERY = 50
 # Values per block of the AdamW update: a block's weights, gradient, both
 # moments and scratch (1.25 MB at 32k float64 values) stay in the L2 cache
 # through the chain of ops.
@@ -803,7 +803,7 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
                    *(np.flatnonzero(np.diff(decay)) + 1).tolist()})
     blocks = [
         (flat[a:b], grad[a:b], m[a:b], v[a:b], work[: b - a],
-         bool(decay[a]) and cfg.weight_decay > 0.0)
+         bool(decay[a]))
         for a, b in zip(cuts, cuts[1:])
     ]
     if adapter is None:
@@ -827,7 +827,7 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         )
         norm = math.sqrt(sum(float(np.multiply(g, g, out=square).sum())
                              for g, square in squares))
-        clip = cfg.grad_clip / norm if norm > cfg.grad_clip else None
+        clip = _GRAD_CLIP / norm if norm > _GRAD_CLIP else None
         lr = lr_at_step(step, cfg)
         bc1, bc2 = 1.0 - _BETA1**step, 1.0 - _BETA2**step
         # w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * w), the wd
@@ -848,11 +848,11 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
             np.divide(mb, bc1, out=tmp)
             tmp /= g
             if decayed:
-                np.multiply(w, cfg.weight_decay, out=g)
+                np.multiply(w, _WEIGHT_DECAY, out=g)
                 tmp += g
             tmp *= lr
             w -= tmp
-        if step % cfg.log_every == 0 or step == cfg.steps:
+        if step % _LOG_EVERY == 0 or step == cfg.steps:
             curve.append((step, loss))
     return trained, curve
 

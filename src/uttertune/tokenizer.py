@@ -28,7 +28,6 @@ from .errors import (
     NestedTags,
     UnbalancedTags,
     UncoveredSymbol,
-    UnknownTokenId,
     UtterTuneError,
     VocabTooSmall,
 )
@@ -52,7 +51,6 @@ class Vocabulary:
     seed: int = 0
 
     merge_ranks: dict = field(init=False, repr=False, compare=False)
-    token_strings: list = field(init=False, repr=False, compare=False)
     string_to_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,7 +74,6 @@ class Vocabulary:
             strings.append(product)
         if PHON_START in seen or PHON_END in seen:
             raise CorruptFile("tag literal occurs as a base token")
-        self.token_strings = strings
         self.string_to_id = {s: i for i, s in enumerate(strings)}
 
     @property
@@ -264,30 +261,6 @@ def _encode_plain(text: str, vocab: Vocabulary) -> list[int]:
             break
         symbols = _merge_once(symbols, best_pair, best_pair[0] + best_pair[1])
     return [vocab.string_to_id[sym] for sym in symbols]
-
-
-def decode(ids, vocab: Vocabulary) -> str:
-    """Surface text for a sequence of text/tag ids.
-
-    Speech-range ids are rejected here; they carry no surface text and
-    decode through the codec instead.
-    """
-    parts: list[str] = []
-    for tid in ids:
-        tid = int(tid)
-        if 0 <= tid < vocab.base_size:
-            parts.append(vocab.token_strings[tid])
-        elif tid == vocab.phon_start_id:
-            parts.append(PHON_START)
-        elif tid == vocab.phon_end_id:
-            parts.append(PHON_END)
-        elif vocab.speech_token_offset <= tid < vocab.total_size:
-            raise UnknownTokenId(
-                f"id {tid} is a speech token; decode it via the codec"
-            )
-        else:
-            raise UnknownTokenId(f"id {tid} outside the vocabulary")
-    return "".join(parts)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

@@ -31,7 +31,13 @@ from uttertune.manifest import (
 )
 from uttertune.model import ToyLM
 from uttertune.tensorio import load_tensors, save_tensors
-from uttertune.tokenizer import PHON_END, PHON_START, load_vocab, save_vocab
+from uttertune.tokenizer import (
+    PHON_END,
+    PHON_START,
+    encode_text,
+    load_vocab,
+    save_vocab,
+)
 
 # -- notation subcommands ---------------------------------------------------
 
@@ -463,6 +469,37 @@ def test_generate_prints_kana_pitch_ids(pipeline, capsys):
     assert set(pitch) <= {"H", "L"}
     id_list = [int(t) for t in ids.split()] if ids else []
     assert len(id_list) == len(pitch)
+
+
+def _text_of_ids(vocab_path, n):
+    """Plain text that encode_text turns into exactly n ids."""
+    vocab = load_vocab(vocab_path)
+    for k in range(1, 2 * n + 1):
+        if len(encode_text("駅" * k, vocab)) == n:
+            return "駅" * k
+    raise AssertionError(f"no run of 駅 encodes to {n} ids")
+
+
+def test_generate_takes_a_prompt_one_short_of_max_seq(pipeline, capsys):
+    """The pipeline model's max_seq is 96."""
+    text = _text_of_ids(pipeline["vocab"], 95)
+    assert main(["generate", "--model", pipeline["model"],
+                 "--vocab", pipeline["vocab"], "--text", text]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_generate_refuses_a_prompt_of_max_seq_ids(pipeline, tmp_path, capsys):
+    """The library's generate returns no ids for such a prompt; the command
+    refuses it as a numeric error."""
+    out = tmp_path / "g"
+    text = _text_of_ids(pipeline["vocab"], 96)
+    assert main(["generate", "--model", pipeline["model"],
+                 "--vocab", pipeline["vocab"], "--text", text,
+                 "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "SequenceTooLong: prompt occupies 96 of 96 positions\n"
+    assert not out.exists()
 
 
 def test_generate_writes_artifact_and_manifest(pipeline, tmp_path, capsys):

@@ -555,6 +555,9 @@ def test_bootstrap_validates_input():
         bootstrap_diff_ci([1.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         bootstrap_diff_ci([], [])
+    for resamples in (0, -1):
+        with pytest.raises(ValueError, match=r"^resamples must be >= 1, got "):
+            bootstrap_diff_ci([1.0], [0.0], resamples=resamples)
 
 
 def test_bootstrap_coverage_on_known_gap():

@@ -80,6 +80,24 @@ class TestInit:
         with pytest.raises(InvalidRank):
             init_adapter(SPEC, r=65)
 
+    def test_rank_far_above_width_rejected_before_the_draw(self):
+        """The draw would take 64 x 10**12 values per factor."""
+        with pytest.raises(InvalidRank, match=r"^rank 1000000000000 outside"):
+            init_adapter(SPEC, r=10**12)
+
+    @pytest.mark.parametrize("rank", [0, 65])
+    def test_adapter_rank_outside_width_rejected(self, rank):
+        """A loaded adapter is held to init_adapter's bounds: its layers
+        and factors agree with the rank, the width does not."""
+        a = init_adapter(SPEC, r=4, seed=0)
+        layers = [dataclasses.replace(layer, rank=rank,
+                                      B=np.zeros((64, rank), np.float32),
+                                      C=np.zeros((rank, 64), np.float32))
+                  for layer in a.layers]
+        with pytest.raises(InvalidRank,
+                           match=rf"^rank {rank} outside \[1, 64\]"):
+            dataclasses.replace(a, rank=rank, layers=layers)
+
     def test_covers_all_projections(self):
         a = init_adapter(SPEC, r=2, seed=0)
         assert [l.target for l in a.layers] == [

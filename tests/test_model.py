@@ -101,7 +101,7 @@ def test_warmup_fraction_bounds():
         TrainConfig(warmup_fraction=1.0)
 
 
-@pytest.mark.parametrize("field", ["steps", "batch_size", "log_every"])
+@pytest.mark.parametrize("field", ["steps", "batch_size"])
 @pytest.mark.parametrize("value", [0, -2])
 def test_train_config_counts_must_be_positive(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
@@ -420,7 +420,8 @@ def test_lr_schedule_shape():
 # -- training loops ----------------------------------------------------------
 
 
-def test_pretrain_learns_and_freezes_unused_rows():
+def test_pretrain_learns_and_freezes_unused_rows(monkeypatch):
+    monkeypatch.setattr(uttertune.model, "_LOG_EVERY", 20)
     model = ToyLM.init(TINY)
     unused_id = 25
     row_before = model.weights["embed"][unused_id].copy()
@@ -431,8 +432,7 @@ def test_pretrain_learns_and_freezes_unused_rows():
         inp = tuple(int(x) for x in rng.integers(0, 20, size=4))
         tgt = tuple(int(x) for x in rng.integers(32, 39, size=3))
         examples.append(TrainingExample(inp, tgt))
-    cfg = TrainConfig(steps=120, learning_rate=1e-3, batch_size=8, seed=0,
-                      log_every=20)
+    cfg = TrainConfig(steps=120, learning_rate=1e-3, batch_size=8, seed=0)
     curve = pretrain(model, examples, cfg)
     assert curve[-1][1] < curve[0][1]
     assert model.weights["embed"][unused_id].tobytes() == row_before.tobytes()
@@ -443,8 +443,7 @@ def test_overfits_small_set():
     model = ToyLM.init(TINY)
     rng = np.random.default_rng(5)
     examples = make_examples(rng, 50)
-    cfg = TrainConfig(steps=2000, learning_rate=1e-3, batch_size=8, seed=0,
-                      log_every=100)
+    cfg = TrainConfig(steps=2000, learning_rate=1e-3, batch_size=8, seed=0)
     curve = pretrain(model, examples, cfg)
     assert curve[-1][1] < 0.1
 
@@ -452,8 +451,7 @@ def test_overfits_small_set():
 def test_pretrain_is_deterministic():
     rng = np.random.default_rng(6)
     examples = make_examples(rng, 20)
-    cfg = TrainConfig(steps=60, learning_rate=1e-3, batch_size=4, seed=2,
-                      log_every=20)
+    cfg = TrainConfig(steps=60, learning_rate=1e-3, batch_size=4, seed=2)
     runs = []
     for _ in range(2):
         model = ToyLM.init(TINY)
@@ -462,15 +460,15 @@ def test_pretrain_is_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_adapter_training_leaves_base_untouched(tiny_model):
+def test_adapter_training_leaves_base_untouched(tiny_model, monkeypatch):
+    monkeypatch.setattr(uttertune.model, "_LOG_EVERY", 20)
     rng = np.random.default_rng(7)
     examples = make_examples(rng, 20, with_tags=True)
     adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
                            dropout_rate=0.1, seed=1)
     before = weight_bytes(tiny_model)
     c_before = adapter.layers[0].C.tobytes()
-    cfg = TrainConfig(steps=80, learning_rate=1e-3, batch_size=4, seed=3,
-                      log_every=20)
+    cfg = TrainConfig(steps=80, learning_rate=1e-3, batch_size=4, seed=3)
     curve = train_adapter(tiny_model, adapter, examples, cfg)
     assert weight_bytes(tiny_model) == before
     assert adapter.layers[0].C.tobytes() != c_before
@@ -481,8 +479,7 @@ def test_adapter_training_leaves_base_untouched(tiny_model):
 def test_adapter_training_is_deterministic(tiny_model):
     rng = np.random.default_rng(8)
     examples = make_examples(rng, 16, with_tags=True)
-    cfg = TrainConfig(steps=40, learning_rate=1e-3, batch_size=4, seed=4,
-                      log_every=10)
+    cfg = TrainConfig(steps=40, learning_rate=1e-3, batch_size=4, seed=4)
     results = []
     for _ in range(2):
         adapter = init_adapter(tiny_model.shape_spec(), r=2, dropout_rate=0.1,
@@ -500,7 +497,7 @@ def test_non_finite_loss_is_reported():
     model.weights["embed"] = np.full_like(model.weights["embed"], np.nan)
     model.invalidate_cache()
     examples = [TrainingExample((1, 2), (33,))]
-    cfg = TrainConfig(steps=5, log_every=1)
+    cfg = TrainConfig(steps=5)
     with pytest.raises(NonFiniteLoss):
         pretrain(model, examples, cfg)
 
@@ -555,8 +552,8 @@ def _per_tensor_clip(grads, max_norm) -> bool:
 
 def _per_tensor_train(model, adapter, examples, cfg):
     """The per-tensor loop of pretrain (adapter None) and train_adapter,
-    with the same generator use; returns (trained float64 values by name,
-    curve, steps clipped)."""
+    with the same generator use and model's optimizer constants; returns
+    (trained float64 values by name, curve, steps clipped)."""
     rng = np.random.default_rng(cfg.seed)
     if adapter is None:
         params = {k: v.astype(np.float64) for k, v in model.weights.items()}
@@ -575,7 +572,7 @@ def _per_tensor_train(model, adapter, examples, cfg):
         def decayed(name):
             return name != "tag_deltas"
     opt = _PerTensorAdamW({k: v.shape for k, v in trainable.items()},
-                          cfg.weight_decay, decayed)
+                          uttertune.model._WEIGHT_DECAY, decayed)
     curve, clipped = [], 0
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, len(examples), size=cfg.batch_size)
@@ -587,9 +584,9 @@ def _per_tensor_train(model, adapter, examples, cfg):
             _loss_backward(model.config, bundle, params, None, grads, None)
         else:
             _loss_backward(model.config, bundle, params, adapter64, None, grads)
-        clipped += _per_tensor_clip(grads, cfg.grad_clip)
+        clipped += _per_tensor_clip(grads, uttertune.model._GRAD_CLIP)
         opt.step(trainable, grads, lr_at_step(step, cfg))
-        if step % cfg.log_every == 0 or step == cfg.steps:
+        if step % uttertune.model._LOG_EVERY == 0 or step == cfg.steps:
             curve.append((step, loss))
     return trainable, curve, clipped
 
@@ -600,12 +597,17 @@ def _assert_bitwise_equal(got, want):
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
-def _check_pretrain_loop(grad_clip, weight_decay):
+def _patch_optimizer(patch, grad_clip, weight_decay):
+    for name, value in [("_GRAD_CLIP", grad_clip), ("_LOG_EVERY", 7),
+                        ("_WEIGHT_DECAY", weight_decay)]:
+        patch.setattr(uttertune.model, name, value)
+
+
+def _check_pretrain_loop(patch, grad_clip, weight_decay):
+    _patch_optimizer(patch, grad_clip, weight_decay)
     model = ToyLM.init(TINY)
     examples = make_examples(np.random.default_rng(9), 24)
-    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=1,
-                      log_every=7, grad_clip=grad_clip,
-                      weight_decay=weight_decay)
+    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=1)
     want, want_curve, clipped = _per_tensor_train(model, None, examples, cfg)
     assert (0 < clipped < cfg.steps) if grad_clip < 2.0 else clipped == 0
     got, curve = _train(model, None, examples, cfg)
@@ -614,17 +616,18 @@ def _check_pretrain_loop(grad_clip, weight_decay):
 
 
 @pytest.mark.parametrize("grad_clip", [1.2, 1e6], ids=["clipping", "no-clip"])
-@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-def test_pretrain_loop_matches_per_tensor_optimizer(grad_clip, weight_decay):
-    _check_pretrain_loop(grad_clip, weight_decay)
+@pytest.mark.parametrize("weight_decay", [0.05])
+def test_pretrain_loop_matches_per_tensor_optimizer(monkeypatch, grad_clip,
+                                                    weight_decay):
+    _check_pretrain_loop(monkeypatch, grad_clip, weight_decay)
 
 
-def _check_adapter_loop(tiny_model):
+def _check_adapter_loop(patch, tiny_model):
+    _patch_optimizer(patch, grad_clip=0.15, weight_decay=0.01)
     adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
                            dropout_rate=0.1, seed=3)
     examples = make_examples(np.random.default_rng(10), 24, with_tags=True)
-    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=2,
-                      log_every=7, grad_clip=0.15)
+    cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=2)
     want, want_curve, clipped = _per_tensor_train(tiny_model, adapter,
                                                   examples, cfg)
     assert 0 < clipped < cfg.steps
@@ -634,8 +637,8 @@ def _check_adapter_loop(tiny_model):
     assert np.any(want["tag_deltas"]) and np.any(want["L0.q.C"])
 
 
-def test_adapter_loop_matches_per_tensor_optimizer(tiny_model):
-    _check_adapter_loop(tiny_model)
+def test_adapter_loop_matches_per_tensor_optimizer(tiny_model, monkeypatch):
+    _check_adapter_loop(monkeypatch, tiny_model)
 
 
 @pytest.mark.parametrize("block", [7, 1000])
@@ -644,9 +647,9 @@ def test_loops_match_per_tensor_optimizer_in_small_blocks(tiny_model,
     """At the default block the tiny model's ~6k values are cut only at
     decay edges; blocks of 7 and 1,000 values also straddle the views."""
     monkeypatch.setattr(uttertune.model, "_ADAM_BLOCK", block)
-    for grad_clip, weight_decay in [(1.2, 0.05), (1e6, 0.0)]:
-        _check_pretrain_loop(grad_clip, weight_decay)
-    _check_adapter_loop(tiny_model)
+    for grad_clip in (1.2, 1e6):
+        _check_pretrain_loop(monkeypatch, grad_clip, 0.05)
+    _check_adapter_loop(monkeypatch, tiny_model)
 
 
 # -- persistence -------------------------------------------------------------
@@ -677,7 +680,7 @@ def test_fingerprint_tracks_weights():
     model = ToyLM.init(TINY)
     fp = model.fingerprint()
     examples = [TrainingExample((1, 2), (33, 34))]
-    pretrain(model, examples, TrainConfig(steps=5, log_every=5))
+    pretrain(model, examples, TrainConfig(steps=5))
     assert model.fingerprint() != fp
 
 

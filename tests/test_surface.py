@@ -24,7 +24,6 @@ ALLOWED = {
     "eval.load_report": "check 5 and perfbench read reports with it",
     "eval.load_leakage": "check 6 and perfbench read leakage.tsv with it",
     "model.ToyLM.forward": "the oracle of check 1 and of the decode tests",
-    "tokenizer.decode": "the inverse of encode_text, the round-trip oracle",
     "model.ToyLM.loss": "perfbench measures the loss through it",
     "kernels.active_backend": "perfbench and check 7's verdict print it",
     "kernels.enumerate_strings": "check 7's route, also perfbench distance",

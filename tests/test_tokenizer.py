@@ -21,7 +21,6 @@ from uttertune.errors import (
     NestedTags,
     UnbalancedTags,
     UncoveredSymbol,
-    UnknownTokenId,
     UtterTuneError,
     VocabTooSmall,
 )
@@ -38,7 +37,6 @@ from uttertune.tokenizer import (
     PHON_END,
     PHON_START,
     Vocabulary,
-    decode,
     encode_text,
     load_vocab,
     save_vocab,
@@ -46,6 +44,13 @@ from uttertune.tokenizer import (
 )
 
 ALL_KANA = "".join(sorted(BASE_KANA | SMALL_KANA | STANDALONE_KANA))
+
+
+def decode(ids, vocab):
+    """Text for text and tag ids, the inverse of encode_text."""
+    strings = {i: s for s, i in vocab.string_to_id.items()}
+    strings |= {vocab.phon_start_id: PHON_START, vocab.phon_end_id: PHON_END}
+    return "".join(strings[i] for i in ids)
 
 
 @pytest.fixture(scope="module")
@@ -208,16 +213,6 @@ class TestEncodeDecode:
         vocab = train_bpe(["ab"], target_vocab_size=2, seed=0)
         with pytest.raises(UncoveredSymbol):
             encode_text(f"{PHON_START}ア{PHON_END}", vocab)
-
-    def test_decode_rejects_speech_ids(self, wide_vocab):
-        with pytest.raises(UnknownTokenId):
-            decode([wide_vocab.speech_token_offset], wide_vocab)
-
-    def test_decode_rejects_out_of_range(self, wide_vocab):
-        with pytest.raises(UnknownTokenId):
-            decode([wide_vocab.total_size], wide_vocab)
-        with pytest.raises(UnknownTokenId):
-            decode([-1], wide_vocab)
 
 
 class TestVocabIo:
