@@ -20,7 +20,6 @@ threshold from the config unmet.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -60,6 +59,7 @@ from .manifest import (
     COMMAND_DEFAULTS,
     THRESHOLD_KEYS,
     RunManifest,
+    check_config,
     parse_config_file,
     resolve_config,
     save_manifest,
@@ -131,21 +131,6 @@ def _resolve(args, command, file_values) -> dict:
     defaults = COMMAND_DEFAULTS[command]
     overrides = {k: getattr(args, k, None) for k in defaults}
     return resolve_config(defaults, file_values, overrides)
-
-
-# The least value of each count and seed key. A count flag below 1 is
-# already a usage error, so a count below 1 here is a config value.
-_MINIMUMS = {"max_new": 1, "n_test_1": 1, "n_test_2": 1, "n_leakage": 1,
-             "resamples": 1, "sentences": 1,
-             "seed": 0, "model_seed": 0, "pretrain_seed": 0}
-
-
-def _check_config(config) -> None:
-    for key, value in config.items():
-        if key in _MINIMUMS and value < _MINIMUMS[key]:
-            raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
-        if key in THRESHOLD_KEYS and not math.isfinite(value):
-            raise ValueError(f"config {key} must be finite, got {value}")
 
 
 def _out_dir(args) -> Path:
@@ -248,7 +233,7 @@ def _cmd_notation(args) -> int:
 
 def _cmd_corpus_build(args) -> int:
     config = _resolve(args, "corpus build", _file_config(args))
-    _check_config(config)
+    check_config(config)
     started = time.perf_counter()
     records = build_corpus(
         build_lexicon(),
@@ -271,7 +256,7 @@ def _cmd_corpus_build(args) -> int:
 
 def _cmd_vocab_train(args) -> int:
     config = _resolve(args, "vocab train", _file_config(args))
-    _check_config(config)
+    check_config(config)
     started = time.perf_counter()
     records = load_corpus(args.corpus)
     texts = vocab_training_text(records, build_lexicon())
@@ -299,12 +284,24 @@ def _cmd_vocab_train(args) -> int:
 # -- training -----------------------------------------------------------------
 
 
+def _training_examples(path, vocab, max_seq: int):
+    """A corpus file's training examples, refused with SequenceTooLong
+    when one packs (input, target and end-of-speech) past max_seq."""
+    examples = to_training_examples(load_corpus(path), vocab)
+    longest = max((len(ex.input_ids) + len(ex.target_ids) + 1
+                   for ex in examples), default=0)
+    if longest > max_seq:
+        raise SequenceTooLong(
+            f"{path}: a training example packs {longest} tokens > "
+            f"max_seq {max_seq}"
+        )
+    return examples
+
+
 def _cmd_train(args) -> int:
     config = _resolve(args, "train", _file_config(args))
-    _check_config(config)
+    check_config(config)
     vocab = load_vocab(args.vocab)
-    pretrain_records = load_corpus(args.corpus)
-    adapter_records = load_corpus(args.adapter_corpus)
 
     model_config = ToyLMConfig(
         vocab_size=vocab.total_size,
@@ -343,22 +340,20 @@ def _cmd_train(args) -> int:
         seed=config["seed"],
         scaling=config["scaling"],
     )
+    pretrain_examples, adapter_examples = (
+        _training_examples(path, vocab, model_config.max_seq)
+        for path in (args.corpus, args.adapter_corpus)
+    )
     out = _out_dir(args)
 
     started = time.perf_counter()
-    pretrain_curve = pretrain(
-        model, to_training_examples(pretrain_records, vocab), pretrain_config
-    )
+    pretrain_curve = pretrain(model, pretrain_examples, pretrain_config)
     pretrain_seconds = time.perf_counter() - started
 
     adapter.base_spec = model.shape_spec()
     started = time.perf_counter()
-    adapter_curve = train_adapter(
-        model,
-        adapter,
-        to_training_examples(adapter_records, vocab),
-        adapter_config,
-    )
+    adapter_curve = train_adapter(model, adapter, adapter_examples,
+                                  adapter_config)
     adapter_seconds = time.perf_counter() - started
 
     model_path = out / "base_model.ut"
@@ -399,7 +394,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     config = _resolve(args, "generate", _file_config(args))
-    _check_config(config)
+    check_config(config)
     model, adapter, vocab = _load_model_and_adapter(args)
     text = _read_text(args.text)
     started = time.perf_counter()
@@ -439,7 +434,7 @@ def _cmd_eval(args) -> int:
     file_values = _file_config(args)
     thresholds = {k: file_values[k] for k in THRESHOLD_KEYS if k in file_values}
     config = {**_resolve(args, "eval", file_values), **thresholds}
-    _check_config(config)
+    check_config(config)
     if config["mode"] not in EVAL_MODES:
         raise ValueError(
             f"config mode must be one of {EVAL_MODES}, got {config['mode']!r}"
@@ -537,8 +532,8 @@ def _cmd_adapter_merge(args) -> int:
     adapter = load_adapter(args.adapter)
     _check_pairing(model, adapter)
     out = _out_dir(args)
-    tag_ids = (model.config.speech_offset - 2, model.config.speech_offset - 1)
-    merged = ToyLM(model.config, merge(adapter, model.weights, tag_ids))
+    merged = ToyLM(model.config,
+                   merge(adapter, model.weights, model.config.tag_ids))
     merged_path = out / "merged_model.ut"
     merged.save(merged_path)
     _write_manifest(

@@ -2,8 +2,10 @@
 
 This module replaces a real speech corpus and G2P frontend at desk scale:
 
-* a 30-mora inventory and a bijective (mora, pitch) -> speech-token-id
-  codec, so accent correctness is exactly decidable from generated ids;
+* a 30-mora inventory and its speech codes: a mora at H or L pitch is
+  the int 2 * mora id + (pitch == H), its speech token's id minus the
+  vocabulary's speech offset and what corpus files store, so accent
+  correctness is exactly decidable from generated ids;
 * a hand-written 40-word lexicon whose graphemes stand in for kanji
   words, 12 of them ambiguous nouns with two prior-weighted readings;
 * a sentence generator that concatenates lexicon words, takes gold
@@ -35,6 +37,7 @@ from .errors import CorruptFile, DecodeError, EmptyLexicon, UnknownMora
 from .model import TrainingExample
 from .notation import (
     HIGH,
+    LOW,
     PhonemeAnnotation,
     derive_pitch,
     parse_annotation,
@@ -43,7 +46,7 @@ from .notation import (
 from .tensorio import load_table, save_table
 from .tokenizer import PHON_END, PHON_START, Vocabulary, encode_text
 
-# -- mora inventory and speech-token codec -----------------------------------
+# -- mora inventory and speech codes ------------------------------------------
 
 MORA_INVENTORY: tuple[str, ...] = (
     "ア", "イ", "ウ", "エ", "オ",
@@ -55,62 +58,42 @@ MORA_INVENTORY: tuple[str, ...] = (
 )
 MORA_TO_ID: dict[str, int] = {m: i for i, m in enumerate(MORA_INVENTORY)}
 
-# Two pitched tokens per mora plus one end-of-speech id.
+# Two pitched codes per mora plus one end-of-speech id.
 END_OF_SPEECH_INDEX: int = 2 * len(MORA_INVENTORY)
 SPEECH_TOKEN_COUNT: int = END_OF_SPEECH_INDEX + 1
+_PITCHES = (LOW, HIGH)
 
 
-@dataclass(frozen=True)
-class SpeechTokenCode:
-    """One discrete speech token: a mora at a binary pitch level."""
-
-    mora_id: int
-    pitch: str
-
-    def __post_init__(self):
-        if not 0 <= self.mora_id < len(MORA_INVENTORY):
-            raise UnknownMora(f"mora id {self.mora_id} outside inventory")
-        if self.pitch not in ("H", "L"):
-            raise ValueError(f"pitch must be H or L, got {self.pitch!r}")
-
-    @property
-    def surface(self) -> str:
-        return MORA_INVENTORY[self.mora_id]
-
-    def to_id(self, speech_token_offset: int) -> int:
-        return speech_token_offset + 2 * self.mora_id + (self.pitch == HIGH)
-
-    @classmethod
-    def from_id(cls, token_id: int, speech_token_offset: int) -> "SpeechTokenCode":
-        rel = token_id - speech_token_offset
-        if not 0 <= rel < END_OF_SPEECH_INDEX:
+def decode_speech_ids(ids, speech_token_offset: int) -> tuple[int, ...]:
+    """Speech codes of token ids; DecodeError for any id outside the
+    pitched range, end-of-speech included."""
+    codes = tuple(int(i) - speech_token_offset for i in ids)
+    for code in codes:
+        if not 0 <= code < END_OF_SPEECH_INDEX:
             raise DecodeError(
-                f"id {token_id} is not a pitched speech token "
-                f"(offset {speech_token_offset}, {END_OF_SPEECH_INDEX} codes)"
+                f"id {code + speech_token_offset} is not a pitched speech "
+                f"token (offset {speech_token_offset}, "
+                f"{END_OF_SPEECH_INDEX} codes)"
             )
-        return cls(mora_id=rel // 2, pitch=HIGH if rel % 2 else "L")
+    return codes
 
 
-def decode_speech_ids(ids, speech_token_offset: int) -> tuple[SpeechTokenCode, ...]:
-    return tuple(SpeechTokenCode.from_id(int(i), speech_token_offset) for i in ids)
+def codes_to_kana(codes: Iterable[int]) -> str:
+    return "".join(MORA_INVENTORY[c >> 1] for c in codes)
 
 
-def codes_to_kana(codes: Iterable[SpeechTokenCode]) -> str:
-    return "".join(c.surface for c in codes)
+def codes_to_pitch(codes: Iterable[int]) -> str:
+    return "".join(_PITCHES[c & 1] for c in codes)
 
 
-def codes_to_pitch(codes: Iterable[SpeechTokenCode]) -> str:
-    return "".join(c.pitch for c in codes)
-
-
-def render_oracle(annotation) -> tuple[SpeechTokenCode, ...]:
-    """Gold speech tokens for a PhonemeAnnotation."""
+def render_oracle(annotation) -> tuple[int, ...]:
+    """Gold speech codes for a PhonemeAnnotation."""
     pitch = derive_pitch(annotation)
     codes = []
     for mora, level in zip(annotation.morae(), pitch):
         if mora.surface not in MORA_TO_ID:
             raise UnknownMora(f"{mora.surface!r} is not in the mora inventory")
-        codes.append(SpeechTokenCode(MORA_TO_ID[mora.surface], level))
+        codes.append(2 * MORA_TO_ID[mora.surface] + (level == HIGH))
     return tuple(codes)
 
 
@@ -140,7 +123,7 @@ class Reading:
         return self.annotation.surface()
 
     @cached_property
-    def codes(self) -> tuple[SpeechTokenCode, ...]:
+    def codes(self) -> tuple[int, ...]:
         return render_oracle(self.annotation)
 
 
@@ -271,7 +254,7 @@ KANA_FORM = "kana"
 class CorpusRecord:
     sentence_id: int
     input_text: str
-    codes: tuple[SpeechTokenCode, ...]
+    codes: tuple[int, ...]
     graphemes: tuple[str, ...]
     annotations: tuple[str, ...]
     converted_index: int | None
@@ -287,10 +270,6 @@ class CorpusRecord:
                 f"words, {len(self.annotations)} annotations, converted word "
                 f"{index} as {self.converted_form}"
             )
-
-    def target_relative_ids(self) -> tuple[int, ...]:
-        """Codec ids relative to offset 0 (vocabulary-independent)."""
-        return tuple(c.to_id(0) for c in self.codes)
 
 
 def _sample_reading(entry: LexiconEntry, rng) -> Reading:
@@ -389,7 +368,7 @@ _CONVERTED_FORMS = {"-": None, TAGGED_FORM: TAGGED_FORM, KANA_FORM: KANA_FORM}
 def save_corpus(records: Iterable[CorpusRecord], path) -> None:
     rows = (
         (r.sentence_id, r.input_text,
-         " ".join(str(i) for i in r.target_relative_ids()),
+         " ".join(map(str, r.codes)),
          " ".join(r.graphemes), " ".join(r.annotations),
          "-" if r.converted_index is None else r.converted_index,
          r.converted_form or "-")
@@ -441,7 +420,7 @@ def to_training_examples(records: Iterable[CorpusRecord],
         out.append(
             TrainingExample(
                 input_ids=tuple(encode_text(r.input_text, vocab)),
-                target_ids=tuple(c.to_id(offset) for c in r.codes),
+                target_ids=tuple(offset + c for c in r.codes),
             )
         )
     return out
@@ -461,7 +440,7 @@ class EvalItem:
     target_annotation: str
     target_mora_start: int
     target_mora_count: int
-    codes: tuple[SpeechTokenCode, ...]
+    codes: tuple[int, ...]
 
     def reference_kana(self) -> str:
         return codes_to_kana(self.codes)

@@ -4,8 +4,8 @@ CER is Levenshtein distance over kana-normalized character sequences
 divided by normalized reference length; samples with CER > 0.5 are
 excluded from aggregates. Accent correctness is an exact match of the
 target word's pitch sub-pattern, read off the generated speech codes at
-the oracle's mora positions — the codec makes pitch directly observable,
-so no listener stands between the model and the judgment.
+the oracle's mora positions — each code carries its mora's pitch, so no
+listener stands between the model and the judgment.
 
 The leakage test asks whether tagging one word changes the accent of a
 different, untagged word: it compares the base model on fully plain
@@ -140,10 +140,7 @@ def _judge_item(vocab, item, hyp_ids) -> SampleResult:
     lo = item.target_mora_start
     hi = lo + item.target_mora_count
     start = _align_target_span(
-        [c.mora_id for c in item.codes],
-        [c.mora_id for c in codes],
-        lo,
-        hi,
+        [c >> 1 for c in item.codes], [c >> 1 for c in codes], lo, hi
     )
     accent_correct = (
         start is not None

@@ -14,6 +14,7 @@ so a run can be reproduced by feeding it through ``--config``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import CorruptFile
@@ -78,6 +79,22 @@ CONFIG_KEYS: dict[str, type] = {
        for key, value in defaults.items()},
     **dict.fromkeys(THRESHOLD_KEYS, float),
 }
+
+# The least value of each count and seed key. A count flag below 1 is
+# already a usage error, so a count below 1 here is a config value.
+_MINIMUMS = {"max_new": 1, "n_test_1": 1, "n_test_2": 1, "n_leakage": 1,
+             "resamples": 1, "sentences": 1,
+             "seed": 0, "model_seed": 0, "pretrain_seed": 0}
+
+
+def check_config(config) -> None:
+    """ValueError for a count or seed below its least value, or for a
+    threshold that is not finite."""
+    for key, value in config.items():
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
+        if key in THRESHOLD_KEYS and not math.isfinite(value):
+            raise ValueError(f"config {key} must be finite, got {value}")
 
 
 def parse_config_file(path) -> dict[str, int | float | str]:

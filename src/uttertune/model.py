@@ -100,6 +100,11 @@ class ToyLMConfig:
     def eos_id(self) -> int:
         return self.speech_offset + self.speech_count - 1
 
+    @property
+    def tag_ids(self) -> tuple[int, int]:
+        """The phoneme start and end tag ids, just below the speech ids."""
+        return (self.speech_offset - 2, self.speech_offset - 1)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -412,9 +417,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
     if adapter is not None:
         aparams, _scale, _rate = adapter
         deltas = aparams["tag_deltas"]
-        start_id = cfg.speech_offset - 2
-        end_id = cfg.speech_offset - 1
-        tag_hits = (ids == start_id, ids == end_id)
+        tag_hits = tuple(ids == tag_id for tag_id in cfg.tag_ids)
         for row, hits in enumerate(tag_hits):
             if hits.any():
                 x = x + hits[:, :, None] * deltas[row]

@@ -2,7 +2,7 @@
 
 The id space is dense and three-ranged: base text tokens (atoms first,
 then merge products in merge order), the two tag tokens <PHON_START> and
-<PHON_END>, and finally the speech-token range used by the codec. Tags are
+<PHON_END>, and finally the speech tokens, one per speech code. Tags are
 atomic: they are never produced by a merge and always map to one id.
 
 encode_text is the one encoder. It splits the text into plain strings and

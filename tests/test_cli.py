@@ -16,7 +16,13 @@ import uttertune.cli
 import uttertune.eval
 from uttertune.cli import main
 from uttertune.errors import CorruptFile
-from uttertune.dataprep import build_eval_sets, build_lexicon
+from uttertune.dataprep import (
+    build_eval_sets,
+    build_lexicon,
+    load_corpus,
+    save_corpus,
+    to_training_examples,
+)
 from uttertune.eval import evaluate_set, load_report, save_report
 from uttertune.lora import load_adapter
 from uttertune.manifest import (
@@ -638,7 +644,7 @@ def test_adapter_merge_bakes_weights(pipeline, tmp_path):
         * (layer.B.astype(np.float64) @ layer.C.astype(np.float64))
     ).astype(np.float32)
     assert np.array_equal(merged.weights["L0.q"], expected)
-    start_id = base.config.speech_offset - 2
+    start_id = base.config.tag_ids[0]
     expected_row = (
         base.weights["embed"][start_id].astype(np.float64)
         + adapter.tag_deltas[0].astype(np.float64)
@@ -1035,6 +1041,36 @@ def test_train_rejects_bad_config_before_pretraining(pipeline, tmp_path,
     assert len(err.splitlines()) == 1
     assert named in err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("long_flag", ["--corpus", "--adapter-corpus"])
+def test_train_refuses_an_over_long_example_before_pretraining(
+        pipeline, tmp_path, capsys, no_pretrain, long_flag):
+    """An example of either corpus that packs (input, target and
+    end-of-speech) past max_seq is one SequenceTooLong line and exit 3,
+    before pretraining and before the output directory is made."""
+    records = load_corpus(pipeline["corpus2"])
+    packed = [len(ex.input_ids) + len(ex.target_ids) + 1
+              for ex in to_training_examples(records,
+                                             load_vocab(pipeline["vocab"]))]
+    assert min(packed) < max(packed)
+    short = tmp_path / "short.tsv"
+    save_corpus([records[packed.index(min(packed))]], short)
+    corpora = {"--corpus": str(short), "--adapter-corpus": str(short),
+               long_flag: pipeline["corpus2"]}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"max_seq = {min(packed)}\n", encoding="utf-8")
+    out = tmp_path / "t"
+    argv = ["train", "--vocab", pipeline["vocab"], "--config", str(cfg),
+            "--out", str(out)]
+    for flag, path in corpora.items():
+        argv += [flag, path]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"SequenceTooLong: {pipeline['corpus2']}: a training example packs "
+        f"{max(packed)} tokens > max_seq {min(packed)}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, line, extra, named", [

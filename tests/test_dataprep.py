@@ -22,7 +22,6 @@ from uttertune.dataprep import (
     EvalSets,
     LexiconEntry,
     Reading,
-    SpeechTokenCode,
     TAGGED_FORM,
     _sample_reading,
     build_corpus,
@@ -79,28 +78,19 @@ def test_inventory_is_thirty_unique_morae():
 
 def test_code_id_bijection_over_full_inventory():
     offset = 137
-    seen = set()
-    for mora_id in range(len(MORA_INVENTORY)):
-        for pitch in ("L", "H"):
-            code = SpeechTokenCode(mora_id, pitch)
-            token_id = code.to_id(offset)
-            seen.add(token_id)
-            assert SpeechTokenCode.from_id(token_id, offset) == code
-    assert seen == set(range(offset, offset + END_OF_SPEECH_INDEX))
+    ids = range(offset, offset + END_OF_SPEECH_INDEX)
+    codes = decode_speech_ids(ids, offset)
+    assert codes == tuple(range(END_OF_SPEECH_INDEX))
+    pairs = {(codes_to_kana([c]), codes_to_pitch([c])) for c in codes}
+    assert pairs == {(mora, pitch) for mora in MORA_INVENTORY
+                     for pitch in "HL"}
 
 
 def test_decode_rejects_out_of_range():
     with pytest.raises(DecodeError):
-        SpeechTokenCode.from_id(99, 100)
+        decode_speech_ids([99], 100)
     with pytest.raises(DecodeError):
-        SpeechTokenCode.from_id(100 + END_OF_SPEECH_INDEX, 100)  # end-of-speech
-
-
-def test_code_validates_fields():
-    with pytest.raises(UnknownMora):
-        SpeechTokenCode(30, "H")
-    with pytest.raises(ValueError):
-        SpeechTokenCode(0, "M")
+        decode_speech_ids([100 + END_OF_SPEECH_INDEX], 100)  # end-of-speech
 
 
 @given(
@@ -109,8 +99,11 @@ def test_code_validates_fields():
     st.integers(min_value=0, max_value=5000),
 )
 def test_bijection_property(mora_id, pitch, offset):
-    code = SpeechTokenCode(mora_id, pitch)
-    assert SpeechTokenCode.from_id(code.to_id(offset), offset) == code
+    code = 2 * mora_id + (pitch == "H")
+    codes = decode_speech_ids([offset + code], offset)
+    assert codes == (code,)
+    assert codes_to_kana(codes) == MORA_INVENTORY[mora_id]
+    assert codes_to_pitch(codes) == pitch
 
 
 # -- oracle --------------------------------------------------------------
@@ -118,12 +111,12 @@ def test_bijection_property(mora_id, pitch, offset):
 
 def test_oracle_accented_word():
     codes = render_oracle(parse_annotation("チ'ミ"))
-    assert [(c.surface, c.pitch) for c in codes] == [("チ", "H"), ("ミ", "L")]
+    assert codes == (2 * MORA_TO_ID["チ"] + 1, 2 * MORA_TO_ID["ミ"])
 
 
 def test_oracle_unaccented_word():
     codes = render_oracle(parse_annotation("アメ"))
-    assert [(c.surface, c.pitch) for c in codes] == [("ア", "L"), ("メ", "H")]
+    assert codes == (2 * MORA_TO_ID["ア"], 2 * MORA_TO_ID["メ"] + 1)
 
 
 def test_oracle_multi_phrase():
@@ -701,7 +694,7 @@ def _eval_items_digest(items):
                   it.text_kana, it.text_tagged, it.target_grapheme,
                   it.target_annotation, it.target_mora_start,
                   it.target_mora_count,
-                  " ".join(str(c.to_id(0)) for c in it.codes))
+                  " ".join(map(str, it.codes)))
         h.update(("\t".join(map(str, fields)) + "\n").encode("utf-8"))
     return h.hexdigest()
 

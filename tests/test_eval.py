@@ -236,7 +236,7 @@ def _oracle_mapping(items, vocab, mode, transform=None):
     for item in items:
         codes = item.codes if transform is None else transform(item.codes)
         prompt = tuple(encode_text(item_text(item, mode), vocab))
-        mapping[prompt] = [c.to_id(offset) for c in codes]
+        mapping[prompt] = [offset + c for c in codes]
     return mapping
 
 
@@ -260,12 +260,10 @@ def test_perfect_model_scores_zero_cer_full_accent(
 def test_all_low_pitch_model_matches_gold_fraction(
     monkeypatch, tiny_model, vocab, eval_sets
 ):
-    from uttertune.dataprep import SpeechTokenCode
-
     items = eval_sets.test_set_1
 
     def flatten(codes):
-        return tuple(SpeechTokenCode(c.mora_id, "L") for c in codes)
+        return tuple(c & ~1 for c in codes)
 
     monkeypatch.setattr(
         eval_mod,
@@ -321,13 +319,11 @@ def test_short_hypothesis_is_accent_incorrect(
 def test_insertion_before_target_does_not_break_accent(
     monkeypatch, tiny_model, vocab, eval_sets
 ):
-    from uttertune.dataprep import SpeechTokenCode
-
     items = eval_sets.test_set_2[:4]
 
     def shift(codes):
         # A spurious leading mora shifts every later position by one.
-        return (SpeechTokenCode(5, "L"),) + tuple(codes)
+        return (2 * 5,) + tuple(codes)
 
     monkeypatch.setattr(
         eval_mod,
@@ -341,7 +337,7 @@ def test_insertion_before_target_does_not_break_accent(
 def test_mistranscribed_target_word_is_accent_incorrect(
     monkeypatch, tiny_model, vocab, eval_sets
 ):
-    from uttertune.dataprep import MORA_INVENTORY, SpeechTokenCode
+    from uttertune.dataprep import END_OF_SPEECH_INDEX
 
     items = eval_sets.test_set_2[:4]
     offset = vocab.speech_token_offset
@@ -349,12 +345,10 @@ def test_mistranscribed_target_word_is_accent_incorrect(
     for item in items:
         codes = list(item.codes)
         k = item.target_mora_start
-        old = codes[k]
-        codes[k] = SpeechTokenCode(
-            (old.mora_id + 1) % len(MORA_INVENTORY), old.pitch
-        )
+        # The next mora in the inventory, at the same pitch.
+        codes[k] = (codes[k] + 2) % END_OF_SPEECH_INDEX
         prompt = tuple(encode_text(item_text(item, "tagged"), vocab))
-        mapping[prompt] = [c.to_id(offset) for c in codes]
+        mapping[prompt] = [offset + c for c in codes]
     monkeypatch.setattr(eval_mod, "generate", _fake_generate(mapping))
     report = evaluate_set(tiny_model, vocab, items, "tagged")
     assert all(r.accent_correct is False for r in report.per_sample)
@@ -599,12 +593,10 @@ def test_leakage_identical_behavior_centers_on_zero(
 def test_leakage_reports_per_word_outcomes(
     monkeypatch, tiny_model, vocab, eval_sets
 ):
-    from uttertune.dataprep import SpeechTokenCode
-
     items = eval_sets.leakage_set
 
     def flatten(codes):
-        return tuple(SpeechTokenCode(c.mora_id, "L") for c in codes)
+        return tuple(c & ~1 for c in codes)
 
     mapping = _oracle_mapping(items, vocab, "plain")
     mapping.update(_oracle_mapping(items, vocab, "tagged", flatten))
