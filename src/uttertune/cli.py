@@ -285,11 +285,14 @@ def _cmd_vocab_train(args) -> int:
 
 
 def _training_examples(path, vocab, max_seq: int):
-    """A corpus file's training examples, refused with SequenceTooLong
-    when one packs (input, target and end-of-speech) past max_seq."""
+    """A corpus file's training examples, refused with ValueError when it
+    holds none and with SequenceTooLong when one packs (input, target and
+    end-of-speech) past max_seq."""
     examples = to_training_examples(load_corpus(path), vocab)
-    longest = max((len(ex.input_ids) + len(ex.target_ids) + 1
-                   for ex in examples), default=0)
+    if not examples:
+        raise ValueError(f"{path}: the corpus holds no training examples")
+    longest = max(len(ex.input_ids) + len(ex.target_ids) + 1
+                  for ex in examples)
     if longest > max_seq:
         raise SequenceTooLong(
             f"{path}: a training example packs {longest} tokens > "

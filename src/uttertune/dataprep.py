@@ -207,7 +207,6 @@ def parse_lexicon_table(text: str) -> tuple[LexiconEntry, ...]:
     entries = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip("\n")
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -45,7 +45,7 @@ def cer(reference: str, hypothesis: str) -> float:
 class SampleResult:
     item_id: int
     cer: float
-    accent_correct: bool | None
+    accent_correct: bool
     excluded: bool
     reason: str | None
     hypothesis_kana: str
@@ -79,11 +79,8 @@ def _aggregate(rows) -> tuple[float, float, int]:
     kept = [r for r in rows if not r.excluded]
     n_excluded = len(rows) - len(kept)
     mean_cer = sum(r.cer for r in kept) / len(kept) if kept else 0.0
-    judged = [r for r in kept if r.accent_correct is not None]
     accent_rate = (
-        sum(1 for r in judged if r.accent_correct) / len(judged)
-        if judged
-        else 0.0
+        sum(1 for r in kept if r.accent_correct) / len(kept) if kept else 0.0
     )
     return mean_cer, accent_rate, n_excluded
 
@@ -191,7 +188,7 @@ def evaluate_set(
 
 _REPORT_MAGIC = "uttertune-evalreport v1"
 _REPORT_KEYS = ("mode", "n_items", "n_excluded", "mean_cer", "accent_rate")
-_ACCENT = {"na": None, "correct": True, "incorrect": False}
+_ACCENT = {"correct": True, "incorrect": False}
 _EXCLUDED = {"excluded": True, "kept": False}
 
 
@@ -319,7 +316,7 @@ def leakage_test(
             adapter=use_adapter,
             max_new=max_new,
         )
-        return [bool(r.accent_correct) for r in report.per_sample]
+        return [r.accent_correct for r in report.per_sample]
 
     base_ok = correctness(None, "plain")
     adapted_ok = correctness(adapter, "tagged")

@@ -156,8 +156,9 @@ def merge(
     """Bake the adapter into a copy of the base weights.
 
     Projection matrices get W + scale*BC; the embedding rows of the two
-    tag tokens get their deltas. Accumulation runs in float64 and the
-    result is stored back at float32.
+    tag tokens get their deltas. Accumulation runs in float64 and each
+    result keeps its weight's dtype; ToyLM's constructor rounds a merged
+    model through float32.
     """
     out = {name: w.copy() for name, w in weights.items()}
     scale = adapter.scale()

@@ -3,8 +3,11 @@
 Architecture: learned absolute positions, pre-norm blocks, multi-head
 causal attention with Q/K/V/O projections (the LoRA attach points), GELU
 feed-forward, untied output head. Everything is numpy with hand-written
-reverse-mode gradients; float32 is the canonical storage dtype and
-training runs on float64 masters that are cast back once at the end.
+reverse-mode gradients. The weights are float64 in memory and hold
+float32 values: the constructor rounds what it is given through float32,
+and pretrain rounds its float64 masters back once at the end. Every
+forward reads them as they are; files hold float32, and the fingerprint
+hashes those bytes.
 pretrain and train_adapter share one AdamW loop; only what trains differs
 (every base weight, or the adapter's factors and tag deltas). The trainable
 values, their gradient and both moments are each one flat float64 vector
@@ -164,8 +167,8 @@ class ToyLM:
             if weights[name].shape != shape:
                 raise ShapeMismatch(f"weight {name}: expected shape {shape}, "
                                     f"found {weights[name].shape}")
-        self.weights = weights
-        self._params64: dict[str, np.ndarray] | None = None
+        self.weights = {name: np.asarray(w, np.float32).astype(np.float64)
+                        for name, w in weights.items()}
 
     # -- construction and persistence -----------------------------------
 
@@ -177,7 +180,7 @@ class ToyLM:
         weights = {}
         for name, shape in _weight_shapes(config).items():
             if len(shape) == 2:
-                weights[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+                weights[name] = rng.normal(0.0, 0.02, size=shape)
             else:
                 weights[name] = np.full(shape, name.endswith(".g"), np.float32)
         return cls(config, weights)
@@ -197,14 +200,15 @@ class ToyLM:
         h = hashlib.sha256()
         for name in _weight_shapes(self.config):
             h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(self.weights[name]).tobytes())
+            h.update(self.weights[name].astype(np.float32).tobytes())
         return h.hexdigest()[:16]
 
     def save(self, path) -> None:
         meta = {"kind": "model"}
         meta.update((f.name, str(getattr(self.config, f.name)))
                     for f in fields(ToyLMConfig))
-        save_tensors(path, self.weights, meta)
+        save_tensors(path, {name: w.astype(np.float32)
+                            for name, w in self.weights.items()}, meta)
 
     @classmethod
     def load(cls, path) -> "ToyLM":
@@ -223,16 +227,6 @@ class ToyLM:
             raise CorruptFile(f"{path}: bad meta value: {exc}") from None
         return cls(config, tensors)
 
-    def params64(self) -> dict[str, np.ndarray]:
-        if self._params64 is None:
-            self._params64 = {
-                k: v.astype(np.float64) for k, v in self.weights.items()
-            }
-        return self._params64
-
-    def invalidate_cache(self) -> None:
-        self._params64 = None
-
     # -- public forward/loss ---------------------------------------------
 
     def forward(self, ids, adapter: LoraAdapter | None = None) -> np.ndarray:
@@ -241,7 +235,7 @@ class ToyLM:
         if ids.ndim != 1:
             raise ValueError("forward takes a single id sequence")
         logits, _ = _forward_batch(
-            self.params64(), self.config, ids[None, :], np.arange(ids.size),
+            self.weights, self.config, ids[None, :], np.arange(ids.size),
             _adapter64(adapter), None,
         )
         return logits
@@ -249,7 +243,7 @@ class ToyLM:
     def loss(self, examples, adapter: LoraAdapter | None = None) -> float:
         """Mean next-token cross-entropy over speech positions only."""
         value, _ = _loss_forward(
-            self.params64(), self.config, examples, _adapter64(adapter), None
+            self.weights, self.config, examples, _adapter64(adapter), None
         )
         return float(value)
 
@@ -670,7 +664,7 @@ def loss_and_grads(model: ToyLM, examples, adapter: LoraAdapter | None = None,
     adapter-path masks are drawn from that seed, so repeated calls are
     reproducible (this is what the finite-difference check relies on).
     """
-    params = model.params64()
+    params = model.weights
     adapter64 = _adapter64(adapter)
     rng = None
     if dropout_seed is not None and adapter is not None and adapter.dropout_rate > 0:
@@ -701,7 +695,6 @@ def gradient_check(
     both routes see identical masks.
     """
     _, _, agrads = loss_and_grads(model, examples, adapter, dropout_seed)
-    base = model.params64()
     adapter64 = _adapter64(adapter)
     aparams, _scale, rate = adapter64
 
@@ -709,7 +702,8 @@ def gradient_check(
         rng = None
         if dropout_seed is not None and rate > 0.0:
             rng = np.random.default_rng(dropout_seed)
-        return _loss_forward(base, model.config, examples, adapter64, rng)[0]
+        return _loss_forward(model.weights, model.config, examples, adapter64,
+                             rng)[0]
 
     names = sorted(aparams)
     sizes = np.array([aparams[n].size for n in names])
@@ -792,8 +786,7 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         initial = model.weights
     else:
         initial, scale, rate = _adapter64(adapter)
-    flat = np.concatenate([a.ravel() for a in initial.values()],
-                          dtype=np.float64)
+    flat = np.concatenate([a.ravel() for a in initial.values()])
     decay = np.concatenate([np.full(a.size, name.split(".")[-1] in _DECAYED)
                             for name, a in initial.items()])
     grad = np.empty_like(flat)
@@ -813,7 +806,7 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         params, adapter64, dropout_rng = trained, None, None
         base_grads, adapter_grads = grads, None
     else:
-        params, adapter64 = model.params64(), (trained, scale, rate)
+        params, adapter64 = model.weights, (trained, scale, rate)
         dropout_rng = rng if rate > 0.0 else None
         base_grads, adapter_grads = None, grads
     curve = []
@@ -861,11 +854,12 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
 
 
 def pretrain(model: ToyLM, examples, cfg: TrainConfig):
-    """Train every base parameter; stands in for the pretrained checkpoint."""
+    """Train every base parameter; stands in for the pretrained checkpoint.
+    The trained values are rounded through float32 into model.weights, in
+    place."""
     trained, curve = _train(model, None, examples, cfg)
     for name, value in trained.items():
-        model.weights[name] = value.astype(np.float32)
-    model.invalidate_cache()
+        model.weights[name][...] = value.astype(np.float32)
     return curve
 
 
@@ -924,7 +918,6 @@ def generate(
             raise SequenceTooLong(
                 f"prompt {index}: {prompt.size} ids exceed max_seq {cfg.max_seq}"
             )
-    params = model.params64()
     adapter64 = _adapter64(adapter)
     lo, hi = cfg.speech_offset, cfg.speech_offset + cfg.speech_count
     by_length: dict[int, list[int]] = {}
@@ -941,7 +934,7 @@ def generate(
             for _ in range(budget):
                 last = np.arange(1, len(live) + 1) * ids.shape[1] - 1
                 logits, past = _forward_batch(
-                    params, cfg, ids, last, adapter64, None, past=past
+                    model.weights, cfg, ids, last, adapter64, None, past=past
                 )
                 nxt = lo + np.argmax(logits[:, lo:hi], axis=1)
                 going = nxt != cfg.eos_id

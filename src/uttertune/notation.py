@@ -37,8 +37,6 @@ BASE_KANA = frozenset(
     if chr(cp) not in SMALL_KANA
     and chr(cp) not in STANDALONE_KANA
     and chr(cp) not in _REJECTED_FULLSIZE
-    and chr(cp) != "ッ"
-    and chr(cp) != "ン"
 )
 
 NUCLEUS_MARKS = ("'", "’")  # U+0027 and U+2019 both accepted

@@ -110,7 +110,7 @@ def load_tensors(path):
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in specs:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * 4
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:

@@ -1073,6 +1073,22 @@ def test_train_refuses_an_over_long_example_before_pretraining(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("empty_flag", ["--corpus", "--adapter-corpus"])
+def test_train_refuses_an_empty_corpus_before_pretraining(
+        pipeline, tmp_path, capsys, no_pretrain, empty_flag):
+    """A corpus file with a header and no rows, given to either flag, is one
+    line naming the file and exit 2, before pretraining and before the
+    output directory is made."""
+    empty = tmp_path / "empty.tsv"
+    save_corpus([], empty)
+    argv = _train_argv(pipeline, tmp_path)
+    argv[argv.index(empty_flag) + 1] = str(empty)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(empty) in err[0]
+    assert not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("command, line, extra, named", [
     pytest.param("corpus", "tag_fraction = nan", [], "tag_fraction",
                  id="corpus-tag_fraction-nan"),

@@ -400,7 +400,7 @@ def _sample_report():
         SampleResult(0, 0.0, True, False, None, "アメ", "HL"),
         SampleResult(1, 0.25, False, False, None, "アメミ", "HLL"),
         SampleResult(2, 1.0, False, True, "cer>0.5", "", ""),
-        SampleResult(3, 0.0, None, False, None, "キ", "L"),
+        SampleResult(3, 0.0, True, False, None, "キ", "L"),
     )
     return EvalReport.from_samples("plain", rows)
 
@@ -416,10 +416,9 @@ def test_report_aggregates_recomputable(tmp_path):
     report = _sample_report()
     kept = [r for r in report.per_sample if not r.excluded]
     assert report.mean_cer == sum(r.cer for r in kept) / len(kept)
-    judged = [r for r in kept if r.accent_correct is not None]
     assert report.accent_rate == sum(
-        1 for r in judged if r.accent_correct
-    ) / len(judged)
+        1 for r in kept if r.accent_correct
+    ) / len(kept)
     assert report.n_excluded == 1
 
 
@@ -451,11 +450,13 @@ def test_report_load_rejects_missing_header_field(tmp_path, field):
 
 @pytest.mark.parametrize("old, new", [
     ("\tcorrect\t", "\tmaybe\t"),
+    ("\tcorrect\t", "\tna\t"),
     ("\tkept\t", "\tkpt\t"),
     ("row\t1\t", "row\tone\t"),
     ("n_items\t4", "n_items\tfour"),
     ("mode\tplain", "mode\tloud"),
-], ids=["accent-word", "exclusion-word", "item-id", "header-count", "mode"])
+], ids=["accent-word", "accent-na", "exclusion-word", "item-id",
+        "header-count", "mode"])
 def test_report_load_rejects_bad_value(tmp_path, old, new):
     path = tmp_path / "report.tsv"
     save_report(_sample_report(), path)

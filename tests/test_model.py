@@ -152,7 +152,7 @@ def test_causality_is_exact(tiny_model):
 def test_attention_rows_are_normalized(tiny_model):
     ids = np.array([[1, 2, 3, 4, 5, 6]], dtype=np.int64)
     _, cache = _forward_batch(
-        tiny_model.params64(), TINY, ids, np.arange(ids.size), None, None,
+        tiny_model.weights, TINY, ids, np.arange(ids.size), None, None,
         rows=np.arange(ids.size),
     )
     for layer_cache in cache["layers"]:
@@ -171,9 +171,29 @@ def test_forward_rejects_overlong_sequence(tiny_model):
 def test_uniform_logits_loss_is_log_vocab():
     model = ToyLM.init(TINY)
     model.weights["head"] = np.zeros_like(model.weights["head"])
-    model.invalidate_cache()
     ex = TrainingExample((1, 2, 3), (33, 34))
     assert model.loss([ex]) == pytest.approx(math.log(TINY.vocab_size), rel=1e-12)
+
+
+@pytest.mark.parametrize("how", ["in-place", "assignment"])
+def test_changed_weights_reach_the_next_call(how):
+    """A change to model.weights after a first forward shows in the next
+    forward, loss and decode, with no other call."""
+    model = ToyLM.init(TINY)
+    ids = [1, 2, 3, 4]
+    stuck = [[TINY.speech_offset] * 5]
+    assert np.any(model.forward(ids))
+    assert generate(model, [ids], max_new=5) != stuck
+    if how == "in-place":
+        model.weights["head"][...] = 0.0
+    else:
+        model.weights["head"] = np.zeros_like(model.weights["head"])
+    assert not np.any(model.forward(ids))
+    ex = TrainingExample((1, 2, 3), (33, 34))
+    assert model.loss([ex]) == pytest.approx(math.log(TINY.vocab_size), rel=1e-12)
+    # Zero logits: every step's argmax is the first speech id, never the
+    # end of speech.
+    assert generate(model, [ids], max_new=5) == stuck
 
 
 def test_loss_matches_positionwise_oracle(tiny_model):
@@ -246,7 +266,7 @@ def _full_tail_loss_and_grads(model, examples, adapter):
     """Loss and grads as computed before the loss rows: the last layer's
     feed-forward block, the final norm and the head at every real row, and
     a mask over those rows for the loss and dlogits."""
-    params, adapter64 = model.params64(), _adapter64(adapter)
+    params, adapter64 = model.weights, _adapter64(adapter)
     ids, rows, loss_rows, targets = _pack_batch(examples, model.config.eos_id)
     logits, cache = _forward_batch(params, model.config, ids, rows, adapter64,
                                    None, rows)
@@ -312,7 +332,7 @@ def test_out_rows_are_those_rows_of_the_per_sequence_forward(
         "shuffled-subset": rng.permutation(rows)[: len(rows) // 3],
         "one": rows[-1:],
     }[pick]
-    logits, _ = _forward_batch(tiny_model.params64(), TINY, ids, out_rows,
+    logits, _ = _forward_batch(tiny_model.weights, TINY, ids, out_rows,
                                _adapter64(adapter), None, rows)
     assert logits.shape == (len(out_rows), TINY.vocab_size)
     T = ids.shape[1]
@@ -326,7 +346,7 @@ def test_out_rows_are_those_rows_of_the_per_sequence_forward(
 def test_decode_return_value_is_taken_as_past_as_it_is(tiny_model,
                                                        trained_adapter):
     adapter64 = _adapter64(trained_adapter)
-    params = tiny_model.params64()
+    params = tiny_model.weights
     seq = [1, TAG_START, 5, TAG_END, 9, 33, 34, 35]
     ids = np.array([seq])
     _, past = _forward_batch(params, TINY, ids[:, :5], np.array([4]),
@@ -495,7 +515,6 @@ def test_adapter_training_is_deterministic(tiny_model):
 def test_non_finite_loss_is_reported():
     model = ToyLM.init(TINY)
     model.weights["embed"] = np.full_like(model.weights["embed"], np.nan)
-    model.invalidate_cache()
     examples = [TrainingExample((1, 2), (33,))]
     cfg = TrainConfig(steps=5)
     with pytest.raises(NonFiniteLoss):
@@ -564,7 +583,7 @@ def _per_tensor_train(model, adapter, examples, cfg):
             return (name == "head" or name.endswith((".ff1", ".ff2"))
                     or name.split(".")[-1] in PROJECTIONS)
     else:
-        params = model.params64()
+        params = model.weights
         adapter64 = _adapter64(adapter)
         trainable, _scale, rate = adapter64
         dropout_rng = rng if rate > 0.0 else None
@@ -705,7 +724,6 @@ def test_generation_stops_at_end_of_speech():
     head = np.zeros_like(model.weights["head"])
     head[:, TINY.eos_id] = 1.0
     model.weights["head"] = head
-    model.invalidate_cache()
     assert generate(model, [[1, 2]], max_new=10) == [[]]
 
 
@@ -809,7 +827,7 @@ def test_batched_decode_runs_to_max_seq(tiny_model, trained_adapter,
 def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
                                                 with_adapter):
     adapter64 = _adapter64(trained_adapter if with_adapter else None)
-    params = tiny_model.params64()
+    params = tiny_model.weights
     rng = np.random.default_rng(8)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END
@@ -834,7 +852,7 @@ def test_decode_call_matches_full_forward_at_last_position(
     rounding of the full forward, and per layer the keys and values alone,
     which the next call takes as its past as they are."""
     adapter64 = _adapter64(trained_adapter if with_adapter else None)
-    params = tiny_model.params64()
+    params = tiny_model.weights
     rng = np.random.default_rng(9)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END

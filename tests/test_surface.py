@@ -1,8 +1,9 @@
-"""The library keeps no public code that only tests call.
+"""The library keeps no code that only tests call, or that nothing calls.
 
-A top-level public function or class of ``src/uttertune``, or a public
-method of a public class, must be referenced somewhere in ``src/`` outside
-its own definition. A reference is a name (``generate``) or an attribute
+A top-level function or class of ``src/uttertune``, public or private, or a
+public method of a public class, must be referenced somewhere in ``src/``
+outside its own definition; only public entry points may be allowlisted.
+A reference is a name (``generate``) or an attribute
 (``model.fingerprint``) spelled like the definition; methods count
 attributes only. Matching is by spelling, so a reference proves nothing
 about the target, but a definition with none is certainly unused.
@@ -43,13 +44,13 @@ def _spellings(node):
     return names, attrs
 
 
-def _public_definitions(module: str, tree):
-    """(qualified name, node, is_top_level) per public definition."""
+def _definitions(module: str, tree):
+    """(qualified name, node, is_top_level) per top-level function or class
+    and per public method of a public class."""
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", node, True
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for member in node.body:
                     if (isinstance(member, ast.FunctionDef)
                             and not member.name.startswith("_")):
@@ -66,7 +67,7 @@ def _unreferenced() -> set[str]:
         attrs += a
     found = set()
     for module, tree in trees.items():
-        for qualified, node, top_level in _public_definitions(module, tree):
+        for qualified, node, top_level in _definitions(module, tree):
             spelling = qualified.rsplit(".", 1)[1]
             own_names, own_attrs = _spellings(node)
             count = attrs[spelling] - own_attrs[spelling]
@@ -77,15 +78,24 @@ def _unreferenced() -> set[str]:
     return found
 
 
+def _private(qualified: str) -> bool:
+    return qualified.rsplit(".", 1)[1].startswith("_")
+
+
 def test_public_code_has_a_caller_in_src():
-    assert _unreferenced() - set(ALLOWED) == set()
+    public = {q for q in _unreferenced() if not _private(q)}
+    assert public - set(ALLOWED) == set()
+
+
+def test_private_module_code_has_a_caller_in_src():
+    assert {q for q in _unreferenced() if _private(q)} == set()
 
 
 def test_allowlist_names_existing_definitions():
     defined = {
         qualified
         for path in SRC.glob("*.py")
-        for qualified, _node, _top in _public_definitions(
+        for qualified, _node, _top in _definitions(
             path.stem, ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(ALLOWED) <= defined
