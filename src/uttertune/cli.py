@@ -12,14 +12,16 @@ produce the same artifacts, and when both are given the one after the
 command wins.
 
 Exit codes: 0 success, 1 usage error (including malformed notation
-input), 2 data error (unreadable or inconsistent files, bad config
-values), 3 numeric failure during training or generation, 4 evaluation
-threshold from the config unmet.
+input and a flag value the config schema refuses), 2 data error
+(unreadable or inconsistent files, bad config values), 3 numeric failure
+during training or generation, 4 evaluation threshold from the config
+unmet.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -40,7 +42,6 @@ from .dataprep import (
 )
 from .errors import NonFiniteLoss, SequenceTooLong, ShapeMismatch, UtterTuneError
 from .eval import (
-    EVAL_MODES,
     evaluate_set,
     format_summary,
     leakage_test,
@@ -48,7 +49,6 @@ from .eval import (
     save_report,
 )
 from .lora import (
-    SCALING_MODES,
     init_adapter,
     load_adapter,
     merge,
@@ -57,10 +57,13 @@ from .lora import (
 )
 from .manifest import (
     COMMAND_DEFAULTS,
+    CONFIG_CHOICES,
     THRESHOLD_KEYS,
     RunManifest,
     check_config,
+    check_value,
     parse_config_file,
+    parse_value,
     resolve_config,
     save_manifest,
 )
@@ -84,19 +87,6 @@ EXIT_THRESHOLD = 4
 
 class _UsageError(Exception):
     pass
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}"
-        )
-    return value
 
 
 def _path(text: str) -> str:
@@ -123,14 +113,19 @@ def _read_text(arg: str | None) -> str:
     return arg
 
 
-def _file_config(args) -> dict:
-    return parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-
-def _resolve(args, command, file_values) -> dict:
+def _config(args, command) -> dict:
+    """The command's config: defaults, then the config file, then flags,
+    checked; eval's thresholds come from the file only."""
+    file_values = (parse_config_file(args.config)
+                   if getattr(args, "config", None) else {})
     defaults = COMMAND_DEFAULTS[command]
     overrides = {k: getattr(args, k, None) for k in defaults}
-    return resolve_config(defaults, file_values, overrides)
+    config = resolve_config(defaults, file_values, overrides)
+    if command == "eval":
+        config.update((k, file_values[k]) for k in THRESHOLD_KEYS
+                      if k in file_values)
+    check_config(config)
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -139,12 +134,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command, config, inputs, outputs, timings) -> None:
+# The path flags a manifest records as its inputs, in its row order.
+_INPUT_FLAGS = ("corpus", "adapter_corpus", "model", "vocab", "adapter")
+
+
+def _write_manifest(args, out: Path, command, config, outputs,
+                    timings) -> None:
     manifest = RunManifest(
         command=command,
         version=__version__,
         config=config,
-        inputs={k: str(v) for k, v in inputs.items()},
+        inputs={k: getattr(args, k) for k in _INPUT_FLAGS
+                if getattr(args, k, None)},
         outputs={k: str(v) for k, v in outputs.items()},
         timings=timings,
     )
@@ -232,8 +233,7 @@ def _cmd_notation(args) -> int:
 
 
 def _cmd_corpus_build(args) -> int:
-    config = _resolve(args, "corpus build", _file_config(args))
-    check_config(config)
+    config = _config(args, "corpus build")
     started = time.perf_counter()
     records = build_corpus(
         build_lexicon(),
@@ -246,17 +246,14 @@ def _cmd_corpus_build(args) -> int:
     corpus_path = out / "corpus.tsv"
     save_corpus(records, corpus_path)
     elapsed = time.perf_counter() - started
-    _write_manifest(
-        out, "corpus build", config, {}, {"corpus": corpus_path},
-        {"total": elapsed},
-    )
+    _write_manifest(args, out, "corpus build", config,
+                    {"corpus": corpus_path}, {"total": elapsed})
     print(f"wrote {len(records)} sentences to {corpus_path}")
     return EXIT_OK
 
 
 def _cmd_vocab_train(args) -> int:
-    config = _resolve(args, "vocab train", _file_config(args))
-    check_config(config)
+    config = _config(args, "vocab train")
     started = time.perf_counter()
     records = load_corpus(args.corpus)
     texts = vocab_training_text(records, build_lexicon())
@@ -270,10 +267,8 @@ def _cmd_vocab_train(args) -> int:
     vocab_path = out / "vocab.txt"
     save_vocab(vocab, vocab_path)
     elapsed = time.perf_counter() - started
-    _write_manifest(
-        out, "vocab train", config, {"corpus": args.corpus},
-        {"vocab": vocab_path}, {"total": elapsed},
-    )
+    _write_manifest(args, out, "vocab train", config,
+                    {"vocab": vocab_path}, {"total": elapsed})
     print(
         f"vocab: {vocab.total_size} ids = {vocab.base_size} text + 2 tags "
         f"+ {vocab.speech_token_count} speech -> {vocab_path}"
@@ -302,8 +297,7 @@ def _training_examples(path, vocab, max_seq: int):
 
 
 def _cmd_train(args) -> int:
-    config = _resolve(args, "train", _file_config(args))
-    check_config(config)
+    config = _config(args, "train")
     vocab = load_vocab(args.vocab)
 
     model_config = ToyLMConfig(
@@ -366,14 +360,10 @@ def _cmd_train(args) -> int:
     for name, curve in (("pretrain", pretrain_curve), ("adapter", adapter_curve)):
         save_table(out / f"{name}_curve.tsv", "step\tloss", {}, curve)
     _write_manifest(
+        args,
         out,
         "train",
         config,
-        {
-            "corpus": args.corpus,
-            "adapter_corpus": args.adapter_corpus,
-            "vocab": args.vocab,
-        },
         {
             "base_model": model_path,
             "adapter": adapter_path,
@@ -396,8 +386,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    config = _resolve(args, "generate", _file_config(args))
-    check_config(config)
+    config = _config(args, "generate")
     model, adapter, vocab = _load_model_and_adapter(args)
     text = _read_text(args.text)
     started = time.perf_counter()
@@ -420,13 +409,8 @@ def _cmd_generate(args) -> int:
         gen_path = out / "generation.tsv"
         save_table(gen_path, "text\tids\tkana\tpitch", {},
                    [(text, ids_text, kana, pitch)])
-        inputs = {"model": args.model, "vocab": args.vocab}
-        if args.adapter:
-            inputs["adapter"] = args.adapter
-        _write_manifest(
-            out, "generate", config, inputs,
-            {"generation": gen_path}, {"total": elapsed},
-        )
+        _write_manifest(args, out, "generate", config,
+                        {"generation": gen_path}, {"total": elapsed})
     return EXIT_OK
 
 
@@ -434,14 +418,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    file_values = _file_config(args)
-    thresholds = {k: file_values[k] for k in THRESHOLD_KEYS if k in file_values}
-    config = {**_resolve(args, "eval", file_values), **thresholds}
-    check_config(config)
-    if config["mode"] not in EVAL_MODES:
-        raise ValueError(
-            f"config mode must be one of {EVAL_MODES}, got {config['mode']!r}"
-        )
+    config = _config(args, "eval")
     if args.leakage and not args.adapter:
         raise _UsageError("eval --leakage requires --adapter")
     model, adapter, vocab = _load_model_and_adapter(args)
@@ -468,19 +445,19 @@ def _cmd_eval(args) -> int:
     print(format_summary(report))
 
     failures = []
-    if config["mode"] == "tagged" and "tagged_accent_min" in thresholds:
-        if report.accent_rate < thresholds["tagged_accent_min"]:
+    if config["mode"] == "tagged" and "tagged_accent_min" in config:
+        if report.accent_rate < config["tagged_accent_min"]:
             failures.append(
                 f"accent correctness {report.accent_rate:.4f} "
-                f"< tagged_accent_min {thresholds['tagged_accent_min']}"
+                f"< tagged_accent_min {config['tagged_accent_min']}"
             )
-    if config["mode"] == "kana" and "kana_cer_max" in thresholds:
+    if config["mode"] == "kana" and "kana_cer_max" in config:
         if report.n_excluded == report.n_items:
             failures.append(f"CER undefined: all {report.n_items} items excluded")
-        elif report.mean_cer > thresholds["kana_cer_max"]:
+        elif report.mean_cer > config["kana_cer_max"]:
             failures.append(
                 f"CER {report.mean_cer:.4f} > kana_cer_max "
-                f"{thresholds['kana_cer_max']}"
+                f"{config['kana_cer_max']}"
             )
 
     outputs = {"report": report_path}
@@ -502,26 +479,20 @@ def _cmd_eval(args) -> int:
             f"{result.adapted_rate:.3f} diff {result.difference:+.3f} "
             f"CI [{result.ci_low:+.3f}, {result.ci_high:+.3f}]"
         )
-        if "leakage_halfwidth_max" in thresholds:
+        if "leakage_halfwidth_max" in config:
             halfwidth = (result.ci_high - result.ci_low) / 2.0
             if not (
                 result.ci_low <= 0.0 <= result.ci_high
-                and halfwidth <= thresholds["leakage_halfwidth_max"]
+                and halfwidth <= config["leakage_halfwidth_max"]
             ):
                 failures.append(
                     f"leakage CI [{result.ci_low:+.4f}, {result.ci_high:+.4f}] "
                     f"must contain 0 with half-width <= "
-                    f"{thresholds['leakage_halfwidth_max']}"
+                    f"{config['leakage_halfwidth_max']}"
                 )
     elapsed = time.perf_counter() - started
 
-    inputs = {"model": args.model, "vocab": args.vocab}
-    if args.adapter:
-        inputs["adapter"] = args.adapter
-    _write_manifest(
-        out, "eval", config, inputs, outputs,
-        {"total": elapsed},
-    )
+    _write_manifest(args, out, "eval", config, outputs, {"total": elapsed})
     for failure in failures:
         print(f"threshold unmet: {failure}", file=sys.stderr)
     return EXIT_THRESHOLD if failures else EXIT_OK
@@ -539,11 +510,8 @@ def _cmd_adapter_merge(args) -> int:
                    merge(adapter, model.weights, model.config.tag_ids))
     merged_path = out / "merged_model.ut"
     merged.save(merged_path)
-    _write_manifest(
-        out, "adapter merge", {},
-        {"model": args.model, "adapter": args.adapter},
-        {"merged_model": merged_path}, {},
-    )
+    _write_manifest(args, out, "adapter merge", {},
+                    {"merged_model": merged_path}, {})
     print(f"merged model {merged.fingerprint()} -> {merged_path}")
     return EXIT_OK
 
@@ -575,6 +543,28 @@ def _add_config_flag(parser) -> None:
     )
 
 
+def _key_value(key: str, text: str):
+    """argparse type of a config key's flag: the value as the config schema
+    parses and checks it, so a value it refuses is a usage error."""
+    try:
+        value = parse_value(key, text)
+        check_value(key, value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _add_key_flags(parser, keys, **help) -> None:
+    """Add --key (dashes for underscores) per config key, with help[key]."""
+    for key in keys:
+        choices = CONFIG_CHOICES.get(key)
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, help=help.get(key),
+            type=functools.partial(_key_value, key),
+            metavar="{" + ",".join(choices) + "}" if choices else None,
+        )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="uttertune", description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -600,10 +590,7 @@ def build_parser() -> _Parser:
     csub = corpus.add_subparsers(dest="action", required=True)
     build = csub.add_parser("build", help="sample sentences from the lexicon")
     _add_config_flag(build)
-    build.add_argument("--sentences", type=_positive_int)
-    build.add_argument("--tag-fraction", type=float, dest="tag_fraction")
-    build.add_argument("--kana-fraction", type=float, dest="kana_fraction")
-    build.add_argument("--seed", type=int)
+    _add_key_flags(build, ("sentences", "tag_fraction", "kana_fraction", "seed"))
     build.add_argument("--out", required=True, type=_path, metavar="DIR")
     build.set_defaults(func=_cmd_corpus_build)
 
@@ -613,8 +600,7 @@ def build_parser() -> _Parser:
     _add_config_flag(vtrain)
     vtrain.add_argument("--corpus", required=True, type=_path,
                         metavar="FILE")
-    vtrain.add_argument("--vocab-size", type=int, dest="vocab_size")
-    vtrain.add_argument("--seed", type=int)
+    _add_key_flags(vtrain, ("vocab_size", "seed"))
     vtrain.add_argument("--out", required=True, type=_path, metavar="DIR")
     vtrain.set_defaults(func=_cmd_vocab_train)
 
@@ -628,13 +614,9 @@ def build_parser() -> _Parser:
                        metavar="FILE", dest="adapter_corpus",
                        help="adapter training corpus")
     train.add_argument("--vocab", required=True, type=_path, metavar="FILE")
-    train.add_argument("--seed", type=int, help="adapter init/training seed")
-    train.add_argument("--steps", type=_positive_int,
-                       help="adapter training steps")
-    train.add_argument("--rank", type=_positive_int)
-    train.add_argument("--alpha", type=float)
-    train.add_argument("--dropout", type=float)
-    train.add_argument("--scaling", choices=SCALING_MODES)
+    _add_key_flags(train, ("seed", "steps", "rank", "alpha", "dropout", "scaling"),
+                   seed="adapter init/training seed",
+                   steps="adapter training steps")
     train.add_argument("--out", required=True, type=_path, metavar="DIR")
     train.set_defaults(func=_cmd_train)
 
@@ -644,7 +626,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--vocab", required=True, type=_path, metavar="FILE")
     gen.add_argument("--adapter", type=_path, metavar="FILE")
     gen.add_argument("--text", help="input text; omit to read stdin")
-    gen.add_argument("--max-new", type=_positive_int, dest="max_new")
+    _add_key_flags(gen, ("max_new",))
     gen.add_argument("--out", type=_path, metavar="DIR")
     gen.set_defaults(func=_cmd_generate)
 
@@ -653,9 +635,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--model", required=True, type=_path, metavar="FILE")
     ev.add_argument("--vocab", required=True, type=_path, metavar="FILE")
     ev.add_argument("--adapter", type=_path, metavar="FILE")
-    ev.add_argument("--mode", choices=EVAL_MODES)
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--max-new", type=_positive_int, dest="max_new")
+    _add_key_flags(ev, ("mode", "seed", "max_new"))
     ev.add_argument("--leakage", action="store_true",
                     help="also run the untagged-word leakage test")
     ev.add_argument("--out", required=True, type=_path, metavar="DIR")

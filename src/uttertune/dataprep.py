@@ -482,6 +482,20 @@ def _make_item(item_id, words, readings, target_index, tagged_index=None):
     )
 
 
+def _held_out_words(plain_entries, rng, inserted):
+    """Context words, trimmed by one per inserted entry, with each of
+    ``inserted`` put in at a drawn slot in turn; redrawn until the sentence
+    is held out."""
+    while True:
+        words = _sample_sentence_words(
+            plain_entries, rng, held_out=None, require_noun=False
+        )[:-len(inserted)]
+        for entry in inserted:
+            words.insert(int(rng.integers(0, len(words) + 1)), entry)
+        if is_held_out(e.grapheme for e in words):
+            return words
+
+
 def build_eval_sets(
     lexicon,
     seed: int,
@@ -529,33 +543,15 @@ def build_eval_sets(
     for item_id in range(n_test_2):
         entry = ambiguous[item_id % len(ambiguous)]
         reading = entry.readings[(item_id // len(ambiguous)) % len(entry.readings)]
-        while True:
-            context = _sample_sentence_words(
-                plain_entries, rng, held_out=None, require_noun=False
-            )[:-1]
-            slot = int(rng.integers(0, len(context) + 1))
-            words = context[:slot] + [entry] + context[slot:]
-            if is_held_out(e.grapheme for e in words):
-                break
-        readings = [
-            reading if i == slot else e.readings[0] for i, e in enumerate(words)
-        ]
-        test_2.append(_make_item(item_id, words, readings, slot))
+        words = _held_out_words(plain_entries, rng, [entry])
+        readings = [reading if e is entry else e.readings[0] for e in words]
+        test_2.append(_make_item(item_id, words, readings, words.index(entry)))
 
     leakage = []
     for item_id in range(n_leakage):
         entry = ambiguous[item_id % len(ambiguous)]
         tagged_entry = plain_nouns[int(rng.integers(0, len(plain_nouns)))]
-        while True:
-            context = _sample_sentence_words(
-                plain_entries, rng, held_out=None, require_noun=False
-            )[:-2]
-            anchor = int(rng.integers(0, len(context) + 1))
-            words = context[:anchor] + [entry] + context[anchor:]
-            tag_slot = int(rng.integers(0, len(words) + 1))
-            words = words[:tag_slot] + [tagged_entry] + words[tag_slot:]
-            if is_held_out(e.grapheme for e in words):
-                break
+        words = _held_out_words(plain_entries, rng, [entry, tagged_entry])
         target_slot = words.index(entry)
         readings = [
             e.majority_reading() if e is entry else e.readings[0] for e in words

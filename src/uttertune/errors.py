@@ -78,10 +78,6 @@ class ShapeMismatch(UtterTuneError):
     """Matrix shapes do not compose."""
 
 
-class VersionMismatch(UtterTuneError):
-    """Serialized container written by an incompatible format version."""
-
-
 class CorruptFile(UtterTuneError):
     """Container checksum or structure check failed."""
 

@@ -380,4 +380,6 @@ def load_leakage(path) -> LeakageResult:
         adapted = sum(o.adapted_correct for o in outcomes) / len(outcomes)
         if baseline != result.baseline_rate or adapted != result.adapted_rate:
             raise CorruptFile(f"{path}: rates do not match per-item outcomes")
+    if result.difference != result.adapted_rate - result.baseline_rate:
+        raise CorruptFile(f"{path}: difference is not adapted_rate - baseline_rate")
     return result

@@ -2,6 +2,8 @@
 
 ``COMMAND_DEFAULTS`` is the one list of config keys: each command's keys
 with their defaults, from which ``CONFIG_KEYS`` takes each key's type.
+``parse_value`` and ``check_value`` are the one rule for a key's values,
+whether they come from a flag, a config file or a manifest.
 
 Every artifact-producing command writes a ``manifest.txt`` next to its
 output, a ``tensorio`` table: the command and tool version as header
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CorruptFile
+from .eval import EVAL_MODES
+from .lora import SCALING_MODES
 from .tensorio import load_table, save_table
 
 _MAGIC = "uttertune-manifest v2"
@@ -80,21 +84,40 @@ CONFIG_KEYS: dict[str, type] = {
     **dict.fromkeys(THRESHOLD_KEYS, float),
 }
 
-# The least value of each count and seed key. A count flag below 1 is
-# already a usage error, so a count below 1 here is a config value.
+# The least value of each count and seed key.
 _MINIMUMS = {"max_new": 1, "n_test_1": 1, "n_test_2": 1, "n_leakage": 1,
-             "resamples": 1, "sentences": 1,
+             "resamples": 1, "sentences": 1, "steps": 1, "rank": 1,
              "seed": 0, "model_seed": 0, "pretrain_seed": 0}
+
+# The values a key that names a choice accepts.
+CONFIG_CHOICES = {"mode": EVAL_MODES, "scaling": SCALING_MODES}
+
+
+def parse_value(key: str, text: str) -> int | float | str:
+    """text as key's type; ValueError naming both."""
+    kind = CONFIG_KEYS[key]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"bad {kind.__name__} value {text!r} for {key}") from None
+
+
+def check_value(key: str, value) -> None:
+    """ValueError for a value below key's least value, outside its choices,
+    or for a threshold that is not finite."""
+    if key in _MINIMUMS and value < _MINIMUMS[key]:
+        raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
+    if key in CONFIG_CHOICES and value not in CONFIG_CHOICES[key]:
+        raise ValueError(
+            f"config {key} must be one of {CONFIG_CHOICES[key]}, got {value!r}"
+        )
+    if key in THRESHOLD_KEYS and not math.isfinite(value):
+        raise ValueError(f"config {key} must be finite, got {value}")
 
 
 def check_config(config) -> None:
-    """ValueError for a count or seed below its least value, or for a
-    threshold that is not finite."""
     for key, value in config.items():
-        if key in _MINIMUMS and value < _MINIMUMS[key]:
-            raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
-        if key in THRESHOLD_KEYS and not math.isfinite(value):
-            raise ValueError(f"config {key} must be finite, got {value}")
+        check_value(key, value)
 
 
 def parse_config_file(path) -> dict[str, int | float | str]:
@@ -113,12 +136,9 @@ def parse_config_file(path) -> dict[str, int | float | str]:
             if key in values:
                 raise CorruptFile(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
-                values[key] = CONFIG_KEYS[key](text)
-            except ValueError:
-                raise CorruptFile(
-                    f"{path}:{lineno}: bad {CONFIG_KEYS[key].__name__} "
-                    f"value {text!r} for {key}"
-                ) from None
+                values[key] = parse_value(key, text)
+            except ValueError as exc:
+                raise CorruptFile(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -171,10 +191,10 @@ def load_manifest(path) -> RunManifest:
     if not header["command"]:
         raise CorruptFile(f"{path}: manifest names no command")
     try:
-        config = {k: CONFIG_KEYS[k](v) for k, v in sections["config"].items()}
+        config = {k: parse_value(k, v) for k, v in sections["config"].items()}
         timings = {k: float(v) for k, v in sections["timing"].items()}
     except ValueError as exc:
-        raise CorruptFile(f"{path}: bad value {exc}") from None
+        raise CorruptFile(f"{path}: {exc}") from None
     return RunManifest(header["command"], header["version"], config,
                        sections["input"], sections["output"], timings)
 

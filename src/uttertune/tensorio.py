@@ -20,10 +20,9 @@ import hashlib
 
 import numpy as np
 
-from .errors import CorruptFile, VersionMismatch
+from .errors import CorruptFile
 
-TENSOR_FORMAT_VERSION = "v1"
-_MAGIC = "uttertune-tensors"
+_MAGIC = "uttertune-tensors v1"
 _DIGEST_SIZE = 32
 
 
@@ -34,7 +33,7 @@ def _check_name(name: str) -> None:
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> None:
     """Write float32 tensors plus string metadata; order is preserved."""
-    header_lines = [f"{_MAGIC} {TENSOR_FORMAT_VERSION}"]
+    header_lines = [_MAGIC]
     for key, value in meta.items():
         _check_name(key)
         value = str(value)
@@ -59,7 +58,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str]) -> 
 
 def load_tensors(path):
     """Read a container; returns (tensors dict, meta dict) in file order.
-    Raises CorruptFile or VersionMismatch naming path."""
+    Raises CorruptFile naming path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _DIGEST_SIZE:
@@ -76,13 +75,8 @@ def load_tensors(path):
         raise CorruptFile(f"{path}: header is not UTF-8") from exc
     payload = blob[header_end + 5 :]
     lines = header.split("\n")
-    first = lines[0].split(" ")
-    if len(first) != 2 or first[0] != _MAGIC:
-        raise CorruptFile(f"{path}: not a tensor container")
-    if first[1] != TENSOR_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: container version {first[1]} != {TENSOR_FORMAT_VERSION}"
-        )
+    if lines[0] != _MAGIC:
+        raise CorruptFile(f"{path}: expected first line {_MAGIC!r}")
     meta: dict[str, str] = {}
     specs: list[tuple[str, tuple[int, ...]]] = []
     for line in lines[1:]:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and run manifests."""
 
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -29,9 +30,11 @@ from uttertune.manifest import (
     COMMAND_DEFAULTS,
     CONFIG_KEYS,
     RunManifest,
+    check_value,
     load_manifest,
     manifest_config_text,
     parse_config_file,
+    parse_value,
     resolve_config,
     save_manifest,
 )
@@ -316,6 +319,60 @@ def test_shared_config_key_has_one_type():
               if sum(k in d for d in COMMAND_DEFAULTS.values()) > 1}
     assert {"seed", "max_new"} <= shared
     assert all(len(t) == 1 for t in types.values())
+
+
+# Each command's config flags; every other option is a path flag, --text,
+# --leakage, --config or --help.
+_CONFIG_FLAGS = {
+    "corpus build": {"sentences", "tag_fraction", "kana_fraction", "seed"},
+    "vocab train": {"vocab_size", "seed"},
+    "train": {"seed", "steps", "rank", "alpha", "dropout", "scaling"},
+    "generate": {"max_new"},
+    "eval": {"mode", "seed", "max_new"},
+}
+_OTHER_DESTS = {"out", "corpus", "adapter_corpus", "model", "vocab",
+                "adapter", "text", "leakage", "config", "help"}
+
+
+def _leaf_parsers(parser, words=()):
+    """(command, parser) for each subcommand that takes no further one."""
+    groups = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(words), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, words + (name,))
+
+
+def test_config_flags_are_built_from_the_schema():
+    """Every option of every subcommand other than a path flag, --text,
+    --leakage or --config sets a config key of its command: its name is
+    the key with dashes, and its type parses and checks text exactly as
+    the schema does, so a bad value is refused with the schema's message."""
+    found = {}
+    for command, parser in _leaf_parsers(uttertune.cli.build_parser()):
+        for action in parser._actions:
+            key = action.dest
+            if not action.option_strings or key in _OTHER_DESTS:
+                continue
+            found.setdefault(command, set()).add(key)
+            assert key in COMMAND_DEFAULTS[command], (command, key)
+            assert action.option_strings == ["--" + key.replace("_", "-")]
+            assert action.choices is None and action.default is None
+            for text in ("x", "-1", "0", "2", "0.5", "nan", "plain", "literal"):
+                try:
+                    expected = parse_value(key, text)
+                    check_value(key, expected)
+                except ValueError as exc:
+                    with pytest.raises(argparse.ArgumentTypeError) as refused:
+                        action.type(text)
+                    assert str(refused.value) == str(exc)
+                else:
+                    value = action.type(text)
+                    assert type(value) is CONFIG_KEYS[key]
+                    assert value == expected or value != value  # nan
+    assert found == _CONFIG_FLAGS
 
 
 def test_config_precedence():
@@ -860,7 +917,7 @@ def _version_v9(raw):
 @pytest.mark.parametrize("slot", ["model", "adapter"])
 @pytest.mark.parametrize("damage, error", [
     pytest.param(_flip_last_byte, "CorruptFile", id="checksum"),
-    pytest.param(_version_v9, "VersionMismatch", id="version"),
+    pytest.param(_version_v9, "CorruptFile", id="version"),
     pytest.param(None, "CorruptFile", id="vocabulary-file"),
 ])
 def test_bad_tensor_file_is_one_line_data_error_naming_it(
@@ -947,6 +1004,11 @@ _COUNT_CASES = [
         ("config", "0", 2, "eval", "resamples"),
         ("config", "0", 2, "corpus", "sentences"),
         ("flag", "0", 1, "corpus", "sentences"),
+        ("flag", "-1", 1, "corpus", "seed"),
+        ("config", "-1", 2, "corpus", "seed"),
+        ("flag", "-1", 1, "eval", "seed"),
+        ("config", "-1", 2, "eval", "seed"),
+        ("flag", "loud", 1, "eval", "mode"),
         ("config", "nan", 2, "eval", "tagged_accent_min"),
         ("config", "nan", 2, "eval", "kana_cer_max"),
         ("config", "inf", 2, "eval", "leakage_halfwidth_max"),

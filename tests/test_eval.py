@@ -643,7 +643,8 @@ def test_leakage_load_rejects_tampered_rates(saved_leakage):
     ("\t1\t1\n", "\t7\t1\n"),
     ("\t1\t1\n", "\t1\ttrue\n"),
     ("resamples\t500", "resamples\tmany"),
-], ids=["flag-seven", "flag-word", "header-count"])
+    ("difference\t0.0\n", "difference\t0.25\n"),
+], ids=["flag-seven", "flag-word", "header-count", "difference"])
 def test_leakage_load_rejects_bad_value(saved_leakage, old, new):
     _, path = saved_leakage
     text = path.read_text(encoding="utf-8")

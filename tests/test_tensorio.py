@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from uttertune.errors import CorruptFile, VersionMismatch
+from uttertune.errors import CorruptFile
 from uttertune.tensorio import load_table, load_tensors, save_table, save_tensors
 
 
@@ -75,7 +75,8 @@ def test_version_mismatch(tmp_path):
     p = tmp_path / "t.bin"
     blob = b"uttertune-tensors v999\nend\n"
     p.write_bytes(blob + hashlib.sha256(blob).digest())
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(CorruptFile,
+                       match="expected first line 'uttertune-tensors v1'"):
         load_tensors(p)
 
 
