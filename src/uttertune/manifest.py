@@ -84,10 +84,27 @@ CONFIG_KEYS: dict[str, type] = {
     **dict.fromkeys(THRESHOLD_KEYS, float),
 }
 
-# The least value of each count and seed key.
-_MINIMUMS = {"max_new": 1, "n_test_1": 1, "n_test_2": 1, "n_leakage": 1,
-             "resamples": 1, "sentences": 1, "steps": 1, "rank": 1,
-             "seed": 0, "model_seed": 0, "pretrain_seed": 0}
+# The values each bounded key accepts, as a test and the rule it states.
+# A rule that involves two keys (rank <= width, tag_fraction +
+# kana_fraction <= 1) is the library's to check.
+_at_least_1 = (lambda v: v >= 1, ">= 1")
+_finite = (math.isfinite, "finite")
+_fraction = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_rate = (lambda v: 0 < v < math.inf, "finite and > 0")
+_BOUNDS = {
+    **dict.fromkeys(("max_new", "n_test_1", "n_test_2", "n_leakage",
+                     "resamples", "sentences", "steps", "rank"), _at_least_1),
+    **dict.fromkeys(("seed", "model_seed", "pretrain_seed"),
+                    (lambda v: v >= 0, ">= 0")),
+    "tag_fraction": _fraction,
+    "kana_fraction": _fraction,
+    "warmup_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "learning_rate": _rate,
+    "pretrain_lr": _rate,
+    "alpha": _finite,
+    "dropout": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    **dict.fromkeys(THRESHOLD_KEYS, _finite),
+}
 
 # The values a key that names a choice accepts.
 CONFIG_CHOICES = {"mode": EVAL_MODES, "scaling": SCALING_MODES}
@@ -103,16 +120,15 @@ def parse_value(key: str, text: str) -> int | float | str:
 
 
 def check_value(key: str, value) -> None:
-    """ValueError for a value below key's least value, outside its choices,
-    or for a threshold that is not finite."""
-    if key in _MINIMUMS and value < _MINIMUMS[key]:
-        raise ValueError(f"config {key} must be >= {_MINIMUMS[key]}, got {value}")
+    """ValueError for a value outside key's bounds or its choices."""
+    if key in _BOUNDS:
+        accepts, rule = _BOUNDS[key]
+        if not accepts(value):
+            raise ValueError(f"config {key} must be {rule}, got {value}")
     if key in CONFIG_CHOICES and value not in CONFIG_CHOICES[key]:
         raise ValueError(
             f"config {key} must be one of {CONFIG_CHOICES[key]}, got {value!r}"
         )
-    if key in THRESHOLD_KEYS and not math.isfinite(value):
-        raise ValueError(f"config {key} must be finite, got {value}")
 
 
 def check_config(config) -> None:

@@ -5,9 +5,11 @@ causal attention with Q/K/V/O projections (the LoRA attach points), GELU
 feed-forward, untied output head. Everything is numpy with hand-written
 reverse-mode gradients. The weights are float64 in memory and hold
 float32 values: the constructor rounds what it is given through float32,
-and pretrain rounds its float64 masters back once at the end. Every
-forward reads them as they are; files hold float32, and the fingerprint
-hashes those bytes.
+and pretrain rounds its float64 masters back once at the end. Training,
+the loss, the gradient check and ToyLM.forward run in float64 and read
+them as they are; decoding runs the same forward in float32, on an exact
+cast of them made once per generate call. Files hold float32, and the
+fingerprint hashes those bytes.
 pretrain and train_adapter share one AdamW loop; only what trains differs
 (every base weight, or the adapter's factors and tag deltas). The trainable
 values, their gradient and both moments are each one flat float64 vector
@@ -22,18 +24,20 @@ equal to the base model's.
 
 Every forward, in training, in ToyLM.forward and in decoding, is one call
 of _forward_batch over a right-padded (N, T) id batch that names the flat
-rows whose logits it wants (out_rows). Pad rows sit after every real
-position, so causal attention gives them zero weight and they cannot
-affect a real row. The embedding, the layer norms before attention, the
-Q/K/V/O projections (and their dropout draws) and attention run on the
-padded layout in every layer; the feed-forward block of every layer but
-the last runs on the real rows (gathered, and scattered back with zeros at
-the pad rows); the last layer's second norm and feed-forward block, the
-final norm and the head run at out_rows only. A training step asks for
-the speech-target rows the loss reads, ToyLM.forward for every position,
-and a decode step for each row's last position. GELU is the tanh form, in
-row blocks that stay in cache through its chain of elementwise ops; the
-backward pass reuses the forward tanh.
+rows whose logits it wants (out_rows), in the dtype of the weights it is
+given: the causal mask is added in place, dropout masks take that dtype
+and every constant is a Python float, so nothing upcasts. Pad rows sit
+after every real position, so causal attention gives them zero weight and
+they cannot affect a real row. The embedding, the layer norms before
+attention, the Q/K/V/O projections (and their dropout draws) and attention
+run on the padded layout in every layer; the feed-forward block of every
+layer but the last runs on the real rows (gathered, and scattered back
+with zeros at the pad rows); the last layer's second norm and feed-forward
+block, the final norm and the head run at out_rows only. A training step
+asks for the speech-target rows the loss reads, ToyLM.forward for every
+position, and a decode step for each row's last position. GELU is the tanh
+form, in row blocks that stay in cache through its chain of elementwise
+ops; the backward pass reuses the forward tanh.
 
 Generation is greedy and constrained to the speech-token range: the
 model's job after a text prompt is to emit speech codes, each step takes
@@ -236,14 +240,15 @@ class ToyLM:
             raise ValueError("forward takes a single id sequence")
         logits, _ = _forward_batch(
             self.weights, self.config, ids[None, :], np.arange(ids.size),
-            _adapter64(adapter), None,
+            _adapter_params(adapter, np.float64), None,
         )
         return logits
 
     def loss(self, examples, adapter: LoraAdapter | None = None) -> float:
         """Mean next-token cross-entropy over speech positions only."""
         value, _ = _loss_forward(
-            self.weights, self.config, examples, _adapter64(adapter), None
+            self.weights, self.config, examples,
+            _adapter_params(adapter, np.float64), None,
         )
         return float(value)
 
@@ -251,15 +256,16 @@ class ToyLM:
 # -- adapter helpers --------------------------------------------------------
 
 
-def _adapter64(adapter: LoraAdapter | None):
-    """(params dict in float64, scale, dropout_rate) or None."""
+def _adapter_params(adapter: LoraAdapter | None, dtype):
+    """(params dict in dtype, scale, dropout_rate) or None. A factor that
+    already has dtype is taken as it is, not copied."""
     if adapter is None:
         return None
     params = {}
     for layer in adapter.layers:
-        params[f"{layer.target}.B"] = layer.B.astype(np.float64)
-        params[f"{layer.target}.C"] = layer.C.astype(np.float64)
-    params["tag_deltas"] = adapter.tag_deltas.astype(np.float64)
+        params[f"{layer.target}.B"] = layer.B.astype(dtype, copy=False)
+        params[f"{layer.target}.C"] = layer.C.astype(dtype, copy=False)
+    params["tag_deltas"] = adapter.tag_deltas.astype(dtype, copy=False)
     return params, float(adapter.scale()), float(adapter.dropout_rate)
 
 
@@ -430,7 +436,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
                 masks = {
                     f"L{i}.{p}": (
                         dropout_rng.random((N, T, cfg.width)) < keep
-                    ).astype(np.float64) / keep
+                    ).astype(ln1_out.dtype) / keep
                     for p in PROJECTIONS
                 }
         q, q_cache = _project(ln1_out, params[f"L{i}.q"], adapter, f"L{i}.q", masks)
@@ -665,7 +671,7 @@ def loss_and_grads(model: ToyLM, examples, adapter: LoraAdapter | None = None,
     reproducible (this is what the finite-difference check relies on).
     """
     params = model.weights
-    adapter64 = _adapter64(adapter)
+    adapter64 = _adapter_params(adapter, np.float64)
     rng = None
     if dropout_seed is not None and adapter is not None and adapter.dropout_rate > 0:
         rng = np.random.default_rng(dropout_seed)
@@ -695,7 +701,7 @@ def gradient_check(
     both routes see identical masks.
     """
     _, _, agrads = loss_and_grads(model, examples, adapter, dropout_seed)
-    adapter64 = _adapter64(adapter)
+    adapter64 = _adapter_params(adapter, np.float64)
     aparams, _scale, rate = adapter64
 
     def run_loss():
@@ -785,7 +791,7 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
     if adapter is None:
         initial = model.weights
     else:
-        initial, scale, rate = _adapter64(adapter)
+        initial, scale, rate = _adapter_params(adapter, np.float64)
     flat = np.concatenate([a.ravel() for a in initial.values()])
     decay = np.concatenate([np.full(a.size, name.split(".")[-1] in _DECAYED)
                             for name, a in initial.items()])
@@ -877,11 +883,12 @@ def train_adapter(model: ToyLM, adapter: LoraAdapter, examples, cfg: TrainConfig
 
 
 # Prompts per decode forward. A decode step keeps only its keys and values,
-# so a wider batch costs little memory. On perfbench's desk eval (2-vCPU
-# Xeon, seeds 22, 5 and 23, one 15 s run each), 16/32/64/128 per forward
-# gave 646-684/726-865/792-914/781-909 items/s at a peak RSS of 68-70/
-# 71-73/72-75/72-75 MB. At 64 one desk eval round takes 396 forwards
-# (808 at 16); 128 saves 7 more.
+# so a wider batch costs little memory. On perfbench's desk eval with the
+# float32 decode (2-vCPU Xeon, seeds 3, 5, 7 and 11, one 15 s run each, the
+# three sizes run in rotating order per seed), 32/64/128 per forward gave
+# 1140-1312/1251-1356/1319-1354 items/s at a peak RSS of 68-70/68-69/
+# 68-71 MB; 128 was ahead of 64 on two seeds of four. At 64 one desk eval
+# round takes 396 forwards (808 at 16); 128 saves 7 more.
 _DECODE_BATCH = 64
 
 
@@ -901,7 +908,8 @@ def generate(
     forward: one forward over the whole prompts, then one new token per row
     and step against the cached keys and values; a row that emits
     end-of-speech leaves the batch. Each prompt gets the ids it would get
-    decoded on its own.
+    decoded on its own. The forward runs in float32, on an exact cast of
+    model.weights and on the adapter's float32 factors.
     """
     if max_new < 0:
         raise ValueError(f"max_new must be >= 0, got {max_new}")
@@ -918,7 +926,10 @@ def generate(
             raise SequenceTooLong(
                 f"prompt {index}: {prompt.size} ids exceed max_seq {cfg.max_seq}"
             )
-    adapter64 = _adapter64(adapter)
+    # Every weight holds a float32 value, so the cast is exact: the decode
+    # reads the weights the files hold, at the precision they hold them.
+    weights = {name: w.astype(np.float32) for name, w in model.weights.items()}
+    adapter32 = _adapter_params(adapter, np.float32)
     lo, hi = cfg.speech_offset, cfg.speech_offset + cfg.speech_count
     by_length: dict[int, list[int]] = {}
     for index, prompt in enumerate(prompts):
@@ -934,7 +945,7 @@ def generate(
             for _ in range(budget):
                 last = np.arange(1, len(live) + 1) * ids.shape[1] - 1
                 logits, past = _forward_batch(
-                    model.weights, cfg, ids, last, adapter64, None, past=past
+                    weights, cfg, ids, last, adapter32, None, past=past
                 )
                 nxt = lo + np.argmax(logits[:, lo:hi], axis=1)
                 going = nxt != cfg.eos_id

@@ -1012,18 +1012,38 @@ _COUNT_CASES = [
         ("config", "nan", 2, "eval", "tagged_accent_min"),
         ("config", "nan", 2, "eval", "kana_cer_max"),
         ("config", "inf", 2, "eval", "leakage_halfwidth_max"),
+        ("flag", "1.5", 1, "corpus", "tag_fraction"),
+        ("config", "1.5", 2, "corpus", "tag_fraction"),
+        ("flag", "-0.5", 1, "corpus", "kana_fraction"),
+        ("config", "nan", 2, "corpus", "kana_fraction"),
+        ("flag", "1.5", 1, "train", "dropout"),
+        ("flag", "1", 1, "train", "dropout"),
+        ("config", "-0.1", 2, "train", "dropout"),
+        ("flag", "nan", 1, "train", "alpha"),
+        ("config", "inf", 2, "train", "alpha"),
+        ("config", "0", 2, "train", "warmup_fraction"),
+        ("config", "1", 2, "train", "warmup_fraction"),
+        ("config", "0", 2, "train", "learning_rate"),
+        ("config", "nan", 2, "train", "learning_rate"),
+        ("config", "inf", 2, "train", "pretrain_lr"),
     )
 ]
 
 
 @pytest.mark.parametrize("source, value, code, command, key", _COUNT_CASES)
-def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys, command,
-                                       source, value, code, key):
-    """A count flag below 1 is a usage error, a count config value below 1
-    a bad config value; either is reported before any work starts."""
+def test_max_new_below_one_is_rejected(pipeline, tmp_path, capsys,
+                                       no_pretrain, command, source, value,
+                                       code, key):
+    """A flag value outside its key's bounds or choices is a usage error, a
+    config value outside them a bad config value; either is reported
+    before any work starts."""
     out = tmp_path / "o"
     if command == "corpus":
         argv = ["corpus", "build"]
+    elif command == "train":
+        argv = ["train", "--corpus", pipeline["corpus1"],
+                "--adapter-corpus", pipeline["corpus2"],
+                "--vocab", pipeline["vocab"]]
     else:
         argv = [command, "--model", pipeline["model"],
                 "--vocab", pipeline["vocab"]]
@@ -1084,8 +1104,8 @@ def test_train_flag_below_one_is_usage_error(pipeline, tmp_path, capsys,
     ("ff_width = 0", "ff_width"),
     ("learning_rate = -1", "learning_rate"),
     ("learning_rate = nan", "learning_rate"),
-    ("pretrain_lr = 0", "learning_rate"),
-    ("pretrain_lr = inf", "learning_rate"),
+    ("pretrain_lr = 0", "pretrain_lr"),
+    ("pretrain_lr = inf", "pretrain_lr"),
     ("alpha = nan", "alpha"),
     ("alpha = inf", "alpha"),
 ])

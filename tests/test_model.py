@@ -16,7 +16,7 @@ from uttertune.model import (
     TrainingExample,
     _DECODE_BATCH,
     _GELU_BLOCK,
-    _adapter64,
+    _adapter_params,
     _backward_batch,
     _forward_batch,
     _gelu,
@@ -266,7 +266,7 @@ def _full_tail_loss_and_grads(model, examples, adapter):
     """Loss and grads as computed before the loss rows: the last layer's
     feed-forward block, the final norm and the head at every real row, and
     a mask over those rows for the loss and dlogits."""
-    params, adapter64 = model.weights, _adapter64(adapter)
+    params, adapter64 = model.weights, _adapter_params(adapter, np.float64)
     ids, rows, loss_rows, targets = _pack_batch(examples, model.config.eos_id)
     logits, cache = _forward_batch(params, model.config, ids, rows, adapter64,
                                    None, rows)
@@ -333,7 +333,7 @@ def test_out_rows_are_those_rows_of_the_per_sequence_forward(
         "one": rows[-1:],
     }[pick]
     logits, _ = _forward_batch(tiny_model.weights, TINY, ids, out_rows,
-                               _adapter64(adapter), None, rows)
+                               _adapter_params(adapter, np.float64), None, rows)
     assert logits.shape == (len(out_rows), TINY.vocab_size)
     T = ids.shape[1]
     for row, got in zip(out_rows, logits):
@@ -345,7 +345,7 @@ def test_out_rows_are_those_rows_of_the_per_sequence_forward(
 
 def test_decode_return_value_is_taken_as_past_as_it_is(tiny_model,
                                                        trained_adapter):
-    adapter64 = _adapter64(trained_adapter)
+    adapter64 = _adapter_params(trained_adapter, np.float64)
     params = tiny_model.weights
     seq = [1, TAG_START, 5, TAG_END, 9, 33, 34, 35]
     ids = np.array([seq])
@@ -584,7 +584,7 @@ def _per_tensor_train(model, adapter, examples, cfg):
                     or name.split(".")[-1] in PROJECTIONS)
     else:
         params = model.weights
-        adapter64 = _adapter64(adapter)
+        adapter64 = _adapter_params(adapter, np.float64)
         trainable, _scale, rate = adapter64
         dropout_rng = rng if rate > 0.0 else None
 
@@ -822,60 +822,109 @@ def test_batched_decode_runs_to_max_seq(tiny_model, trained_adapter,
     assert [len(o) for o in got] == budgets == [8, 8, 7, 0]
 
 
-@pytest.mark.parametrize("with_adapter", [False, True],
-                         ids=["base", "trained-adapter"])
+# (with_adapter, dtype, relative tolerance): float64 is the training and
+# ToyLM.forward precision, float32 the one generate decodes in.
+_PRECISIONS = pytest.mark.parametrize(
+    "with_adapter, dtype, tol",
+    [(False, np.float64, 1e-12), (True, np.float64, 1e-12),
+     (False, np.float32, 1e-5), (True, np.float32, 1e-5)],
+    ids=["base", "trained-adapter", "base-float32", "trained-adapter-float32"],
+)
+
+
+def _at_precision(model, adapter, dtype):
+    """model's weights and adapter's params, cast to dtype."""
+    weights = {name: w.astype(dtype) for name, w in model.weights.items()}
+    return weights, _adapter_params(adapter, dtype)
+
+
+@_PRECISIONS
 def test_forward_with_past_matches_full_forward(tiny_model, trained_adapter,
-                                                with_adapter):
-    adapter64 = _adapter64(trained_adapter if with_adapter else None)
-    params = tiny_model.weights
+                                                with_adapter, dtype, tol):
+    params, adapter_params = _at_precision(
+        tiny_model, trained_adapter if with_adapter else None, dtype)
     rng = np.random.default_rng(8)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END
-    full = _training_layout_logits(params, ids, adapter64)
+    full = _training_layout_logits(params, ids, adapter_params)
+    assert full.dtype == dtype
     # Prefill 4 positions, then a chunk of 3, then one position at a time.
     past = None
     for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
         chunk = ids[:, lo:hi]
         logits, past = _forward_batch(params, TINY, chunk,
-                                      np.arange(chunk.size), adapter64, None,
-                                      past=past)
+                                      np.arange(chunk.size), adapter_params,
+                                      None, past=past)
         want = full[:, lo:hi].reshape(logits.shape)
-        assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
+        assert logits.dtype == dtype
+        assert np.abs(logits - want).max() <= tol * np.abs(want).max()
         assert past[0][0].shape[2] == hi
 
 
-@pytest.mark.parametrize("with_adapter", [False, True],
-                         ids=["base", "trained-adapter"])
+@_PRECISIONS
 def test_decode_call_matches_full_forward_at_last_position(
-        tiny_model, trained_adapter, with_adapter):
+        tiny_model, trained_adapter, with_adapter, dtype, tol):
     """rows=None, out_rows at each row's last position: those logits within
     rounding of the full forward, and per layer the keys and values alone,
     which the next call takes as its past as they are."""
-    adapter64 = _adapter64(trained_adapter if with_adapter else None)
-    params = tiny_model.weights
+    params, adapter_params = _at_precision(
+        tiny_model, trained_adapter if with_adapter else None, dtype)
     rng = np.random.default_rng(9)
     ids = rng.integers(0, TINY.vocab_size, size=(3, 11))
     ids[:, 2], ids[:, 6] = TAG_START, TAG_END
-    full = _training_layout_logits(params, ids, adapter64)
+    full = _training_layout_logits(params, ids, adapter_params)
     # Prefill 4 positions, then a chunk of 3, then one position at a time.
     past = None
     for lo, hi in [(0, 4), (4, 7), (7, 8), (8, 9), (9, 10), (10, 11)]:
         last = np.arange(1, len(ids) + 1) * (hi - lo) - 1
         logits, past = _forward_batch(params, TINY, ids[:, lo:hi], last,
-                                      adapter64, None, past=past)
+                                      adapter_params, None, past=past)
         want = full[:, hi - 1]
         assert logits.shape == want.shape
-        assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
+        assert logits.dtype == dtype
+        assert np.abs(logits - want).max() <= tol * np.abs(want).max()
         assert len(past) == TINY.layers
         assert all(len(kv) == 2 for kv in past)
         assert past[0][0].shape == (3, TINY.heads, hi, TINY.width // TINY.heads)
+        assert all(k.dtype == v.dtype == dtype for k, v in past)
 
 
-def _training_layout_logits(params, ids, adapter64):
+@pytest.mark.parametrize("with_adapter", [False, True],
+                         ids=["base", "trained-adapter"])
+def test_generate_decodes_in_float32(tiny_model, trained_adapter, with_adapter,
+                                     monkeypatch):
+    """generate hands the forward a float32 cast of the weights and the
+    adapter's float32 params, and gets float32 logits and keys and values
+    back; the model's own weights stay float64."""
+    adapter = trained_adapter if with_adapter else None
+    seen = []
+
+    def spy(params, cfg, ids, out_rows, adapter_params, dropout_rng,
+            rows=None, past=None):
+        logits, cache = _forward_batch(params, cfg, ids, out_rows,
+                                       adapter_params, dropout_rng, rows, past)
+        arrays = list(params.values())
+        if adapter_params is not None:
+            arrays += adapter_params[0].values()
+        seen.append(({a.dtype for a in arrays}, logits.dtype,
+                     {a.dtype for kv in cache for a in kv}))
+        return logits, cache
+
+    monkeypatch.setattr(uttertune.model, "_forward_batch", spy)
+    generate(tiny_model, [[1, TAG_START, 5, TAG_END], [2, 3]], max_new=4,
+             adapter=adapter)
+    assert seen
+    assert all(s == ({np.dtype(np.float32)}, np.float32,
+                     {np.dtype(np.float32)}) for s in seen)
+    assert {w.dtype for w in tiny_model.weights.values()} == {
+        np.dtype(np.float64)}
+
+
+def _training_layout_logits(params, ids, adapter_params):
     """(N, T, V) logits of the training layout: every position real and
     asked for."""
     every = np.arange(ids.size)
-    logits, _ = _forward_batch(params, TINY, ids, every, adapter64, None,
+    logits, _ = _forward_batch(params, TINY, ids, every, adapter_params, None,
                                rows=every)
     return logits.reshape(ids.shape + (-1,))
 
