@@ -256,9 +256,11 @@ class LeakageResult:
     outcomes: tuple[LeakageOutcome, ...]
 
 
-# Resamples averaged per step of bootstrap_diff_ci: two float64 gathers of
-# this many rows stay near 4 MB at the desk's 240 items, where gathering all
-# 10,000 at once took 38 MB.
+# Resamples drawn and averaged per step of bootstrap_diff_ci. At the desk's
+# 240 items x 10,000 a step's int32 index and float64 gather peak at 3.1 MB
+# traced (the whole index alone was 9.6 MB). 128 to 1,024 rows took the same
+# 28-30 ms per call; 256 rows peak at 0.9 MB but left perfbench eval's peak
+# RSS where it was (55.7-56.0 MB over three seeds), which decode sets now.
 _BOOTSTRAP_CHUNK = 1024
 _CI_LEVEL = 0.99
 
@@ -275,12 +277,13 @@ def bootstrap_diff_ci(
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     rng = np.random.default_rng(seed)
-    # The int32 draw gives the int64 draw's values (the tests check it) in
-    # half the memory, and a row's mean does not depend on its chunk.
-    idx = rng.integers(0, a.size, size=(resamples, a.size), dtype=np.int32)
     diffs = np.empty(resamples)
     for start in range(0, resamples, _BOOTSTRAP_CHUNK):
-        rows = idx[start : start + _BOOTSTRAP_CHUNK]
+        # Drawn chunk by chunk, the int32 index holds the values of one
+        # whole int64 draw (the tests check it), and a row's mean does not
+        # depend on its chunk.
+        rows = rng.integers(0, a.size, dtype=np.int32, size=(
+            min(_BOOTSTRAP_CHUNK, resamples - start), a.size))
         diffs[start : start + len(rows)] = (a[rows].mean(axis=1)
                                             - b[rows].mean(axis=1))
     tail = (1.0 - _CI_LEVEL) / 2.0

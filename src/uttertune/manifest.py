@@ -93,7 +93,11 @@ _fraction = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _rate = (lambda v: 0 < v < math.inf, "finite and > 0")
 _BOUNDS = {
     **dict.fromkeys(("max_new", "n_test_1", "n_test_2", "n_leakage",
-                     "resamples", "sentences", "steps", "rank"), _at_least_1),
+                     "sentences", "steps", "rank"), _at_least_1),
+    # The bootstrap holds one float64 difference per resample: 8 MB at the
+    # cap, 100x the desk's count. A count past memory would fail to
+    # allocate mid-eval, after the reports were written.
+    "resamples": (lambda v: 1 <= v <= 1_000_000, "in [1, 1000000]"),
     **dict.fromkeys(("seed", "model_seed", "pretrain_seed"),
                     (lambda v: v >= 0, ">= 0")),
     "tag_fraction": _fraction,

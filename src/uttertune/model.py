@@ -37,7 +37,10 @@ block, the final norm and the head run at out_rows only. A training step
 asks for the speech-target rows the loss reads, ToyLM.forward for every
 position, and a decode step for each row's last position. GELU is the tanh
 form, in row blocks that stay in cache through its chain of elementwise
-ops; the backward pass reuses the forward tanh.
+ops; the backward pass reuses the forward tanh. A forward that no backward
+follows (ToyLM.forward, decoding) keeps no feed-forward activations: GELU
+overwrites the first feed-forward layer's output, with one block of tanh
+scratch.
 
 Generation is greedy and constrained to the speech-token range: the
 model's job after a text prompt is to emit speech codes, each step takes
@@ -275,28 +278,37 @@ def _block_rows(x):
     return max(1, _GELU_BLOCK * len(x) // max(x.size, 1))
 
 
-def _gelu(x):
+def _gelu(x, keep=True):
     """(GELU(x), t) with t = tanh(u), which _gelu_backward reuses.
 
     Runs in row blocks of about _GELU_BLOCK values, so that a block's x, t
     and output stay in cache through the chain of ops; every op is
-    elementwise, so the bits are those of the whole-array form.
+    elementwise, so the bits are those of the whole-array form. With keep
+    false, for a forward that no backward follows, GELU(x) is written over
+    x and t lives in one block of scratch: (x, None) comes back, from the
+    same ops in the same order, so with the same bits.
     """
-    y, t = np.empty_like(x), np.empty_like(x)
     step = _block_rows(x)
+    if keep:
+        y, t = np.empty_like(x), np.empty_like(x)
+    else:
+        y, t = x, np.empty_like(x[:step])
     for lo in range(0, len(x), step):
         rows = slice(lo, lo + step)
-        xb, tb, yb = x[rows], t[rows], y[rows]
+        xb, yb = x[rows], y[rows]
+        tb = t[rows] if keep else t[: len(xb)]
         np.multiply(xb, xb, out=tb)
         tb *= xb
         tb *= _GELU_A
         tb += xb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=yb)
-        yb *= xb
+        # t + 1 goes where it overwrites nothing still to be read.
+        sb = yb if keep else tb
+        np.add(tb, 1.0, out=sb)
+        np.multiply(xb, sb, out=yb)
         yb *= 0.5
-    return y, t
+    return y, (t if keep else None)
 
 
 def _gelu_backward(dy, x, t):
@@ -404,7 +416,8 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
     With rows, cache is what _backward_batch takes. Without, it is one
     (kh, vh) pair per layer, each (N, H, positions, dh), and a next call
     takes it as past: that call's ids sit after the cached positions and
-    attend to them as well as causally to each other.
+    attend to them as well as causally to each other; no backward follows
+    such a call, so GELU runs in place.
     """
     N, T = ids.shape
     P = 0 if past is None else past[0][0].shape[2]
@@ -471,7 +484,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
             ln2_rows = ln2_rows[ff_at]
         pre_act = ln2_rows @ params[f"L{i}.ff1"]
         pre_act += params[f"L{i}.ff1b"]
-        act, tanh_u = _gelu(pre_act)
+        act, tanh_u = _gelu(pre_act, keep=rows is not None)
         ff_rows = act @ params[f"L{i}.ff2"]
         ff_rows += params[f"L{i}.ff2b"]
         if ff_at is None:

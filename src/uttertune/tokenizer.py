@@ -107,8 +107,10 @@ def train_bpe(
 
     target_vocab_size counts base text tokens (atoms plus merges). Ties
     break toward the lexicographically smaller pair. Merges stop early if
-    no mergeable pair remains. The seed is recorded for provenance; the
-    procedure itself is deterministic.
+    no mergeable pair remains. A target equal to the atom count wants no
+    merge: the vocabulary is the atoms, and the pair index (each pair's
+    count and the lines that hold it) is never built. The seed is recorded
+    for provenance; the procedure itself is deterministic.
     """
     if not corpus:
         raise VocabTooSmall("corpus is empty")
@@ -121,6 +123,9 @@ def train_bpe(
         raise VocabTooSmall(
             f"target {target_vocab_size} below atom count {len(atoms)}"
         )
+    if target_vocab_size == len(atoms):
+        return Vocabulary(atoms=atoms, merges=(),
+                          speech_token_count=speech_token_count, seed=seed)
 
     sequences = [list(line) for line in corpus if line]
     pair_counts: Counter = Counter()

@@ -1002,6 +1002,8 @@ _COUNT_CASES = [
         ("config", "-3", 2, "eval", "n_test_2"),
         ("config", "0", 2, "eval", "n_leakage"),
         ("config", "0", 2, "eval", "resamples"),
+        ("config", "1000001", 2, "eval", "resamples"),
+        ("config", "1000000000000", 2, "eval", "resamples"),
         ("config", "0", 2, "corpus", "sentences"),
         ("flag", "0", 1, "corpus", "sentences"),
         ("flag", "-1", 1, "corpus", "seed"),

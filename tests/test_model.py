@@ -2,6 +2,7 @@
 manual gradients vs finite differences, training loops, generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1018,6 +1019,55 @@ def test_gelu_blocks_are_bitwise_the_whole_array_form(width):
         assert t.tobytes() == want_t.tobytes(), n_rows
         assert (_gelu_backward(dy, x, t).tobytes()
                 == _whole_array_gelu_backward(dy, x, t).tobytes()), n_rows
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", [1024, 37])
+def test_gelu_in_place_is_bitwise_the_keeping_form(width, dtype):
+    """Without keep, _gelu writes GELU(x) over x and keeps no tanh: the
+    only array it makes is one block of scratch, and the bits are the
+    keeping form's."""
+    block = _GELU_BLOCK // width  # rows per block
+    rng = np.random.default_rng(width)
+    for n_rows in (1, block - 1, block, block + 1, 2 * block + 3):
+        x = rng.normal(scale=3.0, size=(n_rows, width)).astype(dtype)
+        want, _ = _gelu(x)
+        tracemalloc.start()
+        try:
+            y, t = _gelu(x, keep=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t is None and y is x, n_rows
+        assert y.tobytes() == want.tobytes(), n_rows
+        scratch = min(n_rows, block) * width * x.itemsize
+        assert peak < scratch + 4096, (n_rows, peak, scratch)
+
+
+def test_gelu_keeps_its_input_only_where_a_backward_follows(
+        tiny_model, trained_adapter, monkeypatch):
+    """Training's forward keeps the feed-forward pre-activation and tanh
+    for the backward; ToyLM.forward and decoding run GELU in place."""
+    seen = []
+
+    def spy(x, keep=True):
+        seen.append(keep)
+        return _gelu(x, keep)
+
+    monkeypatch.setattr(uttertune.model, "_gelu", spy)
+    ids = np.array([[1, TAG_START, 5, TAG_END, 2, 3]])
+    every = np.arange(ids.size)
+    _, cache = _forward_batch(tiny_model.weights, TINY, ids, every,
+                              _adapter_params(trained_adapter, np.float64),
+                              None, rows=every)
+    assert seen == [True] * TINY.layers
+    assert all(lc["tanh_u"].shape == lc["pre_act"].shape
+               for lc in cache["layers"])
+    seen.clear()
+    tiny_model.forward(ids[0], adapter=trained_adapter)
+    generate(tiny_model, [ids[0, :4], ids[0, :2]], max_new=3,
+             adapter=trained_adapter)
+    assert seen and not any(seen)
 
 
 def test_gelu_grad_matches_central_differences():

@@ -1,7 +1,9 @@
 """BPE training, tag parsing, atomic phoneme-span encoding, vocab io."""
 
 import hashlib
+import random
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -78,6 +80,27 @@ class TestTrainBpe:
         vocab = train_bpe(["aaab", "aaab"], target_vocab_size=2, seed=0)
         assert vocab.merges == ()
         assert encode_text("aaab", vocab) == [0, 0, 0, 1]
+
+    def test_no_pair_index_at_atom_count(self):
+        """A target equal to the atom count wants no merge, so train_bpe
+        returns the atoms without building the pair index, which one
+        merge needs."""
+        rng = random.Random(0)
+        corpus = ["".join(rng.choices(ALL_KANA, k=30)) for _ in range(2000)]
+        atoms = tuple(sorted(set("".join(corpus))))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for target in (len(atoms), len(atoms) + 1):
+                tracemalloc.reset_peak()
+                vocab = train_bpe(corpus, target)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(vocab.merges) == 1
+        assert train_bpe(corpus, len(atoms), seed=3) == Vocabulary(
+            atoms=atoms, merges=(), speech_token_count=61, seed=3)
+        assert peaks[0] < peaks[1] / 20, peaks
 
     def test_deterministic(self):
         a = train_bpe(["アメアメ", "カミ"], target_vocab_size=8, seed=1)
