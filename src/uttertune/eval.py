@@ -28,6 +28,7 @@ from .tensorio import load_table, save_table
 from .tokenizer import Vocabulary, encode_text
 
 CER_EXCLUSION_THRESHOLD = 0.5
+_EXCLUSION_REASON = f"cer>{CER_EXCLUSION_THRESHOLD}"
 EVAL_MODES = ("plain", "kana", "tagged")
 _DEFAULT_MAX_NEW = 40
 
@@ -150,7 +151,7 @@ def _judge_item(vocab, item, hyp_ids) -> SampleResult:
         cer=sample_cer,
         accent_correct=accent_correct,
         excluded=excluded,
-        reason=f"cer>{CER_EXCLUSION_THRESHOLD}" if excluded else None,
+        reason=_EXCLUSION_REASON if excluded else None,
         hypothesis_kana=hyp_kana,
         hypothesis_pitch=hyp_pitch,
     )
@@ -219,6 +220,11 @@ def load_report(path) -> EvalReport:
                   float(header["mean_cer"]), float(header["accent_rate"]))
     except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: bad value {exc}") from None
+    for r in report.per_sample:
+        if (r.excluded != (r.cer > CER_EXCLUSION_THRESHOLD)
+                or r.reason != (_EXCLUSION_REASON if r.excluded else None)):
+            raise CorruptFile(f"{path}: item {r.item_id}: exclusion and "
+                              f"reason do not follow from cer {r.cer!r}")
     if stated != (report.n_items, report.n_excluded, report.mean_cer,
                   report.accent_rate):
         raise CorruptFile(f"{path}: report aggregates do not match its rows")

@@ -10,6 +10,11 @@ Tag-token embeddings are handled as trainable deltas over the base
 model's (randomly initialized, never pretrained) tag rows: zero at init,
 which is what makes step-0 transparency exact while the trained rows
 remain free to move.
+
+A LoraAdapter is the adapter's only storage. Its file, the forward pass and
+the optimizer read it as named tensors (factor_names, TAG_DELTAS) through
+LoraAdapter.tensors(); init_adapter and load_adapter build it from such a
+dict through _from_tensors.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .tensorio import load_tensors, save_tensors
 
 PROJECTIONS = ("q", "k", "v", "o")
 SCALING_MODES = ("literal", "normalized")
+TAG_DELTAS = "tag_deltas"
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,16 @@ class BaseShapeSpec:
     width: int
     base_param_count: int
     fingerprint: str = ""
+
+
+def _targets(base_spec: BaseShapeSpec) -> list[str]:
+    """Every Q/K/V/O projection of the base model, in order."""
+    return [f"L{i}.{p}" for i in range(base_spec.n_layers) for p in PROJECTIONS]
+
+
+def factor_names(target: str) -> tuple[str, str]:
+    """The names of target's B and C factors."""
+    return f"{target}.B", f"{target}.C"
 
 
 @dataclass
@@ -71,10 +87,7 @@ class LoraAdapter:
             raise ShapeMismatch(
                 f"tag deltas shape {self.tag_deltas.shape} != (2, {self.base_spec.width})"
             )
-        expected = [
-            f"L{i}.{p}" for i in range(self.base_spec.n_layers) for p in PROJECTIONS
-        ]
-        if [layer.target for layer in self.layers] != expected:
+        if [layer.target for layer in self.layers] != _targets(self.base_spec):
             raise ShapeMismatch("adapter must cover every Q/K/V/O projection in order")
         d, r = self.base_spec.width, self.rank
         for layer in self.layers:
@@ -91,6 +104,28 @@ class LoraAdapter:
 
     def scale(self) -> float:
         return self.alpha / self.rank if self.scaling == "normalized" else self.alpha
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The adapter's own arrays (not copies) by name, in file order:
+        each target's B, then its C, then the tag deltas."""
+        out = {}
+        for layer in self.layers:
+            out.update(zip(factor_names(layer.target), (layer.B, layer.C)))
+        out[TAG_DELTAS] = self.tag_deltas
+        return out
+
+
+def _from_tensors(tensors, base_spec, rank, alpha, dropout_rate, scaling,
+                  seed) -> LoraAdapter:
+    """The adapter holding the arrays of tensors, named as tensors() names
+    them; a missing name raises KeyError."""
+    layers = [
+        LoraLayer(target, *(tensors[name] for name in factor_names(target)),
+                  rank, alpha, dropout_rate)
+        for target in _targets(base_spec)
+    ]
+    return LoraAdapter(layers, tensors[TAG_DELTAS], rank, alpha, dropout_rate,
+                       scaling, seed, base_spec)
 
 
 def _check_rank(rank: int, width: int) -> None:
@@ -113,38 +148,19 @@ def init_adapter(
     _check_rank(r, base_spec.width)
     rng = np.random.default_rng(seed)
     d = base_spec.width
-    layers = []
-    for i in range(base_spec.n_layers):
-        for proj in PROJECTIONS:
-            B = rng.normal(0.0, 0.02, size=(d, r)).astype(np.float32)
-            C = np.zeros((r, d), dtype=np.float32)
-            layers.append(
-                LoraLayer(
-                    target=f"L{i}.{proj}",
-                    B=B,
-                    C=C,
-                    rank=r,
-                    alpha=alpha,
-                    dropout_rate=dropout_rate,
-                )
-            )
-    tag_deltas = np.zeros((2, d), dtype=np.float32)
-    return LoraAdapter(
-        layers=layers,
-        tag_deltas=tag_deltas,
-        rank=r,
-        alpha=alpha,
-        dropout_rate=dropout_rate,
-        scaling=scaling,
-        seed=seed,
-        base_spec=base_spec,
-    )
+    tensors = {}
+    for target in _targets(base_spec):
+        b_name, c_name = factor_names(target)
+        tensors[b_name] = rng.normal(0.0, 0.02, size=(d, r)).astype(np.float32)
+        tensors[c_name] = np.zeros((r, d), dtype=np.float32)
+    tensors[TAG_DELTAS] = np.zeros((2, d), dtype=np.float32)
+    return _from_tensors(tensors, base_spec, r, alpha, dropout_rate, scaling,
+                         seed)
 
 
 def trainable_param_count(adapter: LoraAdapter) -> tuple[int, float]:
     """(trainable parameter count, ratio against the base model)."""
-    count = sum(layer.B.size + layer.C.size for layer in adapter.layers)
-    count += adapter.tag_deltas.size
+    count = sum(array.size for array in adapter.tensors().values())
     return count, count / adapter.base_spec.base_param_count
 
 
@@ -178,11 +194,6 @@ def merge(
 
 
 def save_adapter(adapter: LoraAdapter, path) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for layer in adapter.layers:
-        tensors[f"{layer.target}.B"] = layer.B
-        tensors[f"{layer.target}.C"] = layer.C
-    tensors["tag_deltas"] = adapter.tag_deltas
     meta = {
         "kind": "adapter",
         "rank": str(adapter.rank),
@@ -195,7 +206,7 @@ def save_adapter(adapter: LoraAdapter, path) -> None:
         "base_params": str(adapter.base_spec.base_param_count),
         "base_fingerprint": adapter.base_spec.fingerprint,
     }
-    save_tensors(path, tensors, meta)
+    save_tensors(path, adapter.tensors(), meta)
 
 
 def load_adapter(path) -> LoraAdapter:
@@ -211,32 +222,9 @@ def load_adapter(path) -> LoraAdapter:
             base_param_count=int(meta["base_params"]),
             fingerprint=meta["base_fingerprint"],
         )
-        rank = int(meta["rank"])
-        alpha = float(meta["alpha"])
-        dropout = float(meta["dropout"])
-        layers = []
-        for i in range(base_spec.n_layers):
-            for proj in PROJECTIONS:
-                target = f"L{i}.{proj}"
-                layers.append(
-                    LoraLayer(
-                        target=target,
-                        B=tensors[f"{target}.B"],
-                        C=tensors[f"{target}.C"],
-                        rank=rank,
-                        alpha=alpha,
-                        dropout_rate=dropout,
-                    )
-                )
-        return LoraAdapter(
-            layers=layers,
-            tag_deltas=tensors["tag_deltas"],
-            rank=rank,
-            alpha=alpha,
-            dropout_rate=dropout,
-            scaling=meta["scaling"],
-            seed=int(meta["seed"]),
-            base_spec=base_spec,
+        return _from_tensors(
+            tensors, base_spec, int(meta["rank"]), float(meta["alpha"]),
+            float(meta["dropout"]), meta["scaling"], int(meta["seed"]),
         )
     except KeyError as missing:
         raise CorruptFile(f"{path}: missing field {missing}") from None

@@ -207,6 +207,8 @@ def load_manifest(path) -> RunManifest:
             raise CorruptFile(f"{path}: unknown manifest section {section!r}")
         if section == "config" and name not in CONFIG_KEYS:
             raise CorruptFile(f"{path}: unknown config key {name!r}")
+        if name in sections[section]:
+            raise CorruptFile(f"{path}: duplicate {section} name {name!r}")
         sections[section][name] = value
     if not header["command"]:
         raise CorruptFile(f"{path}: manifest names no command")

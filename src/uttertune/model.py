@@ -71,7 +71,7 @@ from .errors import (
     ShapeMismatch,
     WrongArtifactKind,
 )
-from .lora import BaseShapeSpec, LoraAdapter, PROJECTIONS
+from .lora import PROJECTIONS, TAG_DELTAS, BaseShapeSpec, LoraAdapter, factor_names
 from .tensorio import load_tensors, save_tensors
 
 _LN_EPS = 1e-5
@@ -260,15 +260,12 @@ class ToyLM:
 
 
 def _adapter_params(adapter: LoraAdapter | None, dtype):
-    """(params dict in dtype, scale, dropout_rate) or None. A factor that
-    already has dtype is taken as it is, not copied."""
+    """(adapter.tensors() cast to dtype, scale, dropout_rate) or None. An
+    array that already has dtype is the adapter's own, not a copy."""
     if adapter is None:
         return None
-    params = {}
-    for layer in adapter.layers:
-        params[f"{layer.target}.B"] = layer.B.astype(dtype, copy=False)
-        params[f"{layer.target}.C"] = layer.C.astype(dtype, copy=False)
-    params["tag_deltas"] = adapter.tag_deltas.astype(dtype, copy=False)
+    params = {name: array.astype(dtype, copy=False)
+              for name, array in adapter.tensors().items()}
     return params, float(adapter.scale()), float(adapter.dropout_rate)
 
 
@@ -369,8 +366,7 @@ def _project(x, W, adapter, name, masks):
     if adapter is None:
         return base, None
     params, scale, _rate = adapter
-    B = params[f"{name}.B"]
-    C = params[f"{name}.C"]
+    B, C = (params[factor] for factor in factor_names(name))
     xd = x if masks is None else x * masks[name]
     mid = xd @ B
     return base + scale * (mid @ C), (xd, mid)
@@ -385,14 +381,14 @@ def _project_backward(dy, x, W, adapter, name, masks, cache, grads, adapter_grad
     dx = dy @ W.T
     if adapter is not None:
         params, scale, _rate = adapter
-        B = params[f"{name}.B"]
-        C = params[f"{name}.C"]
+        b_name, c_name = factor_names(name)
+        B, C = params[b_name], params[c_name]
         xd, mid = cache
         dmid = scale * (dy @ C.T)
-        adapter_grads[f"{name}.C"] += scale * (
+        adapter_grads[c_name] += scale * (
             mid.reshape(-1, mid.shape[-1]).T @ flat_dy
         )
-        adapter_grads[f"{name}.B"] += (
+        adapter_grads[b_name] += (
             xd.reshape(-1, xd.shape[-1]).T @ dmid.reshape(-1, dmid.shape[-1])
         )
         dxd = dmid @ B.T
@@ -429,7 +425,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
     tag_hits = None
     if adapter is not None:
         aparams, _scale, _rate = adapter
-        deltas = aparams["tag_deltas"]
+        deltas = aparams[TAG_DELTAS]
         tag_hits = tuple(ids == tag_id for tag_id in cfg.tag_ids)
         for row, hits in enumerate(tag_hits):
             if hits.any():
@@ -623,7 +619,7 @@ def _backward_batch(dlogits, params, cfg: ToyLMConfig, cache, adapter,
     if adapter is not None and cache["tag_hits"] is not None:
         for row, hits in enumerate(cache["tag_hits"]):
             if hits.any():
-                adapter_grads["tag_deltas"][row] += dx[hits].sum(axis=0)
+                adapter_grads[TAG_DELTAS][row] += dx[hits].sum(axis=0)
 
 
 # -- loss assembly -----------------------------------------------------------
@@ -883,12 +879,12 @@ def pretrain(model: ToyLM, examples, cfg: TrainConfig):
 
 
 def train_adapter(model: ToyLM, adapter: LoraAdapter, examples, cfg: TrainConfig):
-    """Train only the adapter factors and tag deltas; base stays frozen."""
+    """Train only the adapter factors and tag deltas; base stays frozen.
+    The trained values are rounded through float32 into the adapter's
+    arrays, in place."""
     trained, curve = _train(model, adapter, examples, cfg)
-    for layer in adapter.layers:
-        layer.B = trained[f"{layer.target}.B"].astype(np.float32)
-        layer.C = trained[f"{layer.target}.C"].astype(np.float32)
-    adapter.tag_deltas = trained["tag_deltas"].astype(np.float32)
+    for name, array in adapter.tensors().items():
+        array[...] = trained[name]
     return curve
 
 

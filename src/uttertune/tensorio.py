@@ -87,6 +87,8 @@ def load_tensors(path):
             if "\t" not in body:
                 raise CorruptFile(f"{path}: malformed meta line {line!r}")
             key, value = body.split("\t", 1)
+            if key in meta:
+                raise CorruptFile(f"{path}: duplicate meta key {key!r}")
             meta[key] = value
         elif line.startswith("tensor "):
             parts = line.split(" ")
@@ -104,6 +106,8 @@ def load_tensors(path):
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in specs:
+        if name in tensors:
+            raise CorruptFile(f"{path}: duplicate tensor name {name!r}")
         count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * 4
         chunk = payload[offset : offset + nbytes]

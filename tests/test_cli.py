@@ -241,6 +241,27 @@ def test_manifest_load_rejects_bad_entry(tmp_path, old, new):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("config", "width", "999"),
+    ("input", "corpus", "/tmp/other.tsv"),
+    ("output", "model", "/tmp/other.ut"),
+    ("timing", "total", "9.000"),
+])
+def test_manifest_load_rejects_name_stated_twice(tmp_path, section, name,
+                                                 value):
+    """A repeated name within a section is refused, not read as its last
+    value."""
+    path = tmp_path / "manifest.txt"
+    save_manifest(RunManifest("train", "0.1.0", {"width": 64},
+                              {"corpus": "/tmp/c.tsv"},
+                              {"model": "/tmp/m.ut"}, {"total": 1.25}), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"row\t{section}\t{name}\t{value}\n")
+    with pytest.raises(CorruptFile, match=f"^{path}: duplicate {section} "
+                                          f"name '{name}'$"):
+        load_manifest(path)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

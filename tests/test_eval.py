@@ -468,6 +468,40 @@ def test_report_load_rejects_bad_value(tmp_path, old, new):
         load_report(path)
 
 
+@pytest.mark.parametrize("cer_value, excluded, reason", [
+    (0.923, False, "cer>0.5"),
+    (0.923, False, None),
+    (0.923, True, None),
+    (0.923, True, "cer>0.6"),
+    (0.25, True, "cer>0.5"),
+    (0.25, False, "cer>0.5"),
+    (0.5, True, "cer>0.5"),
+])
+def test_report_load_rejects_row_contradicting_its_cer(tmp_path, cer_value,
+                                                       excluded, reason):
+    """A row is excluded, with reason cer>0.5, exactly when its CER is above
+    the threshold; save_report writes aggregates that match the rows, so
+    only the row itself is wrong."""
+    rows = _sample_report().per_sample[:3] + (
+        SampleResult(3, cer_value, True, excluded, reason, "キ", "L"),
+    )
+    path = tmp_path / "report.tsv"
+    save_report(EvalReport.from_samples("plain", rows), path)
+    with pytest.raises(CorruptFile, match=f"^{path}: item 3: exclusion and "
+                                          f"reason do not follow from cer "):
+        load_report(path)
+
+
+def test_report_load_accepts_cer_at_the_threshold(tmp_path):
+    rows = _sample_report().per_sample[:3] + (
+        SampleResult(3, 0.5, True, False, None, "キ", "L"),
+    )
+    report = EvalReport.from_samples("plain", rows)
+    path = tmp_path / "report.tsv"
+    save_report(report, path)
+    assert load_report(path) == report
+
+
 def test_report_load_rejects_row_of_wrong_width(tmp_path):
     path = tmp_path / "report.tsv"
     save_report(_sample_report(), path)

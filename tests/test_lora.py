@@ -1,6 +1,7 @@
 """Adapter init, effective weights, budget accounting, persistence."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from uttertune.lora import (
     save_adapter,
     trainable_param_count,
 )
+from uttertune.model import (
+    ToyLM,
+    ToyLMConfig,
+    TrainConfig,
+    TrainingExample,
+    _adapter_params,
+    train_adapter,
+)
+from uttertune.tensorio import load_tensors
 
 SPEC = BaseShapeSpec(n_layers=2, width=64, base_param_count=250_000)
 
@@ -240,3 +250,61 @@ class TestPersistence:
         p = tmp_path / "adapter.bin"
         save_adapter(a, p)
         assert load_adapter(p).scaling == "normalized"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """save_adapter's bytes for a fresh adapter and for one trained with
+    dropout, pinned by SHA-256: the file layout, the init draw, the tensor
+    names and the training arithmetic all show in them."""
+
+    FRESH = "9cb9c53aa606593af55aa67f0c9d2b4b80bc7be70e0e943343118305f3fec262"
+    TRAINED = "0167f06071fa65e7a9bc77c5c742257ba2b99c68bbc94d9b433b2002182d1436"
+
+    @staticmethod
+    def _trained() -> LoraAdapter:
+        model = ToyLM.init(ToyLMConfig(
+            vocab_size=40, speech_offset=32, speech_count=8, layers=2,
+            width=16, heads=2, ff_width=32, max_seq=48, seed=11,
+        ))
+        # Ids 30 and 31 are the tag tokens, so the tag deltas train too.
+        examples = [TrainingExample((n % 30, 30, 7 * n % 30, 31),
+                                    (32 + n % 7, 32 + 3 * n % 7))
+                    for n in range(8)]
+        adapter = init_adapter(model.shape_spec(), r=2, alpha=8.0,
+                               dropout_rate=0.1, seed=5)
+        train_adapter(model, adapter, examples,
+                      TrainConfig(steps=20, learning_rate=1e-2, batch_size=4,
+                                  seed=3))
+        return adapter
+
+    def test_fresh_adapter(self, tmp_path):
+        p = tmp_path / "fresh.ut"
+        save_adapter(init_adapter(SPEC, r=3, alpha=6.0, dropout_rate=0.1,
+                                  seed=9), p)
+        assert _sha256(p) == self.FRESH
+
+    def test_trained_adapter_and_its_load_save_round_trip(self, tmp_path):
+        first, again = tmp_path / "trained.ut", tmp_path / "again.ut"
+        save_adapter(self._trained(), first)
+        save_adapter(load_adapter(first), again)
+        assert _sha256(first) == _sha256(again) == self.TRAINED
+
+    def test_one_naming_for_file_and_forward(self, tmp_path):
+        adapter = self._trained()
+        p = tmp_path / "adapter.ut"
+        save_adapter(adapter, p)
+        tensors = adapter.tensors()
+        names = list(tensors)
+        assert names == list(load_tensors(p)[0])
+        assert names[:3] == ["L0.q.B", "L0.q.C", "L0.k.B"]
+        assert names[-1] == "tag_deltas"
+        assert tensors["L1.o.C"] is adapter.layers[-1].C
+        for dtype in (np.float32, np.float64):
+            assert list(_adapter_params(adapter, dtype)[0]) == names
+        # float32 arrays are handed to the decode as they are.
+        params32 = _adapter_params(adapter, np.float32)[0]
+        assert all(params32[n] is tensors[n] for n in names)

@@ -80,6 +80,22 @@ def test_version_mismatch(tmp_path):
         load_tensors(p)
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"meta alpha\t8.0\nmeta alpha\t99.0\nend\n",
+     "duplicate meta key 'alpha'"),
+    (b"tensor x 1 1\ntensor x 1 1\nend\n" + bytes(8),
+     "duplicate tensor name 'x'"),
+], ids=["meta", "tensor"])
+def test_name_stated_twice_rejected(tmp_path, body, message):
+    import hashlib
+
+    p = tmp_path / "t.bin"
+    blob = b"uttertune-tensors v1\n" + body
+    p.write_bytes(blob + hashlib.sha256(blob).digest())
+    with pytest.raises(CorruptFile, match=f"^{re.escape(str(p))}: {message}$"):
+        load_tensors(p)
+
+
 def test_wrong_magic(tmp_path):
     import hashlib
 
