@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataprep import EvalItem, codes_to_kana, codes_to_pitch, decode_speech_ids
 from .errors import CorruptFile
-from .kernels import edit_distance, edit_distance_table
+from .kernels import edit_distance, edit_distance_tables
 from .model import ToyLM, generate
 from .notation import normalize_kana
 from .tensorio import load_table, save_table
@@ -37,9 +37,21 @@ def cer(reference: str, hypothesis: str) -> float:
     """Character error rate over kana-normalized strings."""
     ref = normalize_kana(reference)
     hyp = normalize_kana(hypothesis)
-    if not ref:
-        return 1.0 if hyp else 0.0
-    return edit_distance([ord(c) for c in ref], [ord(c) for c in hyp]) / len(ref)
+    return _cer(edit_distance(_chars(ref), _chars(hyp)), len(ref), len(hyp))
+
+
+def _cer(distance: int, ref_len: int, hyp_len: int) -> float:
+    """The CER of a normalized pair from its edit distance: distance per
+    reference character, and for an empty reference 1.0 unless the
+    hypothesis is empty too."""
+    if not ref_len:
+        return 1.0 if hyp_len else 0.0
+    return distance / ref_len
+
+
+def _chars(text: str) -> list[int]:
+    """The code points of text, as the id sequence the DP compares."""
+    return [ord(c) for c in text]
 
 
 @dataclass(frozen=True)
@@ -96,19 +108,19 @@ def item_text(item: EvalItem, mode: str) -> str:
     raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
 
 
-def _align_target_span(ref_ids, hyp_ids, lo, hi):
+def _align_target_span(table, ref_ids, hyp_ids, lo, hi):
     """Locate reference morae [lo, hi) inside the hypothesis.
 
-    Backtraces the Levenshtein table of the two mora sequences (the one DP,
-    kernels.edit_distance_table, that CER reads too) to a minimal-edit
-    alignment, and returns the start of the hypothesis run matched
-    one-to-one to the span, or None when any span mora was substituted,
-    dropped, or split apart by an insertion.
+    table holds the Levenshtein table of the two mora sequences in its
+    top-left block, as kernels.edit_distance_tables gives it. Backtraces
+    that block to a minimal-edit alignment, and returns the start of the
+    hypothesis run matched one-to-one to the span, or None when any span
+    mora was substituted, dropped, or split apart by an insertion.
     The backtrace prefers diagonal then deletion moves, so the result is
     deterministic even when several alignments tie.
     """
-    dist = edit_distance_table(ref_ids, hyp_ids).tolist()
     n, m = len(ref_ids), len(hyp_ids)
+    dist = table[: n + 1, : m + 1].tolist()
     link: list[int | None] = [None] * n
     i, j = n, m
     while i > 0:
@@ -130,31 +142,43 @@ def _align_target_span(ref_ids, hyp_ids, lo, hi):
     return span[0]
 
 
-def _judge_item(vocab, item, hyp_ids) -> SampleResult:
-    codes = decode_speech_ids(hyp_ids, vocab.speech_token_offset)
-    hyp_kana = codes_to_kana(codes)
-    hyp_pitch = codes_to_pitch(codes)
-    sample_cer = cer(item.reference_kana(), hyp_kana)
-    lo = item.target_mora_start
-    hi = lo + item.target_mora_count
-    start = _align_target_span(
-        [c >> 1 for c in item.codes], [c >> 1 for c in codes], lo, hi
-    )
-    accent_correct = (
-        start is not None
-        and hyp_pitch[start : start + item.target_mora_count]
-        == item.target_pitch()
-    )
-    excluded = sample_cer > CER_EXCLUSION_THRESHOLD
-    return SampleResult(
-        item_id=item.item_id,
-        cer=sample_cer,
-        accent_correct=accent_correct,
-        excluded=excluded,
-        reason=_EXCLUSION_REASON if excluded else None,
-        hypothesis_kana=hyp_kana,
-        hypothesis_pitch=hyp_pitch,
-    )
+def _judge_set(vocab, items, hyps) -> list[SampleResult]:
+    """Each item's SampleResult for its hypothesis ids, from two DPs over
+    the whole set: one on the normalized kana for CER, one on the mora ids
+    for the target-span alignment."""
+    codes = [decode_speech_ids(ids, vocab.speech_token_offset) for ids in hyps]
+    hyp_kana = [codes_to_kana(c) for c in codes]
+    refs = [normalize_kana(item.reference_kana()) for item in items]
+    hyp_chars = [normalize_kana(kana) for kana in hyp_kana]
+    kana = edit_distance_tables([_chars(r) for r in refs],
+                                [_chars(h) for h in hyp_chars])
+    ref_morae = [[c >> 1 for c in item.codes] for item in items]
+    hyp_morae = [[c >> 1 for c in hyp] for hyp in codes]
+    morae = edit_distance_tables(ref_morae, hyp_morae)
+    rows = []
+    for k, item in enumerate(items):
+        ref_len, hyp_len = len(refs[k]), len(hyp_chars[k])
+        sample_cer = _cer(int(kana[k, ref_len, hyp_len]), ref_len, hyp_len)
+        lo = item.target_mora_start
+        hi = lo + item.target_mora_count
+        start = _align_target_span(morae[k], ref_morae[k], hyp_morae[k], lo, hi)
+        hyp_pitch = codes_to_pitch(codes[k])
+        accent_correct = (
+            start is not None
+            and hyp_pitch[start : start + item.target_mora_count]
+            == item.target_pitch()
+        )
+        excluded = sample_cer > CER_EXCLUSION_THRESHOLD
+        rows.append(SampleResult(
+            item_id=item.item_id,
+            cer=sample_cer,
+            accent_correct=accent_correct,
+            excluded=excluded,
+            reason=_EXCLUSION_REASON if excluded else None,
+            hypothesis_kana=hyp_kana[k],
+            hypothesis_pitch=hyp_pitch,
+        ))
+    return rows
 
 
 def evaluate_set(
@@ -177,12 +201,16 @@ def evaluate_set(
     of finding the word inside a transcription. Accent counts as correct only
     when every mora of the word appears exactly and contiguously in the
     hypothesis with the target pitch pattern.
+
+    Judging runs the pair DP, kernels.edit_distance_tables, twice per set
+    whatever its size: over every item's normalized kana, where each pair's
+    last cell gives its CER, and over the mora ids, whose per-item tables
+    the target-span backtraces read.
     """
     items = tuple(items)
     prompts = [encode_text(item_text(item, mode), vocab) for item in items]
     hyps = generate(model, prompts, max_new=max_new, adapter=adapter)
-    rows = [_judge_item(vocab, item, hyp) for item, hyp in zip(items, hyps)]
-    return EvalReport.from_samples(mode, rows)
+    return EvalReport.from_samples(mode, _judge_set(vocab, items, hyps))
 
 
 # -- report serialization ------------------------------------------------------

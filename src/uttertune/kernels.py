@@ -1,12 +1,15 @@
 """Hot numeric kernels, in NumPy.
 
 Kernels:
-  * edit_distance_table    the full Levenshtein DP table between two id
-                           sequences: the one DP that both eval's CER
-                           (through edit_distance, its last cell) and its
-                           target-word alignment (a backtrace) read
-  * edit_distance          unit-cost Levenshtein between two id sequences
-  * edit_distance_matrix   all-pairs Levenshtein over a padded string table
+  * edit_distance_tables   the pair DP: the full Levenshtein tables of a
+                           batch of id sequence pairs, padded into one
+                           array; eval runs it once per set for CER (each
+                           pair's last cell) and once for the target-word
+                           alignment (a backtrace through each pair's table)
+  * edit_distance          unit-cost Levenshtein between two id sequences:
+                           the pair DP's last cell, at a batch of one
+  * edit_distance_matrix   the all-pairs DP: Levenshtein between every two
+                           rows of a padded string table
   * bfs_distance_matrix    all-pairs shortest paths on an explicit
                            edit-move graph (the DP-free oracle used to
                            cross-check the DP route; keep the two
@@ -65,46 +68,63 @@ def active_backend() -> str:
     return "numpy"
 
 
-# -- single-pair edit distance -------------------------------------------
+# -- pairwise edit distance, batched --------------------------------------
 
 
-def edit_distance_table(a, b) -> np.ndarray:
-    """Unit-cost Levenshtein table between two integer sequences.
+def edit_distance_tables(a_seqs, b_seqs) -> np.ndarray:
+    """Unit-cost Levenshtein tables of the pairs (a_seqs[k], b_seqs[k]).
 
-    Returns the (len(a)+1, len(b)+1) int64 matrix whose cell [i, j] is the
-    distance between a[:i] and b[:j] (Wagner & Fischer, JACM 21(1), 1974).
-    Each row is filled by a few vectorised passes over the row above.
-    Raises ValueError unless a and b are 1-D integer sequences.
+    Returns one (B, m+1, n+1) int32 array, m and n the longest a and b
+    sequences; pair k's table is its top-left (len(a_seqs[k])+1,
+    len(b_seqs[k])+1) block, whose cell [i, j] is the distance between
+    a[:i] and b[:j] (Wagner & Fischer, JACM 21(1), 1974). Cells outside a
+    pair's block belong to its padding. Raises ValueError unless a_seqs and
+    b_seqs are equally many 1-D integer sequences.
     """
-    return _levenshtein_table(_id_sequence("edit_distance_table", a),
-                              _id_sequence("edit_distance_table", b))
+    a, b = (_padded_ids("edit_distance_tables", seqs)
+            for seqs in (a_seqs, b_seqs))
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"edit_distance_tables takes as many b sequences "
+                         f"as a sequences, got {a.shape[0]} and {b.shape[0]}")
+    table = _levenshtein_excess(a, b)
+    table += np.arange(b.shape[1] + 1, dtype=np.int32)
+    table += np.arange(a.shape[1] + 1, dtype=np.int32)[:, None, None]
+    return table.swapaxes(0, 1)
 
 
 def edit_distance(a, b) -> int:
-    """Unit-cost Levenshtein distance between two integer sequences.
+    """Unit-cost Levenshtein distance between two integer sequences: the
+    last cell of their table, from the pair DP with no batch axis.
 
     Raises ValueError unless a and b are 1-D integer sequences.
     """
     a, b = _id_sequence("edit_distance", a), _id_sequence("edit_distance", b)
-    return int(_levenshtein_table(a, b)[-1, -1])
+    return int(_levenshtein_excess(a, b)[-1, -1]) + a.size + b.size
 
 
-def _levenshtein_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """edit_distance_table on two checked int64 id arrays."""
-    m, n = a.shape[0], b.shape[0]
-    # The DP runs on e[i, j] = d[i, j] - i - j. There a deletion or an
-    # insertion costs 0 and a diagonal step -2 or -1, so that
-    # e[i, j] = min(e[i-1, j], e[i-1, j-1] + cost[i-1, j-1], e[i, j-1]),
-    # with zeros on both borders: a row is the running minimum of two
-    # shifted views of the row above.
-    cost = (a[:, None] != b[None, :]).astype(np.int64) - 2
-    table = np.zeros((m + 1, n + 1), dtype=np.int64)
+def _levenshtein_excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair DP on checked id arrays a (..., m) and b (..., n) of one
+    batch shape, () or (B,): e[i, ..., j] = d[i, j] - i - j for each pair's
+    Levenshtein table d, laid out as (m+1, ..., n+1).
+
+    Each pair's block is exact whatever its padding holds: a cell reads
+    only the row above and the cells to its left, and the padding lies
+    below and to the right of the block.
+    """
+    m, n = a.shape[-1], b.shape[-1]
+    # In e a deletion or an insertion costs 0 and a diagonal step -2 or -1,
+    # so that e[i, j] = min(e[i-1, j], e[i-1, j-1] + cost[i-1, j-1],
+    # e[i, j-1]), with zeros on both borders: a row is the running minimum
+    # of two shifted views of the row above. Row i of every pair is one
+    # contiguous block, and a lone pair's is 1-D.
+    cost = (a.T[..., None] != b).astype(np.int32)
+    cost -= 2
+    table = np.zeros((m + 1, *a.shape[:-1], n + 1), dtype=np.int32)
     for i in range(m):
         prev, row = table[i], table[i + 1]
-        np.add(prev[:-1], cost[i], out=row[1:])
-        np.minimum(row[1:], prev[1:], out=row[1:])
-        np.minimum.accumulate(row, out=row)
-    table += np.add.outer(np.arange(m + 1), np.arange(n + 1))
+        np.add(prev[..., :-1], cost[i], out=row[..., 1:])
+        np.minimum(row[..., 1:], prev[..., 1:], out=row[..., 1:])
+        np.minimum.accumulate(row, axis=-1, out=row)
     return table
 
 
@@ -126,6 +146,17 @@ def _id_sequence(kernel: str, seq) -> np.ndarray:
                          f"got shape {seq.shape}")
     _require_integers(kernel, "ids", seq)
     return np.ascontiguousarray(seq, dtype=np.int64)
+
+
+def _padded_ids(kernel: str, seqs) -> np.ndarray:
+    """The checked id sequences of seqs as the rows of one zero-padded
+    (len(seqs), longest) int64 array."""
+    rows = [_id_sequence(kernel, seq) for seq in seqs]
+    width = max((row.size for row in rows), default=0)
+    padded = np.zeros((len(rows), width), dtype=np.int64)
+    for k, row in enumerate(rows):
+        padded[k, : row.size] = row
+    return padded
 
 
 # -- all-pairs edit distance over a padded table ---------------------------

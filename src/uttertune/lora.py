@@ -222,7 +222,7 @@ def load_adapter(path) -> LoraAdapter:
             base_param_count=int(meta["base_params"]),
             fingerprint=meta["base_fingerprint"],
         )
-        return _from_tensors(
+        adapter = _from_tensors(
             tensors, base_spec, int(meta["rank"]), float(meta["alpha"]),
             float(meta["dropout"]), meta["scaling"], int(meta["seed"]),
         )
@@ -230,4 +230,10 @@ def load_adapter(path) -> LoraAdapter:
         raise CorruptFile(f"{path}: missing field {missing}") from None
     except ValueError as exc:
         raise CorruptFile(f"{path}: bad meta value: {exc}") from None
+    read = adapter.tensors()
+    unread = [name for name in tensors if name not in read]
+    if unread:
+        raise CorruptFile(f"{path}: tensor {unread[0]!r} is not one the "
+                          f"adapter reads")
+    return adapter
 

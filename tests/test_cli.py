@@ -904,6 +904,26 @@ def test_container_without_its_fields_is_one_line_data_error(pipeline,
 
 
 
+@pytest.mark.parametrize("command", ["adapter info", "eval"])
+def test_adapter_tensor_it_does_not_read_is_one_line_data_error(
+        pipeline, tmp_path, capsys, command):
+    tensors, meta = load_tensors(pipeline["adapter"])
+    tensors["L7.q.B"] = tensors["L0.q.B"]
+    adapter = tmp_path / "adapter.ut"
+    save_tensors(adapter, tensors, meta)
+    out = tmp_path / "o"
+    if command == "adapter info":
+        argv = ["adapter", "info", "--adapter", str(adapter)]
+    else:
+        argv = _model_argv(command, pipeline, out, adapter=adapter)
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == (f"CorruptFile: {adapter}: tensor 'L7.q.B' is not one the "
+                   f"adapter reads\n"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("slot, key, value", [
     pytest.param("model", "layers", "x", id="model-layers-x"),
     pytest.param("adapter", "rank", "x", id="adapter-rank-x"),

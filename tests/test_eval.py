@@ -1,7 +1,7 @@
 """Tests for CER, set evaluation, report serialization, and the
 leakage bootstrap."""
 
-import functools
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import uttertune.eval as eval_mod
 from uttertune.dataprep import (
+    END_OF_SPEECH_INDEX,
     SPEECH_TOKEN_COUNT,
     build_corpus,
     build_eval_sets,
@@ -36,6 +37,7 @@ from uttertune.eval import (
     save_leakage,
     save_report,
 )
+from uttertune.kernels import edit_distance_tables
 from uttertune.model import ToyLM, ToyLMConfig, generate
 from uttertune.tokenizer import encode_text, train_bpe
 
@@ -115,7 +117,7 @@ def test_cer_numerator_is_symmetric(a, b):
 def _reference_links(ref_ids, hyp_ids):
     """The hypothesis mora matched to each reference mora (or None), from a
     pure-Python DP table and its backtrace: the alignment that eval ran
-    before it read kernels.edit_distance_table."""
+    before it read its tables from a kernel."""
     n, m = len(ref_ids), len(hyp_ids)
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
@@ -156,16 +158,13 @@ def _reference_span_start(link, lo, hi):
     return span[0]
 
 
-def test_align_target_span_matches_reference_exhaustively(monkeypatch):
+def test_align_target_span_matches_reference_exhaustively():
     """Every pair of sequences over 3 letters up to length 5, every
     non-empty span of the reference.
 
-    All spans of one pair read the same table, so the kernel is memoized
-    for the pair at hand; the backtrace still runs once per span."""
-    monkeypatch.setattr(
-        eval_mod, "edit_distance_table",
-        functools.lru_cache(maxsize=1)(eval_mod.edit_distance_table),
-    )
+    One batched DP per reference gives the tables of its pairs with every
+    hypothesis, each padded to the longest; the backtrace runs once per
+    span."""
     universe = [
         seq for length in range(6)
         for seq in itertools.product(range(3), repeat=length)
@@ -174,10 +173,11 @@ def test_align_target_span_matches_reference_exhaustively(monkeypatch):
     align = eval_mod._align_target_span
     for ref in universe:
         spans = [(lo, hi) for hi in range(len(ref) + 1) for lo in range(hi)]
-        for hyp in universe:
+        tables = edit_distance_tables([ref] * len(universe), universe)
+        for table, hyp in zip(tables, universe):
             link = _reference_links(ref, hyp)
             for lo, hi in spans:
-                assert align(ref, hyp, lo, hi) == _reference_span_start(
+                assert align(table, ref, hyp, lo, hi) == _reference_span_start(
                     link, lo, hi
                 ), (ref, hyp, lo, hi)
 
@@ -391,6 +391,157 @@ def test_each_item_decodes_within_its_own_budget(vocab, eval_sets):
         codes = decode_speech_ids(ids, vocab.speech_token_offset)
         assert row.hypothesis_kana == codes_to_kana(codes)
         assert row.hypothesis_pitch == codes_to_pitch(codes)
+
+
+# -- batched judging against the per-item oracle ---------------------------
+
+
+def _reference_judge_item(vocab, item, hyp_ids):
+    """One item's SampleResult, judged on its own: CER through eval.cer and
+    the target span through the pure-Python alignment above. This is how
+    eval judged an item before it judged each set in two batched DPs."""
+    codes = decode_speech_ids(hyp_ids, vocab.speech_token_offset)
+    hyp_kana = codes_to_kana(codes)
+    hyp_pitch = codes_to_pitch(codes)
+    sample_cer = cer(item.reference_kana(), hyp_kana)
+    lo = item.target_mora_start
+    hi = lo + item.target_mora_count
+    link = _reference_links([c >> 1 for c in item.codes],
+                            [c >> 1 for c in codes])
+    start = _reference_span_start(link, lo, hi)
+    accent_correct = (
+        start is not None
+        and hyp_pitch[start : start + item.target_mora_count]
+        == item.target_pitch()
+    )
+    excluded = sample_cer > 0.5
+    return SampleResult(item.item_id, sample_cer, accent_correct, excluded,
+                        "cer>0.5" if excluded else None, hyp_kana, hyp_pitch)
+
+
+def _random_hypotheses(items, vocab, seed):
+    """Speech ids per item, from its own codes exact, with pitches flipped,
+    with a few mora edits, or from random codes, or empty."""
+    rng = np.random.default_rng(seed)
+    hyps = []
+    for item in items:
+        codes = list(item.codes)
+        kind = int(rng.integers(5))
+        if kind == 1:
+            codes = [c ^ int(rng.random() < 0.3) for c in codes]
+        elif kind == 2:
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(codes) + 1))
+                edit = int(rng.integers(3))
+                if edit == 0 or at == len(codes):
+                    codes.insert(at, int(rng.integers(END_OF_SPEECH_INDEX)))
+                elif edit == 1:
+                    del codes[at]
+                else:
+                    codes[at] = int(rng.integers(END_OF_SPEECH_INDEX))
+        elif kind == 3:
+            codes = rng.integers(END_OF_SPEECH_INDEX,
+                                 size=int(rng.integers(41))).tolist()
+        elif kind == 4:
+            codes = []
+        hyps.append([vocab.speech_token_offset + c for c in codes])
+    return hyps
+
+
+def _judge_both_ways(monkeypatch, model, vocab, items, hyps):
+    """evaluate_set's rows for the given hypotheses, and the oracle's."""
+    monkeypatch.setattr(eval_mod, "generate",
+                        lambda model, prompts, max_new, adapter=None: hyps)
+    report = evaluate_set(model, vocab, items, "tagged")
+    want = [_reference_judge_item(vocab, item, hyp)
+            for item, hyp in zip(items, hyps)]
+    assert all(type(row.cer) is float for row in report.per_sample)
+    return list(report.per_sample), want
+
+
+@pytest.fixture(scope="module")
+def desk_sets(lexicon):
+    return build_eval_sets(lexicon, seed=0)
+
+
+@pytest.mark.parametrize("name", ["test_set_2", "leakage_set"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_judging_matches_per_item_oracle_on_desk_sets(
+        monkeypatch, tiny_model, vocab, desk_sets, name, seed):
+    items = getattr(desk_sets, name)
+    assert len(items) == {"test_set_2": 120, "leakage_set": 240}[name]
+    hyps = _random_hypotheses(items, vocab, seed)
+    got, want = _judge_both_ways(monkeypatch, tiny_model, vocab, items, hyps)
+    assert got == want
+    # The draw reaches both sides of every judgment.
+    assert {r.excluded for r in got} == {r.accent_correct for r in got} == {
+        True, False}
+
+
+def test_batched_judging_matches_oracle_on_edge_cases(
+        monkeypatch, tiny_model, vocab, desk_sets):
+    """An empty hypothesis, a reference that normalizes to empty (with an
+    empty and a non-empty hypothesis), and a hypothesis longer than every
+    reference, in one set."""
+    items = desk_sets.test_set_2[:4]
+    empty_ref = dataclasses.replace(items[1], codes=(), target_mora_start=0,
+                                    target_mora_count=0)
+    items = (items[0], empty_ref, empty_ref, items[2], items[3])
+    offset = vocab.speech_token_offset
+    longest = max(len(item.codes) for item in desk_sets.test_set_2)
+    hyps = [[], [], [offset + c for c in items[0].codes],
+            [offset + c for c in items[3].codes],
+            [offset + c for c in (items[4].codes * longest)[: longest + 5]]]
+    got, want = _judge_both_ways(monkeypatch, tiny_model, vocab, items, hyps)
+    assert got == want
+    assert [r.cer for r in got[:3]] == [1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_batched_judging_matches_oracle_on_one_item(
+        monkeypatch, tiny_model, vocab, desk_sets, empty):
+    items = desk_sets.test_set_2[5:6]
+    hyps = [[] if empty else [vocab.speech_token_offset + c
+                              for c in items[0].codes]]
+    got, want = _judge_both_ways(monkeypatch, tiny_model, vocab, items, hyps)
+    assert got == want
+
+
+def test_out_of_range_id_in_a_set_raises_decode_error(
+        monkeypatch, tiny_model, vocab, desk_sets):
+    items = desk_sets.test_set_2[:6]
+    hyps = _random_hypotheses(items, vocab, 2)
+    hyps[3] = hyps[3] + [vocab.speech_token_offset + END_OF_SPEECH_INDEX]
+    monkeypatch.setattr(eval_mod, "generate",
+                        lambda model, prompts, max_new, adapter=None: hyps)
+    with pytest.raises(DecodeError, match="is not a pitched speech token"):
+        evaluate_set(tiny_model, vocab, items, "plain")
+
+
+@pytest.mark.parametrize("size", [1, 7, 240])
+def test_judging_runs_two_dps_per_set(monkeypatch, tiny_model, vocab,
+                                      desk_sets, size):
+    """The pair DP runs once on kana and once on morae, whatever the set's
+    size, and the one-pair kernel not at all."""
+    items = desk_sets.leakage_set[:size]
+    hyps = _random_hypotheses(items, vocab, 3)
+    monkeypatch.setattr(eval_mod, "generate",
+                        lambda model, prompts, max_new, adapter=None: hyps)
+    calls = []
+
+    def spy(name):
+        kernel = getattr(eval_mod, name)
+
+        def counted(*args):
+            calls.append((name, len(args[0])))
+            return kernel(*args)
+
+        return counted
+
+    for name in ("edit_distance_tables", "edit_distance"):
+        monkeypatch.setattr(eval_mod, name, spy(name))
+    evaluate_set(tiny_model, vocab, items, "tagged")
+    assert calls == [("edit_distance_tables", size)] * 2
 
 
 # -- report serialization --------------------------------------------------

@@ -196,38 +196,55 @@ class TestEditDistance:
     def test_symmetry(self, a, b):
         assert kernels.edit_distance(a, b) == kernels.edit_distance(b, a)
 
-    @given(
-        st.lists(st.integers(0, 3), max_size=9),
-        st.lists(st.integers(0, 3), max_size=9),
-    )
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=9),
+                              st.lists(st.integers(0, 3), max_size=9)),
+                    min_size=1, max_size=6))
     @settings(max_examples=100)
-    def test_table_holds_every_prefix_distance(self, a, b):
-        table = kernels.edit_distance_table(a, b)
-        assert table.shape == (len(a) + 1, len(b) + 1)
-        assert table.dtype == np.int64
-        for i in range(len(a) + 1):
-            for j in range(len(b) + 1):
-                assert table[i, j] == ref_edit_distance(a[:i], b[:j])
-        assert table[-1, -1] == kernels.edit_distance(a, b)
+    def test_batch_blocks_hold_every_prefix_distance(self, pairs):
+        """One ragged batch, B = 1 included, empty members included: each
+        pair's top-left block is its own table."""
+        a_seqs, b_seqs = zip(*pairs)
+        tables = kernels.edit_distance_tables(a_seqs, b_seqs)
+        width_a = max(len(a) for a in a_seqs)
+        width_b = max(len(b) for b in b_seqs)
+        assert tables.shape == (len(pairs), width_a + 1, width_b + 1)
+        assert tables.dtype == np.int32
+        for table, (a, b) in zip(tables, pairs):
+            for i in range(len(a) + 1):
+                for j in range(len(b) + 1):
+                    assert table[i, j] == ref_edit_distance(a[:i], b[:j])
+            assert table[len(a), len(b)] == kernels.edit_distance(a, b)
 
-    @pytest.mark.parametrize("kernel", [kernels.edit_distance,
-                                        kernels.edit_distance_table])
     @pytest.mark.parametrize("a, match", [
         ([1.5], "takes integer ids, got dtype float64"),
         (5, r"takes 1-D id sequences, got shape \(\)"),
         ([[1, 2]], r"takes 1-D id sequences, got shape \(1, 2\)"),
     ])
-    def test_malformed_sequence_rejected(self, kernel, a, match):
+    def test_malformed_sequence_rejected(self, a, match):
+        kernel = kernels.edit_distance
         for args in ((a, [1]), ([1], a)):
             with pytest.raises(ValueError,
                                match=rf"^{kernel.__name__} {match}$"):
                 kernel(*args)
+        kernel = kernels.edit_distance_tables
+        for args in (([[2], a], [[1], [1]]), ([[1]], [a])):
+            with pytest.raises(ValueError,
+                               match=rf"^{kernel.__name__} {match}$"):
+                kernel(*args)
+
+    def test_batch_needs_one_b_per_a(self):
+        with pytest.raises(ValueError, match=r"^edit_distance_tables takes "
+                                             r"as many b sequences as a "
+                                             r"sequences, got 2 and 1$"):
+            kernels.edit_distance_tables([[1], [2]], [[1]])
 
     def test_empty_sequences_accepted(self):
         # np.asarray([]) is float64; CER passes [] for an empty hypothesis.
         assert kernels.edit_distance([], []) == 0
         assert kernels.edit_distance([], [3, 4]) == 2
-        assert kernels.edit_distance_table([7], []).tolist() == [[0], [1]]
+        assert kernels.edit_distance_tables([[7]], [[]])[0].tolist() == [
+            [0], [1]]
+        assert kernels.edit_distance_tables([], []).shape == (0, 1, 1)
 
 
 class TestEditDistanceMatrix:

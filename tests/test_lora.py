@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from uttertune.model import (
     _adapter_params,
     train_adapter,
 )
-from uttertune.tensorio import load_tensors
+from uttertune.tensorio import load_tensors, save_tensors
 
 SPEC = BaseShapeSpec(n_layers=2, width=64, base_param_count=250_000)
 
@@ -243,6 +244,18 @@ class TestPersistence:
         raw = p.read_bytes()
         p.write_bytes(raw[: len(raw) - 50])
         with pytest.raises(CorruptFile):
+            load_adapter(p)
+
+    def test_tensor_the_adapter_does_not_read_rejected(self, tmp_path):
+        """A file holding one more tensor than its adapter, here a factor of
+        a layer the base does not have, is refused, not loaded without it."""
+        p = tmp_path / "adapter.bin"
+        save_adapter(init_adapter(SPEC, r=2, seed=4), p)
+        tensors, meta = load_tensors(p)
+        tensors["L7.q.B"] = tensors["L0.q.B"]
+        save_tensors(p, tensors, meta)
+        with pytest.raises(CorruptFile, match=rf"^{re.escape(str(p))}: "
+                           r"tensor 'L7.q.B' is not one the adapter reads$"):
             load_adapter(p)
 
     def test_scaling_mode_round_trips(self, tmp_path):

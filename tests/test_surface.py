@@ -11,6 +11,7 @@ about the target, but a definition with none is certainly unused.
 
 import ast
 import collections
+import importlib.util
 from pathlib import Path
 
 import uttertune
@@ -24,6 +25,7 @@ ALLOWED = {
     "manifest.manifest_config_text": "check 9 and the README replay with it",
     "eval.load_report": "check 5 and perfbench read reports with it",
     "eval.load_leakage": "check 6 and perfbench read leakage.tsv with it",
+    "eval.cer": "check 7 and perfbench distance call it",
     "model.ToyLM.forward": "the oracle of check 1 and of the decode tests",
     "model.ToyLM.loss": "perfbench measures the loss through it",
     "kernels.active_backend": "perfbench and check 7's verdict print it",
@@ -99,3 +101,32 @@ def test_allowlist_names_existing_definitions():
             path.stem, ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(ALLOWED) <= defined
+
+
+# -- the names perfbench wraps ---------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+class _RecordingTracer:
+    """Records what a workload asks to wrap and wraps nothing, so there is
+    nothing to restore."""
+
+    def __init__(self):
+        self.patched = []
+
+    def patch(self, owner, attr, name, observe=None):
+        self.patched.append((owner, attr))
+
+
+def test_perfbench_finds_every_name_it_wraps(tmp_path):
+    """A traced benchmark run counts each name it cannot find to wrap as a
+    failed operation; a rename in src/ must fail here first."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        tracer = _RecordingTracer()
+        assert workload(0, tmp_path, {}).patch(tracer) == [], name
+        assert all(attr in vars(owner) for owner, attr in tracer.patched)
