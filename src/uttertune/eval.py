@@ -59,43 +59,40 @@ class SampleResult:
     item_id: int
     cer: float
     accent_correct: bool
-    excluded: bool
-    reason: str | None
     hypothesis_kana: str
     hypothesis_pitch: str
+
+    @property
+    def excluded(self) -> bool:
+        return self.cer > CER_EXCLUSION_THRESHOLD
 
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One eval set's rows, and the aggregates computed from them."""
+
     mode: str
     per_sample: tuple[SampleResult, ...]
-    mean_cer: float
-    accent_rate: float
-    n_items: int
-    n_excluded: int
 
-    @classmethod
-    def from_samples(cls, mode: str, rows) -> "EvalReport":
-        rows = tuple(rows)
-        mean_cer, accent_rate, n_excluded = _aggregate(rows)
-        return cls(
-            mode=mode,
-            per_sample=rows,
-            mean_cer=mean_cer,
-            accent_rate=accent_rate,
-            n_items=len(rows),
-            n_excluded=n_excluded,
-        )
+    @property
+    def n_items(self) -> int:
+        return len(self.per_sample)
 
+    @property
+    def n_excluded(self) -> int:
+        return sum(r.excluded for r in self.per_sample)
 
-def _aggregate(rows) -> tuple[float, float, int]:
-    kept = [r for r in rows if not r.excluded]
-    n_excluded = len(rows) - len(kept)
-    mean_cer = sum(r.cer for r in kept) / len(kept) if kept else 0.0
-    accent_rate = (
-        sum(1 for r in kept if r.accent_correct) / len(kept) if kept else 0.0
-    )
-    return mean_cer, accent_rate, n_excluded
+    @property
+    def mean_cer(self) -> float:
+        return self._kept_mean(lambda r: r.cer)
+
+    @property
+    def accent_rate(self) -> float:
+        return self._kept_mean(lambda r: r.accent_correct)
+
+    def _kept_mean(self, value) -> float:
+        kept = [value(r) for r in self.per_sample if not r.excluded]
+        return sum(kept) / len(kept) if kept else 0.0
 
 
 def item_text(item: EvalItem, mode: str) -> str:
@@ -142,7 +139,7 @@ def _align_target_span(table, ref_ids, hyp_ids, lo, hi):
     return span[0]
 
 
-def _judge_set(vocab, items, hyps) -> list[SampleResult]:
+def _judge_set(vocab, items, hyps) -> tuple[SampleResult, ...]:
     """Each item's SampleResult for its hypothesis ids, from two DPs over
     the whole set: one on the normalized kana for CER, one on the mora ids
     for the target-span alignment."""
@@ -168,17 +165,9 @@ def _judge_set(vocab, items, hyps) -> list[SampleResult]:
             and hyp_pitch[start : start + item.target_mora_count]
             == item.target_pitch()
         )
-        excluded = sample_cer > CER_EXCLUSION_THRESHOLD
-        rows.append(SampleResult(
-            item_id=item.item_id,
-            cer=sample_cer,
-            accent_correct=accent_correct,
-            excluded=excluded,
-            reason=_EXCLUSION_REASON if excluded else None,
-            hypothesis_kana=hyp_kana[k],
-            hypothesis_pitch=hyp_pitch,
-        ))
-    return rows
+        rows.append(SampleResult(item.item_id, sample_cer, accent_correct,
+                                 hyp_kana[k], hyp_pitch))
+    return tuple(rows)
 
 
 def evaluate_set(
@@ -210,7 +199,7 @@ def evaluate_set(
     items = tuple(items)
     prompts = [encode_text(item_text(item, mode), vocab) for item in items]
     hyps = generate(model, prompts, max_new=max_new, adapter=adapter)
-    return EvalReport.from_samples(mode, _judge_set(vocab, items, hyps))
+    return EvalReport(mode, _judge_set(vocab, items, hyps))
 
 
 # -- report serialization ------------------------------------------------------
@@ -218,15 +207,16 @@ def evaluate_set(
 _REPORT_MAGIC = "uttertune-evalreport v1"
 _REPORT_KEYS = ("mode", "n_items", "n_excluded", "mean_cer", "accent_rate")
 _ACCENT = {"correct": True, "incorrect": False}
-_EXCLUDED = {"excluded": True, "kept": False}
+# A row's kept and reason cells, by its exclusion.
+_EXCLUSION_CELLS = {True: ("excluded", _EXCLUSION_REASON), False: ("kept", "-")}
+_EXCLUDED = {cells[0]: value for value, cells in _EXCLUSION_CELLS.items()}
 
 
 def save_report(report: EvalReport, path) -> None:
     accent = {value: text for text, value in _ACCENT.items()}
-    excluded = {value: text for text, value in _EXCLUDED.items()}
     rows = (
-        (r.item_id, r.cer, accent[r.accent_correct], excluded[r.excluded],
-         r.reason or "-", r.hypothesis_kana, r.hypothesis_pitch)
+        (r.item_id, r.cer, accent[r.accent_correct],
+         *_EXCLUSION_CELLS[r.excluded], r.hypothesis_kana, r.hypothesis_pitch)
         for r in report.per_sample
     )
     header = {key: getattr(report, key) for key in _REPORT_KEYS}
@@ -234,25 +224,26 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
+    """A saved report; its kept and reason cells and header aggregates
+    must equal those computed from its rows."""
     header, rows = load_table(path, _REPORT_MAGIC, _REPORT_KEYS, 7)
     if header["mode"] not in EVAL_MODES:
         raise CorruptFile(f"{path}: bad value mode {header['mode']!r}")
     try:
-        report = EvalReport.from_samples(header["mode"], (
-            SampleResult(int(item_id), float(cer_text), _ACCENT[judged],
-                         _EXCLUDED[kept], None if reason == "-" else reason,
-                         kana, pitch)
+        parsed = [
+            (SampleResult(int(item_id), float(cer_text), _ACCENT[judged],
+                          kana, pitch), _EXCLUDED[kept], reason)
             for item_id, cer_text, judged, kept, reason, kana, pitch in rows
-        ))
+        ]
         stated = (int(header["n_items"]), int(header["n_excluded"]),
                   float(header["mean_cer"]), float(header["accent_rate"]))
     except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: bad value {exc}") from None
-    for r in report.per_sample:
-        if (r.excluded != (r.cer > CER_EXCLUSION_THRESHOLD)
-                or r.reason != (_EXCLUSION_REASON if r.excluded else None)):
+    for r, excluded, reason in parsed:
+        if excluded != r.excluded or reason != _EXCLUSION_CELLS[excluded][1]:
             raise CorruptFile(f"{path}: item {r.item_id}: exclusion and "
                               f"reason do not follow from cer {r.cer!r}")
+    report = EvalReport(header["mode"], tuple(r for r, _, _ in parsed))
     if stated != (report.n_items, report.n_excluded, report.mean_cer,
                   report.accent_rate):
         raise CorruptFile(f"{path}: report aggregates do not match its rows")
@@ -281,13 +272,27 @@ class LeakageOutcome:
 
 @dataclass(frozen=True)
 class LeakageResult:
-    baseline_rate: float
-    adapted_rate: float
-    difference: float
+    """Per-word paired outcomes and the bootstrap CI of adapted - baseline;
+    the rates and their difference are computed from the outcomes."""
+
     ci_low: float
     ci_high: float
     resamples: int
     outcomes: tuple[LeakageOutcome, ...]
+
+    @property
+    def baseline_rate(self) -> float:
+        return (sum(o.baseline_correct for o in self.outcomes)
+                / len(self.outcomes))
+
+    @property
+    def adapted_rate(self) -> float:
+        return (sum(o.adapted_correct for o in self.outcomes)
+                / len(self.outcomes))
+
+    @property
+    def difference(self) -> float:
+        return self.adapted_rate - self.baseline_rate
 
 
 # Resamples drawn and averaged per step of bootstrap_diff_ci. At the desk's
@@ -343,6 +348,8 @@ def leakage_test(
     was never asked about.
     """
     items = tuple(leakage_set)
+    if not items:
+        raise ValueError("leakage_set is empty: there is no rate to compare")
 
     def correctness(use_adapter, mode):
         report = evaluate_set(
@@ -357,8 +364,6 @@ def leakage_test(
 
     base_ok = correctness(None, "plain")
     adapted_ok = correctness(adapter, "tagged")
-    baseline_rate = sum(base_ok) / len(items)
-    adapted_rate = sum(adapted_ok) / len(items)
     ci_low, ci_high = bootstrap_diff_ci(
         adapted_ok, base_ok, resamples=resamples, seed=seed
     )
@@ -371,15 +376,7 @@ def leakage_test(
         )
         for item, b, a in zip(items, base_ok, adapted_ok)
     )
-    return LeakageResult(
-        baseline_rate=baseline_rate,
-        adapted_rate=adapted_rate,
-        difference=adapted_rate - baseline_rate,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        resamples=resamples,
-        outcomes=outcomes,
-    )
+    return LeakageResult(ci_low, ci_high, resamples, outcomes)
 
 
 _LEAKAGE_MAGIC = "uttertune-leakage v1"
@@ -397,6 +394,8 @@ def save_leakage(result: LeakageResult, path) -> None:
 
 
 def load_leakage(path) -> LeakageResult:
+    """A saved leakage result; it must have rows, and its rates and
+    difference must equal those computed from them."""
     header, rows = load_table(path, _LEAKAGE_MAGIC, _LEAKAGE_KEYS, 4)
     flag = {"0": False, "1": True}
     try:
@@ -404,19 +403,18 @@ def load_leakage(path) -> LeakageResult:
             LeakageOutcome(int(item_id), grapheme, flag[base], flag[adapted])
             for item_id, grapheme, base, adapted in rows
         )
-        result = LeakageResult(
-            **{key: float(header[key]) for key in _LEAKAGE_KEYS
-               if key != "resamples"},
-            resamples=int(header["resamples"]),
-            outcomes=outcomes,
-        )
+        stated = {key: float(header[key]) for key in _LEAKAGE_KEYS
+                  if key != "resamples"}
+        resamples = int(header["resamples"])
     except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: bad value {exc}") from None
-    if outcomes:
-        baseline = sum(o.baseline_correct for o in outcomes) / len(outcomes)
-        adapted = sum(o.adapted_correct for o in outcomes) / len(outcomes)
-        if baseline != result.baseline_rate or adapted != result.adapted_rate:
-            raise CorruptFile(f"{path}: rates do not match per-item outcomes")
-    if result.difference != result.adapted_rate - result.baseline_rate:
+    if not outcomes:
+        raise CorruptFile(f"{path}: no outcome rows, so no rates")
+    result = LeakageResult(stated["ci_low"], stated["ci_high"], resamples,
+                           outcomes)
+    if (stated["baseline_rate"] != result.baseline_rate
+            or stated["adapted_rate"] != result.adapted_rate):
+        raise CorruptFile(f"{path}: rates do not match per-item outcomes")
+    if stated["difference"] != result.difference:
         raise CorruptFile(f"{path}: difference is not adapted_rate - baseline_rate")
     return result

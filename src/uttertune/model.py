@@ -238,9 +238,7 @@ class ToyLM:
 
     def forward(self, ids, adapter: LoraAdapter | None = None) -> np.ndarray:
         """Logits (len(ids), vocab) for one sequence, causal, no dropout."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ValueError("forward takes a single id sequence")
+        ids = _checked_ids(ids, self.config, "ids")
         logits, _ = _forward_batch(
             self.weights, self.config, ids[None, :], np.arange(ids.size),
             _adapter_params(adapter, np.float64), None,
@@ -254,6 +252,22 @@ class ToyLM:
             _adapter_params(adapter, np.float64), None,
         )
         return float(value)
+
+
+def _checked_ids(ids, cfg: ToyLMConfig, what: str) -> np.ndarray:
+    """ids as int64, or an error naming what unless it is a non-empty 1-D
+    sequence of at most max_seq integer ids in [0, vocab_size)."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"{what} is not a non-empty id sequence")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{what} holds non-integer ids, dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise ValueError(f"{what} holds ids outside [0, {cfg.vocab_size})")
+    if ids.size > cfg.max_seq:
+        raise SequenceTooLong(
+            f"{what}: {ids.size} ids exceed max_seq {cfg.max_seq}")
+    return ids.astype(np.int64, copy=False)
 
 
 # -- adapter helpers --------------------------------------------------------
@@ -407,7 +421,7 @@ def _forward_batch(params, cfg: ToyLMConfig, ids, out_rows, adapter,
     the head run at those rows only. rows are the flat indices of the real
     positions (None: every position is real); the feed-forward block of the
     other layers runs at them only, and its output at the pad rows is zero.
-    dropout_rng draws the adapter-path masks; None disables dropout.
+    dropout_rng (None: no dropout) draws the adapter-path masks at rate > 0.
 
     With rows, cache is what _backward_batch takes. Without, it is one
     (kh, vh) pair per layer, each (N, H, positions, dh), and a next call
@@ -681,9 +695,7 @@ def loss_and_grads(model: ToyLM, examples, adapter: LoraAdapter | None = None,
     """
     params = model.weights
     adapter64 = _adapter_params(adapter, np.float64)
-    rng = None
-    if dropout_seed is not None and adapter is not None and adapter.dropout_rate > 0:
-        rng = np.random.default_rng(dropout_seed)
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
     loss, bundle = _loss_forward(params, model.config, examples, adapter64, rng)
     grads = adapter_grads = None
     if adapter is None:
@@ -711,12 +723,11 @@ def gradient_check(
     """
     _, _, agrads = loss_and_grads(model, examples, adapter, dropout_seed)
     adapter64 = _adapter_params(adapter, np.float64)
-    aparams, _scale, rate = adapter64
+    aparams = adapter64[0]
 
     def run_loss():
-        rng = None
-        if dropout_seed is not None and rate > 0.0:
-            rng = np.random.default_rng(dropout_seed)
+        rng = (None if dropout_seed is None
+               else np.random.default_rng(dropout_seed))
         return _loss_forward(model.weights, model.config, examples, adapter64,
                              rng)[0]
 
@@ -818,17 +829,16 @@ def _train(model: ToyLM, adapter: LoraAdapter | None, examples,
         for a, b in zip(cuts, cuts[1:])
     ]
     if adapter is None:
-        params, adapter64, dropout_rng = trained, None, None
+        params, adapter64 = trained, None
         base_grads, adapter_grads = grads, None
     else:
         params, adapter64 = model.weights, (trained, scale, rate)
-        dropout_rng = rng if rate > 0.0 else None
         base_grads, adapter_grads = None, grads
     curve = []
     for step in range(1, cfg.steps + 1):
         batch = _sample_batch(examples, rng, cfg.batch_size)
         loss, bundle = _loss_forward(
-            params, model.config, batch, adapter64, dropout_rng
+            params, model.config, batch, adapter64, rng
         )
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at step {step}")
@@ -923,18 +933,8 @@ def generate(
     if max_new < 0:
         raise ValueError(f"max_new must be >= 0, got {max_new}")
     cfg = model.config
-    prompts = [np.asarray(p, dtype=np.int64) for p in prompts]
-    for index, prompt in enumerate(prompts):
-        if prompt.ndim != 1 or prompt.size == 0:
-            raise ValueError(f"prompt {index} is not a non-empty id sequence")
-        if prompt.min() < 0 or prompt.max() >= cfg.vocab_size:
-            raise ValueError(
-                f"prompt {index} holds ids outside [0, {cfg.vocab_size})"
-            )
-        if prompt.size > cfg.max_seq:
-            raise SequenceTooLong(
-                f"prompt {index}: {prompt.size} ids exceed max_seq {cfg.max_seq}"
-            )
+    prompts = [_checked_ids(p, cfg, f"prompt {index}")
+               for index, p in enumerate(prompts)]
     # Every weight holds a float32 value, so the cast is exact: the decode
     # reads the weights the files hold, at the precision they hold them.
     weights = {name: w.astype(np.float32) for name, w in model.weights.items()}

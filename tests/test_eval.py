@@ -2,6 +2,7 @@
 leakage bootstrap."""
 
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 
@@ -295,7 +296,6 @@ def test_exclusion_rule_keeps_bad_rows_out_of_aggregates(
     assert report.accent_rate == 1.0
     excluded_rows = [r for r in report.per_sample if r.excluded]
     assert len(excluded_rows) == 2
-    assert all(r.reason == "cer>0.5" for r in excluded_rows)
     assert all(r.cer == 1.0 for r in excluded_rows)
 
 
@@ -414,9 +414,8 @@ def _reference_judge_item(vocab, item, hyp_ids):
         and hyp_pitch[start : start + item.target_mora_count]
         == item.target_pitch()
     )
-    excluded = sample_cer > 0.5
-    return SampleResult(item.item_id, sample_cer, accent_correct, excluded,
-                        "cer>0.5" if excluded else None, hyp_kana, hyp_pitch)
+    return SampleResult(item.item_id, sample_cer, accent_correct, hyp_kana,
+                        hyp_pitch)
 
 
 def _random_hypotheses(items, vocab, seed):
@@ -549,12 +548,12 @@ def test_judging_runs_two_dps_per_set(monkeypatch, tiny_model, vocab,
 
 def _sample_report():
     rows = (
-        SampleResult(0, 0.0, True, False, None, "アメ", "HL"),
-        SampleResult(1, 0.25, False, False, None, "アメミ", "HLL"),
-        SampleResult(2, 1.0, False, True, "cer>0.5", "", ""),
-        SampleResult(3, 0.0, True, False, None, "キ", "L"),
+        SampleResult(0, 0.0, True, "アメ", "HL"),
+        SampleResult(1, 0.25, False, "アメミ", "HLL"),
+        SampleResult(2, 1.0, False, "", ""),
+        SampleResult(3, 0.0, True, "キ", "L"),
     )
-    return EvalReport.from_samples("plain", rows)
+    return EvalReport("plain", rows)
 
 
 def test_report_round_trip(tmp_path):
@@ -572,6 +571,14 @@ def test_report_aggregates_recomputable(tmp_path):
         1 for r in kept if r.accent_correct
     ) / len(kept)
     assert report.n_excluded == 1
+    assert [r.excluded for r in report.per_sample] == [False, False, True,
+                                                       False]
+
+
+def test_report_aggregates_with_every_row_excluded():
+    report = EvalReport("kana", (SampleResult(0, 0.75, True, "ア", "H"),))
+    assert (report.n_items, report.n_excluded) == (1, 1)
+    assert (report.mean_cer, report.accent_rate) == (0.0, 0.0)
 
 
 def test_report_load_rejects_tampered_aggregates(tmp_path):
@@ -631,13 +638,26 @@ def test_report_load_rejects_bad_value(tmp_path, old, new):
 def test_report_load_rejects_row_contradicting_its_cer(tmp_path, cer_value,
                                                        excluded, reason):
     """A row is excluded, with reason cer>0.5, exactly when its CER is above
-    the threshold; save_report writes aggregates that match the rows, so
-    only the row itself is wrong."""
-    rows = _sample_report().per_sample[:3] + (
-        SampleResult(3, cer_value, True, excluded, reason, "キ", "L"),
-    )
+    the threshold. The file's last row states the given CER, exclusion and
+    reason, and its header the aggregates that its kept cells give, so only
+    the row itself is wrong."""
     path = tmp_path / "report.tsv"
-    save_report(EvalReport.from_samples("plain", rows), path)
+    save_report(_sample_report(), path)
+    text = path.read_text(encoding="utf-8")
+    kept_cer = [0.0, 0.25] + ([] if excluded else [cer_value])
+    for old, new in [
+        ("row\t3\t0.0\tcorrect\tkept\t-\t",
+         f"row\t3\t{cer_value}\tcorrect\t"
+         f"{'excluded' if excluded else 'kept'}\t{reason or '-'}\t"),
+        ("n_excluded\t1\n", f"n_excluded\t{4 - len(kept_cer)}\n"),
+        ("mean_cer\t0.08333333333333333\n",
+         f"mean_cer\t{sum(kept_cer) / len(kept_cer)}\n"),
+        ("accent_rate\t0.6666666666666666\n",
+         f"accent_rate\t{(2 - excluded) / len(kept_cer)}\n"),
+    ]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(CorruptFile, match=f"^{path}: item 3: exclusion and "
                                           f"reason do not follow from cer "):
         load_report(path)
@@ -645,9 +665,10 @@ def test_report_load_rejects_row_contradicting_its_cer(tmp_path, cer_value,
 
 def test_report_load_accepts_cer_at_the_threshold(tmp_path):
     rows = _sample_report().per_sample[:3] + (
-        SampleResult(3, 0.5, True, False, None, "キ", "L"),
+        SampleResult(3, 0.5, True, "キ", "L"),
     )
-    report = EvalReport.from_samples("plain", rows)
+    report = EvalReport("plain", rows)
+    assert not report.per_sample[3].excluded
     path = tmp_path / "report.tsv"
     save_report(report, path)
     assert load_report(path) == report
@@ -863,3 +884,64 @@ def test_leakage_load_rejects_bad_value(saved_leakage, old, new):
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
     with pytest.raises(CorruptFile, match=str(path)):
         load_leakage(path)
+
+
+def test_leakage_test_refuses_an_empty_set(tiny_model, vocab):
+    with pytest.raises(ValueError, match=r"^leakage_set is empty"):
+        leakage_test(tiny_model, vocab, [], None)
+
+
+def test_leakage_load_rejects_file_without_rows(saved_leakage):
+    _, path = saved_leakage
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if not line.startswith("row\t")),
+                    encoding="utf-8")
+    with pytest.raises(CorruptFile, match=f"^{path}: no outcome rows"):
+        load_leakage(path)
+
+
+# -- pinned bytes ------------------------------------------------------------
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """save_report's and save_leakage's bytes, pinned by SHA-256: each
+    header aggregate and rate, computed from the rows, shows in them, as
+    do the kept and reason cells of every row."""
+
+    REPORT = "f0fed94d426a80bc9214ef4cd0b6fc36737fe1f8aaec1cbe4287bd7be1fdabd1"
+    LEAKAGE = "490e61746820f1b62352a64be7ba15c43e381c07409490d788f87575a779dbcc"
+    # Half the tagged outputs flattened: rates 1.0 and 0.5, a CI off zero.
+    LEAKAGE_HALF = (
+        "0314fb8a557485ae8eae7df70416527c3aa53a8f5e24fafe1bf90f480f0c478d")
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        save_report(_sample_report(), path)
+        assert _sha256(path) == self.REPORT
+
+    def test_leakage(self, saved_leakage):
+        assert _sha256(saved_leakage[1]) == self.LEAKAGE
+
+    def test_leakage_with_half_the_words_flattened(
+            self, monkeypatch, tiny_model, vocab, eval_sets, tmp_path):
+        items = eval_sets.leakage_set
+
+        def flatten(codes):
+            return tuple(c & ~1 for c in codes)
+
+        mapping = _oracle_mapping(items, vocab, "plain")
+        mapping.update(_oracle_mapping(items[::2], vocab, "tagged", flatten))
+        mapping.update(_oracle_mapping(items[1::2], vocab, "tagged"))
+        monkeypatch.setattr(eval_mod, "generate", _fake_generate(mapping))
+        result = leakage_test(tiny_model, vocab, items, adapter=None,
+                              resamples=500, seed=1)
+        path = tmp_path / "leakage.tsv"
+        save_leakage(result, path)
+        assert (result.baseline_rate, result.adapted_rate) == (1.0, 0.5)
+        assert _sha256(path) == self.LEAKAGE_HALF
+        assert load_leakage(path) == result

@@ -166,6 +166,20 @@ def test_forward_rejects_overlong_sequence(tiny_model):
         tiny_model.forward([0] * (TINY.max_seq + 1))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([-1, 3], "outside"),
+    ([TINY.vocab_size, 3], "outside"),
+    ([1.7, 3.2], "non-integer"),
+    ([[1, 2]], "not a non-empty id sequence"),
+    ([], "not a non-empty id sequence"),
+], ids=["negative-id", "id-over-vocab", "float-ids", "2-d", "empty"])
+def test_forward_rejects_bad_ids(tiny_model, bad, message):
+    """The check generate runs per prompt: a negative id would read the
+    embedding from its end and a float id would be truncated."""
+    with pytest.raises(ValueError, match=f"^ids .*{message}"):
+        tiny_model.forward(bad)
+
+
 # -- loss --------------------------------------------------------------------
 
 
@@ -642,10 +656,10 @@ def test_pretrain_loop_matches_per_tensor_optimizer(monkeypatch, grad_clip,
     _check_pretrain_loop(monkeypatch, grad_clip, weight_decay)
 
 
-def _check_adapter_loop(patch, tiny_model):
+def _check_adapter_loop(patch, tiny_model, dropout_rate=0.1):
     _patch_optimizer(patch, grad_clip=0.15, weight_decay=0.01)
     adapter = init_adapter(tiny_model.shape_spec(), r=2, alpha=8.0,
-                           dropout_rate=0.1, seed=3)
+                           dropout_rate=dropout_rate, seed=3)
     examples = make_examples(np.random.default_rng(10), 24, with_tags=True)
     cfg = TrainConfig(steps=30, learning_rate=1e-2, batch_size=4, seed=2)
     want, want_curve, clipped = _per_tensor_train(tiny_model, adapter,
@@ -659,6 +673,13 @@ def _check_adapter_loop(patch, tiny_model):
 
 def test_adapter_loop_matches_per_tensor_optimizer(tiny_model, monkeypatch):
     _check_adapter_loop(monkeypatch, tiny_model)
+
+
+def test_adapter_loop_without_dropout_draws_no_masks(tiny_model, monkeypatch):
+    """_train hands the forward its batch generator whatever the rate; at
+    rate 0 the forward draws nothing from it, so the batches are those of
+    the reference, which passes no generator then."""
+    _check_adapter_loop(monkeypatch, tiny_model, dropout_rate=0.0)
 
 
 @pytest.mark.parametrize("block", [7, 1000])
@@ -745,6 +766,11 @@ def test_generation_rejects_overflow(tiny_model):
 def test_generation_rejects_bad_prompt_by_index(tiny_model, bad):
     with pytest.raises(ValueError, match=r"^prompt 1 "):
         generate(tiny_model, [[1, 2], bad, [3]], max_new=3)
+
+
+def test_generation_rejects_float_prompt(tiny_model):
+    with pytest.raises(ValueError, match=r"^prompt 0 holds non-integer ids"):
+        generate(tiny_model, [[1.7, 3.2]], max_new=2)
 
 
 def test_generation_rejects_negative_max_new(tiny_model):

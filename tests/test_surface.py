@@ -15,6 +15,7 @@ import importlib.util
 from pathlib import Path
 
 import uttertune
+from uttertune.eval import EvalReport, SampleResult
 
 SRC = Path(uttertune.__file__).resolve().parent
 
@@ -108,6 +109,14 @@ def test_allowlist_names_existing_definitions():
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class _RecordingTracer:
     """Records what a workload asks to wrap and wraps nothing, so there is
     nothing to restore."""
@@ -122,11 +131,21 @@ class _RecordingTracer:
 def test_perfbench_finds_every_name_it_wraps(tmp_path):
     """A traced benchmark run counts each name it cannot find to wrap as a
     failed operation; a rename in src/ must fail here first."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     for name, workload in workloads.WORKLOADS.items():
         tracer = _RecordingTracer()
         assert workload(0, tmp_path, {}).patch(tracer) == [], name
         assert all(attr in vars(owner) for owner, attr in tracer.patched)
+
+
+def test_perfbench_reads_the_report_counts(tmp_path):
+    """perfbench eval counts judged and kept items from each EvalReport; a
+    renamed aggregate must fail here, not as a failed benchmark operation."""
+    workloads = _workloads()
+    report = EvalReport("tagged", (SampleResult(0, 0.0, True, "ア", "H"),
+                                   SampleResult(1, 0.75, False, "", ""),
+                                   SampleResult(2, 0.25, True, "キ", "L")))
+    workload = workloads.EvalWorkload(0, tmp_path, {})
+    workload._observe_report((), {}, report)
+    assert workload.counts["items_judged"] == 3
+    assert workload.counts["items_kept"] == 2
