@@ -79,11 +79,7 @@ class ShapeMismatch(UtterTuneError):
 
 
 class CorruptFile(UtterTuneError):
-    """Container checksum or structure check failed."""
-
-
-class WrongArtifactKind(UtterTuneError):
-    """A tensor container holds another kind of artifact than the one asked for."""
+    """A file's checksum, framing or values do not check out."""
 
 
 # --- model ---

@@ -15,6 +15,7 @@ bootstraps a confidence interval for the correctness difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +225,9 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
-    """A saved report; its kept and reason cells and header aggregates
-    must equal those computed from its rows."""
+    """A saved report; its CERs must be finite and >= 0, and its kept and
+    reason cells and header aggregates equal to those computed from its
+    rows."""
     header, rows = load_table(path, _REPORT_MAGIC, _REPORT_KEYS, 7)
     if header["mode"] not in EVAL_MODES:
         raise CorruptFile(f"{path}: bad value mode {header['mode']!r}")
@@ -240,6 +242,9 @@ def load_report(path) -> EvalReport:
     except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: bad value {exc}") from None
     for r, excluded, reason in parsed:
+        if not 0.0 <= r.cer < math.inf:
+            raise CorruptFile(f"{path}: item {r.item_id}: cer {r.cer!r} is "
+                              f"not a finite value >= 0")
         if excluded != r.excluded or reason != _EXCLUSION_CELLS[excluded][1]:
             raise CorruptFile(f"{path}: item {r.item_id}: exclusion and "
                               f"reason do not follow from cer {r.cer!r}")
@@ -394,8 +399,9 @@ def save_leakage(result: LeakageResult, path) -> None:
 
 
 def load_leakage(path) -> LeakageResult:
-    """A saved leakage result; it must have rows, and its rates and
-    difference must equal those computed from them."""
+    """A saved leakage result; it must have rows, a CI within [-1, 1]
+    from at least one resample, and rates and a difference equal to those
+    computed from its rows."""
     header, rows = load_table(path, _LEAKAGE_MAGIC, _LEAKAGE_KEYS, 4)
     flag = {"0": False, "1": True}
     try:
@@ -410,6 +416,11 @@ def load_leakage(path) -> LeakageResult:
         raise CorruptFile(f"{path}: bad value {exc}") from None
     if not outcomes:
         raise CorruptFile(f"{path}: no outcome rows, so no rates")
+    if not -1.0 <= stated["ci_low"] <= stated["ci_high"] <= 1.0:
+        raise CorruptFile(f"{path}: CI [{stated['ci_low']}, "
+                          f"{stated['ci_high']}] is not an interval in [-1, 1]")
+    if resamples < 1:
+        raise CorruptFile(f"{path}: resamples {resamples} is below 1")
     result = LeakageResult(stated["ci_low"], stated["ci_high"], resamples,
                            outcomes)
     if (stated["baseline_rate"] != result.baseline_rate

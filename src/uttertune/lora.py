@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptFile, InvalidRank, ShapeMismatch, WrongArtifactKind
+from .errors import CorruptFile, InvalidRank, ShapeMismatch
 from .tensorio import load_tensors, save_tensors
 
 PROJECTIONS = ("q", "k", "v", "o")
@@ -40,6 +40,11 @@ class BaseShapeSpec:
     width: int
     base_param_count: int
     fingerprint: str = ""
+
+    def __post_init__(self):
+        for name in ("n_layers", "width", "base_param_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _targets(base_spec: BaseShapeSpec) -> list[str]:
@@ -193,47 +198,42 @@ def merge(
     return out
 
 
+# An adapter file's first line and header keys.
+_ADAPTER_MAGIC = "uttertune-adapter v1"
+_ADAPTER_KEYS = ("rank", "alpha", "dropout", "scaling", "seed", "base_layers",
+                 "base_width", "base_params", "base_fingerprint")
+
+
 def save_adapter(adapter: LoraAdapter, path) -> None:
-    meta = {
-        "kind": "adapter",
-        "rank": str(adapter.rank),
-        "alpha": repr(float(adapter.alpha)),
-        "dropout": repr(float(adapter.dropout_rate)),
-        "scaling": adapter.scaling,
-        "seed": str(adapter.seed),
-        "base_layers": str(adapter.base_spec.n_layers),
-        "base_width": str(adapter.base_spec.width),
-        "base_params": str(adapter.base_spec.base_param_count),
-        "base_fingerprint": adapter.base_spec.fingerprint,
-    }
-    save_tensors(path, adapter.tensors(), meta)
+    spec = adapter.base_spec
+    values = (adapter.rank, repr(float(adapter.alpha)),
+              repr(float(adapter.dropout_rate)), adapter.scaling, adapter.seed,
+              spec.n_layers, spec.width, spec.base_param_count,
+              spec.fingerprint)
+    save_tensors(path, _ADAPTER_MAGIC, dict(zip(_ADAPTER_KEYS, values)),
+                 adapter.tensors())
 
 
 def load_adapter(path) -> LoraAdapter:
-    tensors, meta = load_tensors(path)
-    if meta.get("kind") != "adapter":
-        raise WrongArtifactKind(
-            f"{path}: container kind {meta.get('kind')!r}, expected 'adapter'"
-        )
+    header, tensors = load_tensors(path, _ADAPTER_MAGIC, _ADAPTER_KEYS)
     try:
         base_spec = BaseShapeSpec(
-            n_layers=int(meta["base_layers"]),
-            width=int(meta["base_width"]),
-            base_param_count=int(meta["base_params"]),
-            fingerprint=meta["base_fingerprint"],
+            n_layers=int(header["base_layers"]),
+            width=int(header["base_width"]),
+            base_param_count=int(header["base_params"]),
+            fingerprint=header["base_fingerprint"],
         )
         adapter = _from_tensors(
-            tensors, base_spec, int(meta["rank"]), float(meta["alpha"]),
-            float(meta["dropout"]), meta["scaling"], int(meta["seed"]),
+            tensors, base_spec, int(header["rank"]), float(header["alpha"]),
+            float(header["dropout"]), header["scaling"], int(header["seed"]),
         )
     except KeyError as missing:
-        raise CorruptFile(f"{path}: missing field {missing}") from None
+        raise CorruptFile(f"{path}: missing tensor {missing}") from None
     except ValueError as exc:
-        raise CorruptFile(f"{path}: bad meta value: {exc}") from None
+        raise CorruptFile(f"{path}: bad header value: {exc}") from None
     read = adapter.tensors()
     unread = [name for name in tensors if name not in read]
     if unread:
         raise CorruptFile(f"{path}: tensor {unread[0]!r} is not one the "
                           f"adapter reads")
     return adapter
-

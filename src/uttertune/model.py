@@ -64,13 +64,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    NonFiniteLoss,
-    SequenceTooLong,
-    ShapeMismatch,
-    WrongArtifactKind,
-)
+from .errors import CorruptFile, NonFiniteLoss, SequenceTooLong, ShapeMismatch
 from .lora import PROJECTIONS, TAG_DELTAS, BaseShapeSpec, LoraAdapter, factor_names
 from .tensorio import load_tensors, save_tensors
 
@@ -114,6 +108,11 @@ class ToyLMConfig:
     def tag_ids(self) -> tuple[int, int]:
         """The phoneme start and end tag ids, just below the speech ids."""
         return (self.speech_offset - 2, self.speech_offset - 1)
+
+
+# A model file's first line and header keys: the config, field by field.
+_MODEL_MAGIC = "uttertune-model v1"
+_MODEL_KEYS = tuple(f.name for f in fields(ToyLMConfig))
 
 
 @dataclass(frozen=True)
@@ -211,27 +210,19 @@ class ToyLM:
         return h.hexdigest()[:16]
 
     def save(self, path) -> None:
-        meta = {"kind": "model"}
-        meta.update((f.name, str(getattr(self.config, f.name)))
-                    for f in fields(ToyLMConfig))
-        save_tensors(path, {name: w.astype(np.float32)
-                            for name, w in self.weights.items()}, meta)
+        header = {key: getattr(self.config, key) for key in _MODEL_KEYS}
+        save_tensors(path, _MODEL_MAGIC, header,
+                     {name: w.astype(np.float32)
+                      for name, w in self.weights.items()})
 
     @classmethod
     def load(cls, path) -> "ToyLM":
-        tensors, meta = load_tensors(path)
-        if meta.get("kind") != "model":
-            raise WrongArtifactKind(
-                f"{path}: container kind {meta.get('kind')!r}, expected 'model'"
-            )
+        header, tensors = load_tensors(path, _MODEL_MAGIC, _MODEL_KEYS)
         try:
-            config = ToyLMConfig(
-                **{f.name: int(meta[f.name]) for f in fields(ToyLMConfig)}
-            )
-        except KeyError as missing:
-            raise CorruptFile(f"{path}: missing meta field {missing}") from None
+            config = ToyLMConfig(**{key: int(value)
+                                    for key, value in header.items()})
         except ValueError as exc:
-            raise CorruptFile(f"{path}: bad meta value: {exc}") from None
+            raise CorruptFile(f"{path}: bad header value: {exc}") from None
         return cls(config, tensors)
 
     # -- public forward/loss ---------------------------------------------

@@ -25,7 +25,7 @@ from uttertune.dataprep import (
     to_training_examples,
 )
 from uttertune.eval import evaluate_set, load_report, save_report
-from uttertune.lora import load_adapter
+from uttertune.lora import _ADAPTER_KEYS, _ADAPTER_MAGIC, load_adapter
 from uttertune.manifest import (
     COMMAND_DEFAULTS,
     CONFIG_KEYS,
@@ -38,7 +38,7 @@ from uttertune.manifest import (
     resolve_config,
     save_manifest,
 )
-from uttertune.model import ToyLM
+from uttertune.model import _MODEL_KEYS, _MODEL_MAGIC, ToyLM
 from uttertune.tensorio import load_tensors, save_tensors
 from uttertune.tokenizer import (
     PHON_END,
@@ -802,6 +802,20 @@ def _model_argv(command, pipeline, out, **given):
     return argv + extra + ["--out", str(out)]
 
 
+# Each tensor file's first line and header keys, by the flag it is given to.
+_TENSOR_FILES = {"model": (_MODEL_MAGIC, _MODEL_KEYS),
+                 "adapter": (_ADAPTER_MAGIC, _ADAPTER_KEYS)}
+
+
+def _load_tensor_file(slot, path):
+    """(header, tensors) of the model or adapter file at path."""
+    return load_tensors(path, *_TENSOR_FILES[slot])
+
+
+def _save_tensor_file(slot, path, header, tensors):
+    save_tensors(path, _TENSOR_FILES[slot][0], header, tensors)
+
+
 def _assert_one_line_shape_error(capsys, out, *named):
     stdout, err = capsys.readouterr()
     assert stdout == ""
@@ -818,11 +832,11 @@ def _assert_one_line_shape_error(capsys, out, *named):
 ])
 def test_model_tensor_of_wrong_shape_is_one_line_data_error(
         pipeline, tmp_path, capsys, command, name, cut):
-    tensors, meta = load_tensors(pipeline["model"])
+    header, tensors = _load_tensor_file("model", pipeline["model"])
     expected = tensors[name].shape
     tensors[name] = tensors[name][cut]
     model = tmp_path / "cut_model.ut"
-    save_tensors(model, tensors, meta)
+    _save_tensor_file("model", model, header, tensors)
     out = tmp_path / "o"
     assert main(_model_argv(command, pipeline, out, model=model)) == 2
     _assert_one_line_shape_error(
@@ -834,10 +848,10 @@ def test_model_tensor_of_wrong_shape_is_one_line_data_error(
 @pytest.mark.parametrize("command", ["generate", "eval"])
 def test_adapter_factor_of_wrong_shape_is_one_line_data_error(
         pipeline, tmp_path, capsys, command):
-    tensors, meta = load_tensors(pipeline["adapter"])
+    header, tensors = _load_tensor_file("adapter", pipeline["adapter"])
     tensors["L0.q.B"] = tensors["L0.q.B"][:8]
     adapter = tmp_path / "cut_adapter.ut"
-    save_tensors(adapter, tensors, meta)
+    _save_tensor_file("adapter", adapter, header, tensors)
     out = tmp_path / "o"
     assert main(_model_argv(command, pipeline, out, adapter=adapter)) == 2
     _assert_one_line_shape_error(capsys, out, "L0.q", "(8, 2)")
@@ -890,27 +904,101 @@ def test_wrong_artifact_kind_is_one_line_data_error(pipeline, tmp_path,
 
 def test_container_without_its_fields_is_one_line_data_error(pipeline,
                                                              tmp_path, capsys):
-    for kind, argv in (
+    for slot, argv in (
         ("model", ["generate", "--text", "駅", "--vocab", pipeline["vocab"],
                    "--model"]),
         ("adapter", ["adapter", "info", "--adapter"]),
     ):
-        path = tmp_path / f"{kind}.ut"
-        save_tensors(path, {"x": np.zeros(2, dtype=np.float32)}, {"kind": kind})
+        path = tmp_path / f"{slot}.ut"
+        _save_tensor_file(slot, path, {},
+                          {"x": np.zeros(2, dtype=np.float32)})
         assert main(argv + [str(path)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert "missing" in err
+        first_key = _TENSOR_FILES[slot][1][0]
+        assert capsys.readouterr().err == (
+            f"CorruptFile: {path}:2: expected header key {first_key!r}\n")
+
+
+def _resigned_table_part(raw, edit):
+    """raw with the lines before its end line passed through edit, and its
+    checksum made anew."""
+    blob = raw[:-32]
+    cut = blob.index(b"\nend\n") + 1
+    lines = edit(blob[:cut].decode("utf-8").split("\n")[:-1])
+    blob = "".join(line + "\n" for line in lines).encode("utf-8") + blob[cut:]
+    return blob + hashlib.sha256(blob).digest()
+
+
+def _other_kind(lines):
+    magics = [magic for magic, _ in _TENSOR_FILES.values()]
+    return [magics[1 - magics.index(lines[0])]] + lines[1:]
+
+
+def _drop_third_key(lines):
+    return lines[:3] + lines[4:]
+
+
+def _swap_first_keys(lines):
+    return [lines[0], lines[2], lines[1]] + lines[3:]
+
+
+def _extra_last_key(lines):
+    first_row = next(i for i, line in enumerate(lines)
+                     if line.startswith("row\t"))
+    return lines[:first_row] + ["vocab_fingerprint\t0123abcd"] + lines[first_row:]
+
+
+# Both files have nine header keys, so an extra one is read on line 11.
+@pytest.mark.parametrize("slot", ["model", "adapter"])
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(_other_kind, 1, id="other-kind"),
+    pytest.param(_drop_third_key, 4, id="missing-key"),
+    pytest.param(_swap_first_keys, 2, id="reordered-keys"),
+    pytest.param(_extra_last_key, 11, id="extra-key"),
+])
+def test_tensor_file_header_off_is_one_line_naming_path_and_line(
+        pipeline, tmp_path, capsys, slot, edit, line):
+    """A model or adapter file is refused as the table codec refuses a
+    table: by its first line and its header keys, in order."""
+    bad = tmp_path / f"bad_{slot}.ut"
+    bad.write_bytes(_resigned_table_part(Path(pipeline[slot]).read_bytes(),
+                                         edit))
+    out = tmp_path / "o"
+    assert main(_model_argv("eval", pipeline, out, **{slot: bad})) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert len(_TENSOR_FILES[slot][1]) == 9
+    assert err.startswith(f"CorruptFile: {bad}:{line}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["base_layers", "base_width", "base_params"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_adapter_base_shape_below_one_is_one_line_data_error(
+        pipeline, tmp_path, capsys, key, value):
+    def edit(lines):
+        return [f"{key}\t{value}" if line.startswith(f"{key}\t") else line
+                for line in lines]
+
+    adapter = tmp_path / "adapter.ut"
+    adapter.write_bytes(_resigned_table_part(
+        Path(pipeline["adapter"]).read_bytes(), edit))
+    assert main(["adapter", "info", "--adapter", str(adapter)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"CorruptFile: {adapter}: bad header value: "), err
+    assert err.endswith(f" must be >= 1, got {value}\n"), err
 
 
 
 @pytest.mark.parametrize("command", ["adapter info", "eval"])
 def test_adapter_tensor_it_does_not_read_is_one_line_data_error(
         pipeline, tmp_path, capsys, command):
-    tensors, meta = load_tensors(pipeline["adapter"])
+    header, tensors = _load_tensor_file("adapter", pipeline["adapter"])
     tensors["L7.q.B"] = tensors["L0.q.B"]
     adapter = tmp_path / "adapter.ut"
-    save_tensors(adapter, tensors, meta)
+    _save_tensor_file("adapter", adapter, header, tensors)
     out = tmp_path / "o"
     if command == "adapter info":
         argv = ["adapter", "info", "--adapter", str(adapter)]
@@ -932,10 +1020,10 @@ def test_adapter_tensor_it_does_not_read_is_one_line_data_error(
 ])
 def test_malformed_meta_value_is_one_line_data_error_naming_the_file(
         pipeline, tmp_path, capsys, slot, key, value):
-    tensors, meta = load_tensors(pipeline[slot])
-    meta[key] = value
+    header, tensors = _load_tensor_file(slot, pipeline[slot])
+    header[key] = value
     bad = tmp_path / f"bad_{slot}.ut"
-    save_tensors(bad, tensors, meta)
+    _save_tensor_file(slot, bad, header, tensors)
     out = tmp_path / "o"
     assert main(_model_argv("eval", pipeline, out, **{slot: bad})) == 2
     stdout, err = capsys.readouterr()
@@ -951,19 +1039,20 @@ def _flip_last_byte(raw):
 
 
 def _version_v9(raw):
-    blob = raw[:-32].replace(b"uttertune-tensors v1", b"uttertune-tensors v9")
-    return blob + hashlib.sha256(blob).digest()
+    return _resigned_table_part(
+        raw, lambda lines: [lines[0].replace(" v1", " v9")] + lines[1:])
 
 
 @pytest.mark.parametrize("slot", ["model", "adapter"])
-@pytest.mark.parametrize("damage, error", [
-    pytest.param(_flip_last_byte, "CorruptFile", id="checksum"),
-    pytest.param(_version_v9, "CorruptFile", id="version"),
-    pytest.param(None, "CorruptFile", id="vocabulary-file"),
+@pytest.mark.parametrize("damage, error, line", [
+    pytest.param(_flip_last_byte, "CorruptFile", "", id="checksum"),
+    pytest.param(_version_v9, "CorruptFile", ":1", id="version"),
+    pytest.param(None, "CorruptFile", "", id="vocabulary-file"),
 ])
 def test_bad_tensor_file_is_one_line_data_error_naming_it(
-        pipeline, tmp_path, capsys, slot, damage, error):
-    """With both --model and --adapter given, the error says which is bad."""
+        pipeline, tmp_path, capsys, slot, damage, error, line):
+    """With both --model and --adapter given, the error says which is bad,
+    and the line when it is in the table part."""
     bad = tmp_path / f"bad_{slot}.ut"
     source = pipeline["vocab"] if damage is None else pipeline[slot]
     raw = Path(source).read_bytes()
@@ -974,7 +1063,7 @@ def test_bad_tensor_file_is_one_line_data_error_naming_it(
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert len(err.splitlines()) == 1, err
-    assert err.startswith(f"{error}: {bad}: "), err
+    assert err.startswith(f"{error}: {bad}{line}: "), err
     assert not out.exists()
 
 
@@ -987,12 +1076,12 @@ def test_adapter_without_base_fingerprint_is_one_line_data_error(
         pipeline, tmp_path, capsys, command, fingerprint, error):
     """Without the base fingerprint an adapter would pair with any model of
     its shape, so the field is required and always compared."""
-    tensors, meta = load_tensors(pipeline["adapter"])
-    del meta["base_fingerprint"]
+    header, tensors = _load_tensor_file("adapter", pipeline["adapter"])
+    del header["base_fingerprint"]
     if fingerprint is not None:
-        meta["base_fingerprint"] = fingerprint
+        header["base_fingerprint"] = fingerprint
     adapter = tmp_path / "adapter.ut"
-    save_tensors(adapter, tensors, meta)
+    _save_tensor_file("adapter", adapter, header, tensors)
     out = tmp_path / "o"
     if command == "adapter merge":
         argv = ["adapter", "merge", "--model", pipeline["model"],

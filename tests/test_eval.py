@@ -4,6 +4,8 @@ leakage bootstrap."""
 import dataclasses
 import hashlib
 import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -614,8 +616,9 @@ def test_report_load_rejects_missing_header_field(tmp_path, field):
     ("row\t1\t", "row\tone\t"),
     ("n_items\t4", "n_items\tfour"),
     ("mode\tplain", "mode\tloud"),
+    ("row\t2\t1.0\t", "row\t2\tinf\t"),
 ], ids=["accent-word", "accent-na", "exclusion-word", "item-id",
-        "header-count", "mode"])
+        "header-count", "mode", "cer-inf"])
 def test_report_load_rejects_bad_value(tmp_path, old, new):
     path = tmp_path / "report.tsv"
     save_report(_sample_report(), path)
@@ -660,6 +663,21 @@ def test_report_load_rejects_row_contradicting_its_cer(tmp_path, cer_value,
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorruptFile, match=f"^{path}: item 3: exclusion and "
                                           f"reason do not follow from cer "):
+        load_report(path)
+
+
+@pytest.mark.parametrize("cer", [-0.5, -math.inf, math.inf, math.nan])
+def test_report_load_rejects_impossible_cer(tmp_path, cer):
+    """A CER is a distance over a length: finite and >= 0. The file is
+    written by save_report, so its header and cells follow from its rows
+    and only the CER is wrong."""
+    rows = _sample_report().per_sample[:3] + (
+        SampleResult(3, cer, True, "キ", "L"),
+    )
+    path = tmp_path / "report.tsv"
+    save_report(EvalReport("plain", rows), path)
+    with pytest.raises(CorruptFile, match=f"^{re.escape(str(path))}: item 3: "
+                                          f"cer {cer!r} is not a finite "):
         load_report(path)
 
 
@@ -876,7 +894,15 @@ def test_leakage_load_rejects_tampered_rates(saved_leakage):
     ("\t1\t1\n", "\t1\ttrue\n"),
     ("resamples\t500", "resamples\tmany"),
     ("difference\t0.0\n", "difference\t0.25\n"),
-], ids=["flag-seven", "flag-word", "header-count", "difference"])
+    ("ci_low\t0.0\n", "ci_low\t0.3\n"),
+    ("ci_high\t0.0\n", "ci_high\t1.5\n"),
+    ("ci_low\t0.0\n", "ci_low\t-7.0\n"),
+    ("ci_low\t0.0\n", "ci_low\tnan\n"),
+    ("resamples\t500", "resamples\t0"),
+    ("resamples\t500", "resamples\t-5"),
+], ids=["flag-seven", "flag-word", "header-count", "difference",
+        "ci-bounds-reversed", "ci-high-above-1", "ci-low-below-minus-1",
+        "ci-low-nan", "resamples-zero", "resamples-negative"])
 def test_leakage_load_rejects_bad_value(saved_leakage, old, new):
     _, path = saved_leakage
     text = path.read_text(encoding="utf-8")

@@ -9,6 +9,8 @@ import pytest
 
 from uttertune.errors import CorruptFile, InvalidRank
 from uttertune.lora import (
+    _ADAPTER_KEYS,
+    _ADAPTER_MAGIC,
     PROJECTIONS,
     BaseShapeSpec,
     LoraAdapter,
@@ -251,11 +253,36 @@ class TestPersistence:
         a layer the base does not have, is refused, not loaded without it."""
         p = tmp_path / "adapter.bin"
         save_adapter(init_adapter(SPEC, r=2, seed=4), p)
-        tensors, meta = load_tensors(p)
+        header, tensors = load_tensors(p, _ADAPTER_MAGIC, _ADAPTER_KEYS)
         tensors["L7.q.B"] = tensors["L0.q.B"]
-        save_tensors(p, tensors, meta)
+        save_tensors(p, _ADAPTER_MAGIC, header, tensors)
         with pytest.raises(CorruptFile, match=rf"^{re.escape(str(p))}: "
                            r"tensor 'L7.q.B' is not one the adapter reads$"):
+            load_adapter(p)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        p = tmp_path / "adapter.bin"
+        save_adapter(init_adapter(SPEC, r=2, seed=4), p)
+        header, tensors = load_tensors(p, _ADAPTER_MAGIC, _ADAPTER_KEYS)
+        del tensors["L1.k.C"]
+        save_tensors(p, _ADAPTER_MAGIC, header, tensors)
+        with pytest.raises(CorruptFile, match=rf"^{re.escape(str(p))}: "
+                           r"missing tensor 'L1.k.C'$"):
+            load_adapter(p)
+
+    @pytest.mark.parametrize("key, field", [
+        ("base_layers", "n_layers"), ("base_width", "width"),
+        ("base_params", "base_param_count"),
+    ])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_base_shape_below_one_rejected(self, tmp_path, key, field, value):
+        p = tmp_path / "adapter.bin"
+        save_adapter(init_adapter(SPEC, r=2, seed=4), p)
+        header, tensors = load_tensors(p, _ADAPTER_MAGIC, _ADAPTER_KEYS)
+        header[key] = value
+        save_tensors(p, _ADAPTER_MAGIC, header, tensors)
+        with pytest.raises(CorruptFile, match=rf"^{re.escape(str(p))}: bad "
+                           rf"header value: {field} must be >= 1, got {value}$"):
             load_adapter(p)
 
     def test_scaling_mode_round_trips(self, tmp_path):
@@ -269,13 +296,24 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _payload_sha256(path) -> str:
+    blob = path.read_bytes()[:-32]
+    return hashlib.sha256(blob[blob.index(b"\nend\n") + 5:]).hexdigest()
+
+
 class TestPinnedBytes:
     """save_adapter's bytes for a fresh adapter and for one trained with
     dropout, pinned by SHA-256: the file layout, the init draw, the tensor
-    names and the training arithmetic all show in them."""
+    names and the training arithmetic all show in them. The payload hashes
+    cover the bytes between the end line and the checksum, the tensors
+    alone, so that a change to the table part cannot move them."""
 
-    FRESH = "9cb9c53aa606593af55aa67f0c9d2b4b80bc7be70e0e943343118305f3fec262"
-    TRAINED = "0167f06071fa65e7a9bc77c5c742257ba2b99c68bbc94d9b433b2002182d1436"
+    FRESH = "6442fcb4d9e00065f0cca38edc455b330ff64f504a14483beac86b12523147e9"
+    TRAINED = "1b35047bb4882f1918de26173b49454e1e176c75be2fbe7fbd6acfc8cdd87801"
+    FRESH_PAYLOAD = (
+        "52f5bc7e1525437d7d21d0975546e70317e32849284ee5c5b688d218bc0c2fdc")
+    TRAINED_PAYLOAD = (
+        "b03fcbaba80d35445544063c385db11b79971eb733e5021ee8b7cf3ceabfb5eb")
 
     @staticmethod
     def _trained() -> LoraAdapter:
@@ -298,13 +336,19 @@ class TestPinnedBytes:
         p = tmp_path / "fresh.ut"
         save_adapter(init_adapter(SPEC, r=3, alpha=6.0, dropout_rate=0.1,
                                   seed=9), p)
+        assert p.read_bytes().startswith(
+            b"uttertune-adapter v1\nrank\t3\nalpha\t6.0\ndropout\t0.1\n"
+            b"scaling\tliteral\nseed\t9\nbase_layers\t2\nbase_width\t64\n"
+            b"base_params\t250000\nbase_fingerprint\t\nrow\tL0.q.B\t64 3\n")
         assert _sha256(p) == self.FRESH
+        assert _payload_sha256(p) == self.FRESH_PAYLOAD
 
     def test_trained_adapter_and_its_load_save_round_trip(self, tmp_path):
         first, again = tmp_path / "trained.ut", tmp_path / "again.ut"
         save_adapter(self._trained(), first)
         save_adapter(load_adapter(first), again)
         assert _sha256(first) == _sha256(again) == self.TRAINED
+        assert _payload_sha256(first) == self.TRAINED_PAYLOAD
 
     def test_one_naming_for_file_and_forward(self, tmp_path):
         adapter = self._trained()
@@ -312,7 +356,7 @@ class TestPinnedBytes:
         save_adapter(adapter, p)
         tensors = adapter.tensors()
         names = list(tensors)
-        assert names == list(load_tensors(p)[0])
+        assert names == list(load_tensors(p, _ADAPTER_MAGIC, _ADAPTER_KEYS)[1])
         assert names[:3] == ["L0.q.B", "L0.q.C", "L0.k.B"]
         assert names[-1] == "tag_deltas"
         assert tensors["L1.o.C"] is adapter.layers[-1].C

@@ -1,6 +1,7 @@
 """Tests for the decoder-only LM: forward semantics, loss masking,
 manual gradients vs finite differences, training loops, generation."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -704,6 +705,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == model.config
     assert weight_bytes(loaded) == weight_bytes(model)
     assert loaded.fingerprint() == model.fingerprint()
+
+
+def test_checkpoint_is_a_table_of_config_and_weights(tmp_path):
+    """The file's table part: its kind, each config field in order, then one
+    row per weight with its shape."""
+    model = ToyLM.init(TINY)
+    path = tmp_path / "model.utt"
+    model.save(path)
+    lines = path.read_bytes().split(b"\nend\n", 1)[0].decode().split("\n")
+    keys = [f.name for f in dataclasses.fields(TINY)]
+    assert lines[0] == "uttertune-model v1"
+    assert lines[1:len(keys) + 1] == [f"{k}\t{getattr(TINY, k)}" for k in keys]
+    assert lines[len(keys) + 1:] == [
+        f"row\t{name}\t{' '.join(str(d) for d in w.shape)}"
+        for name, w in model.weights.items()
+    ]
 
 
 def test_checkpoint_detects_corruption(tmp_path):

@@ -12,6 +12,7 @@ about the target, but a definition with none is certainly unused.
 import ast
 import collections
 import importlib.util
+import json
 from pathlib import Path
 
 import uttertune
@@ -109,12 +110,16 @@ def test_allowlist_names_existing_definitions():
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
+def _perfbench_module(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    return _perfbench_module(WORKLOADS)
 
 
 class _RecordingTracer:
@@ -149,3 +154,21 @@ def test_perfbench_reads_the_report_counts(tmp_path):
     workload._observe_report((), {}, report)
     assert workload.counts["items_judged"] == 3
     assert workload.counts["items_kept"] == 2
+
+
+def test_perfbench_eval_operation_runs_without_failure(tmp_path):
+    """perfbench eval's set-up, warm-up and one operation, as run.py drives
+    them: the fixture rebuilt and saved as model and adapter files, then the
+    three desk eval commands through cli.main. A change to the file formats
+    or the CLI that breaks the benchmark must fail here."""
+    workloads = _workloads()
+    tracing = _perfbench_module(WORKLOADS.parent / "tracing.py")
+    recorded = json.loads(
+        (workloads.FIXTURE_DIR / "recorded.json").read_text("utf-8"))
+    workload = workloads.EvalWorkload(3, tmp_path, recorded)
+    workload.prepare(tracing.NullTracer())
+    workload.warm_up()
+    items, busy = workload.operate(0, tracing.NullTracer())
+    assert (items, workload.tally.attempted) == (workloads.EVAL_ITEMS, 3)
+    assert workload.tally.failed == 0, workload.tally.failures
+    assert busy > 0.0

@@ -1,6 +1,7 @@
 """Tensor container and table codec: round trips, checksums, corruption
 detection."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -20,13 +21,16 @@ def sample_tensors(seed=0):
     }
 
 
+_KEYS = ("r", "note")
+
+
 def test_round_trip_bit_exact(tmp_path):
     p = tmp_path / "t.bin"
     tensors = sample_tensors()
-    meta = {"r": "16", "note": "value with spaces"}
-    save_tensors(p, tensors, meta)
-    loaded, got_meta = load_tensors(p)
-    assert got_meta == meta
+    header = {"r": "16", "note": "value with spaces"}
+    save_tensors(p, "demo v1", header, tensors)
+    got_header, loaded = load_tensors(p, "demo v1", _KEYS)
+    assert got_header == header
     assert list(loaded) == list(tensors)
     for name in tensors:
         assert loaded[name].dtype == np.float32
@@ -36,100 +40,136 @@ def test_round_trip_bit_exact(tmp_path):
         )
 
 
+def test_layout_is_a_table_then_end_payloads_and_checksum(tmp_path):
+    p = tmp_path / "t.bin"
+    tensors = sample_tensors()
+    save_tensors(p, "demo v1", {"r": 16, "note": "n"}, tensors)
+    text = ("demo v1\nr\t16\nnote\tn\nrow\tw\t3 4\nrow\tb\t4\n"
+            "row\tscalar\t\nrow\tempty\t0 2\nend\n").encode("utf-8")
+    payload = b"".join(t.astype("<f4").tobytes() for t in tensors.values())
+    blob = text + payload
+    assert p.read_bytes() == blob + hashlib.sha256(blob).digest()
+
+
 def test_save_deterministic(tmp_path):
     pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_tensors(pa, sample_tensors(), {"k": "v"})
-    save_tensors(pb, sample_tensors(), {"k": "v"})
+    save_tensors(pa, "demo v1", {"k": "v"}, sample_tensors())
+    save_tensors(pb, "demo v1", {"k": "v"}, sample_tensors())
     assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_checksum_detects_payload_flip(tmp_path):
     p = tmp_path / "t.bin"
-    save_tensors(p, sample_tensors(), {})
+    save_tensors(p, "demo v1", {}, sample_tensors())
     raw = bytearray(p.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     p.write_bytes(bytes(raw))
     with pytest.raises(CorruptFile):
-        load_tensors(p)
+        load_tensors(p, "demo v1", ())
 
 
 def test_truncation_detected(tmp_path):
     p = tmp_path / "t.bin"
-    save_tensors(p, sample_tensors(), {})
+    save_tensors(p, "demo v1", {}, sample_tensors())
     raw = p.read_bytes()
     p.write_bytes(raw[:-40])
     with pytest.raises(CorruptFile):
-        load_tensors(p)
+        load_tensors(p, "demo v1", ())
 
 
 def test_tiny_file_rejected(tmp_path):
     p = tmp_path / "t.bin"
     p.write_bytes(b"short")
     with pytest.raises(CorruptFile):
-        load_tensors(p)
+        load_tensors(p, "demo v1", ())
+
+
+def _write_signed(p, blob):
+    p.write_bytes(blob + hashlib.sha256(blob).digest())
 
 
 def test_version_mismatch(tmp_path):
-    import hashlib
-
     p = tmp_path / "t.bin"
-    blob = b"uttertune-tensors v999\nend\n"
-    p.write_bytes(blob + hashlib.sha256(blob).digest())
-    with pytest.raises(CorruptFile,
-                       match="expected first line 'uttertune-tensors v1'"):
-        load_tensors(p)
+    _write_signed(p, b"demo v999\nend\n")
+    with pytest.raises(CorruptFile, match="^" + re.escape(
+            f"{p}:1: expected first line 'demo v1'") + "$"):
+        load_tensors(p, "demo v1", ())
 
 
 @pytest.mark.parametrize("body, message", [
-    (b"meta alpha\t8.0\nmeta alpha\t99.0\nend\n",
-     "duplicate meta key 'alpha'"),
-    (b"tensor x 1 1\ntensor x 1 1\nend\n" + bytes(8),
-     "duplicate tensor name 'x'"),
+    (b"alpha\t8.0\nalpha\t99.0\nend\n", "3: expected a row of 2 fields"),
+    (b"alpha\t8.0\nrow\tx\t1\nrow\tx\t1\nend\n" + bytes(8),
+     "4: duplicate tensor name 'x'"),
 ], ids=["meta", "tensor"])
 def test_name_stated_twice_rejected(tmp_path, body, message):
-    import hashlib
-
     p = tmp_path / "t.bin"
-    blob = b"uttertune-tensors v1\n" + body
-    p.write_bytes(blob + hashlib.sha256(blob).digest())
-    with pytest.raises(CorruptFile, match=f"^{re.escape(str(p))}: {message}$"):
-        load_tensors(p)
+    _write_signed(p, b"demo v1\n" + body)
+    with pytest.raises(CorruptFile, match=f"^{re.escape(str(p))}:{message}$"):
+        load_tensors(p, "demo v1", ("alpha",))
 
 
 def test_wrong_magic(tmp_path):
-    import hashlib
-
     p = tmp_path / "t.bin"
-    blob = b"something v1\nend\n"
-    p.write_bytes(blob + hashlib.sha256(blob).digest())
+    _write_signed(p, b"something v1\nend\n")
     with pytest.raises(CorruptFile):
-        load_tensors(p)
+        load_tensors(p, "demo v1", ())
+
+
+@pytest.mark.parametrize("text, line", [
+    ("other v1\nr\t1\nnote\tn\n", 1),
+    ("demo v1\nnote\tn\n", 2),
+    ("demo v1\nnote\tn\nr\t1\n", 2),
+    ("demo v1\nr\t1\nnote\tn\nextra\tx\n", 4),
+    ("demo v1\nr\t1\nnote\tn\nrow\tx\n", 4),
+    ("demo v1\nr\t1\nnote\tn\nrow\tx\t-1\n", 4),
+    ("demo v1\nr\t1\nnote\tn\nrow\tx\t1  1\n", 4),
+    ("demo v1\nr\t1\nnote\tn\nrow\tx\t01\n", 4),
+    ("demo v1\nr\t1\nnote\tn\nrow\tx\t1 y\n", 4),
+], ids=["first-line", "missing-key", "key-order", "extra-key", "short-row",
+        "negative-dim", "double-space", "leading-zero", "not-a-number"])
+def test_table_part_errors_name_path_and_line(tmp_path, text, line):
+    p = tmp_path / "t.bin"
+    _write_signed(p, text.encode("utf-8") + b"end\n" + bytes(4))
+    with pytest.raises(CorruptFile, match="^" + re.escape(f"{p}:{line}: ")):
+        load_tensors(p, "demo v1", _KEYS)
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"", "missing end line"),
+    (b"end\n" + bytes(3), "payload truncated at tensor 'x'"),
+    (b"end\n" + bytes(8), "trailing bytes after last tensor"),
+], ids=["no-end", "short-payload", "long-payload"])
+def test_payload_errors_name_path(tmp_path, tail, message):
+    p = tmp_path / "t.bin"
+    _write_signed(p, b"demo v1\nx\t1\n" + tail)
+    with pytest.raises(CorruptFile, match=f"^{re.escape(str(p))}: {message}$"):
+        load_tensors(p, "demo v1", ())
 
 
 def test_non_float32_rejected(tmp_path):
     with pytest.raises(ValueError):
-        save_tensors(tmp_path / "t.bin", {"x": np.zeros(3, dtype=np.float64)}, {})
+        save_tensors(tmp_path / "t.bin", "demo v1", {},
+                     {"x": np.zeros(3, dtype=np.float64)})
 
 
 def test_bad_names_rejected(tmp_path):
+    for name in ("a\tb", "a\nb"):
+        with pytest.raises(ValueError):
+            save_tensors(tmp_path / "t.bin", "demo v1", {},
+                         {name: np.zeros(1, dtype=np.float32)})
     with pytest.raises(ValueError):
-        save_tensors(
-            tmp_path / "t.bin", {"a b": np.zeros(1, dtype=np.float32)}, {}
-        )
-    with pytest.raises(ValueError):
-        save_tensors(tmp_path / "t.bin", {}, {"bad key": "v"})
+        save_tensors(tmp_path / "t.bin", "demo v1", {"bad\tkey": "v"}, {})
 
 
 def test_newline_in_meta_rejected(tmp_path):
     with pytest.raises(ValueError):
-        save_tensors(tmp_path / "t.bin", {}, {"k": "a\nb"})
+        save_tensors(tmp_path / "t.bin", "demo v1", {"k": "a\nb"}, {})
 
 
 def test_empty_container(tmp_path):
     p = tmp_path / "t.bin"
-    save_tensors(p, {}, {})
-    tensors, meta = load_tensors(p)
-    assert tensors == {} and meta == {}
+    save_tensors(p, "demo v1", {}, {})
+    assert load_tensors(p, "demo v1", ()) == ({}, {})
 
 
 # -- tables ---------------------------------------------------------------------
